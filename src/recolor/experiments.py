@@ -74,6 +74,8 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
         raise ValidationError(f"need n >= k, got n={n}, k={k}")
     if not d > 1:
         raise ValidationError(f"need d > 1 for the log formulas, got {d}")
+    if not math.isfinite(d):
+        raise ValidationError(f"need a finite d, got {d}")
     ld = log(d)
     denom = ld - 5 * (k - 1) * log(ld)
     if denom <= 0:

@@ -64,11 +64,21 @@ class Coloring:
     def __len__(self) -> int:
         return len(self.colors)
 
+    def _check_vertex(self, vertex: int) -> None:
+        if not 1 <= vertex <= len(self.colors):
+            raise VertexRangeError(
+                f"vertex {vertex} outside 1..{len(self.colors)}")
+
     def __getitem__(self, vertex: int) -> int:
+        self._check_vertex(vertex)
         return self.colors[vertex - 1]
+
+    def __iter__(self):
+        return iter(self.colors)
 
     def replace(self, vertex: int, color: int) -> "Coloring":
         """New coloring with one vertex recolored."""
+        self._check_vertex(vertex)
         lst = list(self.colors)
         lst[vertex - 1] = color
         return Coloring(tuple(lst))
@@ -161,6 +171,10 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     total = math.comb(n, k)
     if not 0 <= m <= total:
         raise ValidationError(f"m={m} outside 0..C({n},{k})={total}")
+    if m > _MAX_MATERIALIZED_EDGES:
+        raise InstanceTooLargeError(
+            f"edge count {m} is too large to materialize "
+            f"(limit {_MAX_MATERIALIZED_EDGES})")
     rng = random.Random(seed)
     pool = range(1, n + 1)
     seen = set()

@@ -17,6 +17,7 @@ Three builders layer on each other:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -128,73 +129,113 @@ def _edge_flags(H: Hypergraph, active: frozenset) -> list:
 
 
 def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
-    """Rewrite the peel-ordered region ``order`` from chi to tau in place.
+    """Steps rewriting the peel-ordered region ``order`` from chi to tau.
 
     Level i replays the moves built for the first i vertices of the order
-    with vertex order[i] now live; any replayed move blocked by an edge
-    through the new vertex gets a detour that parks the new vertex on a
-    spare color first. Peeling guarantees a spare exists: at most beta-1
-    live edges meet the new vertex inside the level, while the pool holds
-    beta+1 colors none of which appear outside the region.
+    with vnew = order[i] now live; any replayed move blocked by an edge
+    through vnew gets a detour that parks vnew on a spare color first, and
+    the level ends by painting vnew its target color. Peeling guarantees a
+    spare exists: at most beta-1 live edges meet vnew inside the level,
+    while the pool holds beta+1 colors none of which appear outside the
+    region.
+
+    Invariant: every move was checked, when it was made, against every live
+    edge through its own vertex, and a detour changes only vnew's color. An
+    edge avoiding vnew is live at level i only if it was live at level i-1,
+    and it sees the same colors at every replayed move as it did then, so it
+    never blocks a replay. Level i therefore looks only at the moves of
+    vertices that share a live edge with vnew, and only while vnew wears the
+    move's color.
+
+    Moves carry position labels that never need renumbering: the final move
+    of level i is ``(i, R)`` with ``R = len(order)``, and a detour inserted
+    at level j in front of the move ``P + (R,)`` is ``P + (j, R)``. Each
+    vertex moves only at its own level, so its labels and colors form a list
+    that grows at the end in path order, and "the color of u just before
+    move t" is one bisect.
+
+    Cost: level i sorts the moves of vnew's live neighbors and bisects for
+    the ones vnew meets; the labels are sorted once at the end. That is
+    near-linear in the path length, where replaying every move at every
+    level was O(levels x moves). Level i raises the step-cap error when the
+    moves it replays plus its detours exceed the cap, where a full replay
+    checking the cap after every move would. chi is not mutated.
     """
     edges = H.edges
     inc = H.incidence
+    R = len(order)
     rank = {v: i for i, v in enumerate(order)}
     pool = tuple(spare_pool)
-    steps = []
+    labels = {v: [] for v in order}
+    colors = {v: [] for v in order}
+    end = (R,)                  # sorts after every label
+
+    def color_at(u, t):
+        lab = labels.get(u)
+        if lab:
+            j = bisect_left(lab, t)
+            if j:
+                return colors[u][j - 1]
+        return chi[u]
+
+    total = 0
     for i, vnew in enumerate(order):
-        cur = chi[:]
+        # edges through vnew that are live at this level
+        live = [edges[ei] for ei in inc[vnew - 1]
+                if edge_ok[ei] and all(rank.get(u, -1) <= i for u in edges[ei])]
 
-        def mono_edge(w, c):
-            # edge through w that goes fully monochromatic in c, ignoring
-            # inactive edges and vertices deeper than level i
-            for ei in inc[w - 1]:
-                if not edge_ok[ei]:
-                    continue
-                for u in edges[ei]:
-                    if u != w and (rank.get(u, -1) > i or cur[u] != c):
-                        break
-                else:
-                    return ei
-            return -1
+        def mono(t, c):
+            # a live edge through vnew whose other vertices wear c before t
+            return any(all(u == vnew or color_at(u, t) == c for u in e)
+                       for e in live)
 
-        out = []
+        nbrs = {u for e in live for u in e if u != vnew}
+        cand = sorted((t, w, c) for w in nbrs if labels.get(w)
+                      for t, c in zip(labels[w], colors[w]))
+        cv = chi[vnew]
         detours = 0
-        for w, c in steps:
-            ei = mono_edge(w, c)
-            if ei >= 0:
-                if vnew not in edges[ei] or cur[vnew] != c:
-                    raise ValidationError(
-                        "replayed move blocked by an edge avoiding the newly "
-                        "activated vertex; region preconditions are violated")
-                spare = 0
-                for s in pool:
-                    if s != c and mono_edge(vnew, s) < 0:
-                        spare = s
-                        break
-                if not spare:
-                    raise SpareColorError(
-                        f"no spare color for vertex {vnew} at level {i}")
-                out.append((vnew, spare))
-                cur[vnew] = spare
-                detours += 1
-            out.append((w, c))
-            cur[w] = c
-            if len(out) > cap:
-                raise StepCapExceededError(
-                    f"level {i} outgrew the step cap", cap=cap)
-        if cur[vnew] != tau[vnew]:
-            if mono_edge(vnew, tau[vnew]) >= 0:
+        for t, w, c in cand:
+            if c != cv:
+                continue
+            if not any(w in e and all(u in (w, vnew) or color_at(u, t) == c
+                                      for u in e)
+                       for e in live):
+                continue
+            for s in pool:
+                if s != c and not mono(t, s):
+                    break
+            else:
+                # the old full replay checked the cap after every move, so
+                # it fires first if the moves ahead of t already overflow
+                pos = sum(bisect_left(lab, t) for lab in labels.values())
+                pos -= detours
+                if pos and pos + detours > cap:
+                    raise StepCapExceededError(
+                        f"level {i} outgrew the step cap", cap=cap)
+                raise SpareColorError(
+                    f"no spare color for vertex {vnew} at level {i}")
+            labels[vnew].append(t[:-1] + (i, R))
+            colors[vnew].append(s)
+            cv = s
+            detours += 1
+        if total and total + detours > cap:
+            raise StepCapExceededError(
+                f"level {i} outgrew the step cap", cap=cap)
+        total += detours
+        if cv != tau[vnew]:
+            if mono(end, tau[vnew]):
                 raise ValidationError(
                     f"target color of vertex {vnew} is blocked at its own "
                     "level; the target coloring is not proper here")
-            out.append((vnew, tau[vnew]))
-            cur[vnew] = tau[vnew]
-        steps = out
+            labels[vnew].append((i, R))
+            colors[vnew].append(tau[vnew])
+            total += 1
         stats.detours_per_level.append(detours)
         stats.detour_moves += detours
-    stats.core_moves += len(steps)
-    return steps
+    moves = sorted((t, v, c) for v in order
+                   for t, c in zip(labels[v], colors[v]))
+    stats.core_moves += len(moves)
+    return [(v, c) for _, v, c in moves]
 
 
 def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):

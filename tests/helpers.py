@@ -8,6 +8,7 @@ import itertools
 import random
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
+from recolor.errors import SpareColorError, StepCapExceededError, ValidationError
 
 
 def subsets(vertices):
@@ -118,3 +119,77 @@ def random_instance(rng, n_range=(2, 8), k_max=3, m_max=12):
     k = rng.randint(2, min(k_max, n))
     m = rng.randint(0, min(m_max, comb(n, k)))
     return generate_hnm(n, m, k, rng.getrandbits(48))
+
+
+# The level-by-level region rewriter as it stood before the incremental
+# builder replaced it in recolor.reconfig: every level replays the whole move
+# list against a fresh copy of the coloring, O(levels x moves). Kept verbatim
+# as the differential oracle for recolor.reconfig._core_steps.
+def core_steps_reference(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
+    """Rewrite the peel-ordered region ``order`` from chi to tau in place.
+
+    Level i replays the moves built for the first i vertices of the order
+    with vertex order[i] now live; any replayed move blocked by an edge
+    through the new vertex gets a detour that parks the new vertex on a
+    spare color first. Peeling guarantees a spare exists: at most beta-1
+    live edges meet the new vertex inside the level, while the pool holds
+    beta+1 colors none of which appear outside the region.
+    """
+    edges = H.edges
+    inc = H.incidence
+    rank = {v: i for i, v in enumerate(order)}
+    pool = tuple(spare_pool)
+    steps = []
+    for i, vnew in enumerate(order):
+        cur = chi[:]
+
+        def mono_edge(w, c):
+            # edge through w that goes fully monochromatic in c, ignoring
+            # inactive edges and vertices deeper than level i
+            for ei in inc[w - 1]:
+                if not edge_ok[ei]:
+                    continue
+                for u in edges[ei]:
+                    if u != w and (rank.get(u, -1) > i or cur[u] != c):
+                        break
+                else:
+                    return ei
+            return -1
+
+        out = []
+        detours = 0
+        for w, c in steps:
+            ei = mono_edge(w, c)
+            if ei >= 0:
+                if vnew not in edges[ei] or cur[vnew] != c:
+                    raise ValidationError(
+                        "replayed move blocked by an edge avoiding the newly "
+                        "activated vertex; region preconditions are violated")
+                spare = 0
+                for s in pool:
+                    if s != c and mono_edge(vnew, s) < 0:
+                        spare = s
+                        break
+                if not spare:
+                    raise SpareColorError(
+                        f"no spare color for vertex {vnew} at level {i}")
+                out.append((vnew, spare))
+                cur[vnew] = spare
+                detours += 1
+            out.append((w, c))
+            cur[w] = c
+            if len(out) > cap:
+                raise StepCapExceededError(
+                    f"level {i} outgrew the step cap", cap=cap)
+        if cur[vnew] != tau[vnew]:
+            if mono_edge(vnew, tau[vnew]) >= 0:
+                raise ValidationError(
+                    f"target color of vertex {vnew} is blocked at its own "
+                    "level; the target coloring is not proper here")
+            out.append((vnew, tau[vnew]))
+            cur[vnew] = tau[vnew]
+        steps = out
+        stats.detours_per_level.append(detours)
+        stats.detour_moves += detours
+    stats.core_moves += len(steps)
+    return steps

@@ -48,6 +48,17 @@ class TestParams:
         assert main(["params", "10", "2", "1000"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["params", "inf", "2", "10"],
+        ["params", "1e400", "2", "10"],
+        ["montecarlo", "--n", "30", "--k", "2", "--trials", "1",
+         "--d", "inf"],
+    ])
+    def test_non_finite_d(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestGen:
     def test_m_route_reproducible(self, capsys):
@@ -71,6 +82,11 @@ class TestGen:
     def test_bad_m(self, capsys):
         assert main(["gen", "--n", "4", "--k", "2", "--m", "99"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unmaterializable_m_refused(self, capsys):
+        assert main(["gen", "--n", "10000", "--k", "3",
+                     "--m", "6000000"]) == 3
+        assert capsys.readouterr().err.startswith("refused:")
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "h.txt"

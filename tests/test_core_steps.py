@@ -1,0 +1,204 @@
+"""The region rewriter against its quadratic predecessor, and golden traces.
+
+``recolor.reconfig._core_steps`` replays, at each peel level, only the moves
+that can meet the newly activated vertex. ``helpers.core_steps_reference``
+is the builder it replaced, which replays every move at every level. The two
+must agree on the steps, on the detour counts per level, and on the type and
+message of any exception, under every step cap.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from recolor import (
+    NotColorableEvidence,
+    beta_core,
+    build,
+    color_coreless,
+    connect,
+    generate_hnm,
+)
+from recolor import reconfig
+from recolor.cli import main
+from helpers import core_steps_reference, random_proper_coloring
+
+GOLDEN = Path(__file__).parent / "golden"
+BIG_CAP = reconfig.DEFAULT_STEP_CAP
+
+
+def outcome(builder, call, cap):
+    """What one builder makes of one call: its steps and stats, or the
+    type and message of what it raised."""
+    H, edge_ok, order, chi, tau, pool = call
+    before = list(chi)
+    stats = reconfig.PathStats()
+    try:
+        steps = builder(H, edge_ok, order, chi, tau, pool, cap, stats)
+    except Exception as exc:
+        res = (type(exc).__name__, str(exc), stats.detours_per_level)
+    else:
+        res = ("ok", [tuple(s) for s in steps], stats.detours_per_level,
+               stats.detour_moves, stats.core_moves)
+    assert chi == before, "the builder mutated chi"
+    return res
+
+
+def assert_same(call, caps=None):
+    """Both builders agree uncapped and, when asked, under the step caps
+    0, 1, len/2, len-1 and len; returns the uncapped outcome."""
+    want = outcome(core_steps_reference, call, BIG_CAP)
+    assert outcome(reconfig._core_steps, call, BIG_CAP) == want
+    if caps and want[0] == "ok":
+        n = len(want[1])
+        for cap in sorted({0, 1, n // 2, max(n - 1, 0), n}):
+            assert (outcome(reconfig._core_steps, call, cap)
+                    == outcome(core_steps_reference, call, cap)), cap
+    return want
+
+
+def coreless_call(k, beta, n, m, seed, shifted=True):
+    """A whole-instance rewrite as ``path_core`` makes it with alpha=0: both
+    endpoints first-fit along the peel order, on palettes one color apart
+    (many detours) or on a shuffled palette."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        H = generate_hnm(n, m, k, rng.getrandbits(48))
+        peel = beta_core(H, beta)
+        if not peel.core:
+            break
+    else:
+        raise AssertionError("no coreless instance")
+    pool = list(range(1, beta + 2))
+    src = color_coreless(H, beta, None, pool[:beta])
+    if shifted:
+        dst = color_coreless(H, beta, None, pool[1:])
+    else:
+        rng.shuffle(pool)
+        dst = color_coreless(H, beta, None, pool[:beta])
+    chi = [0] + [src[v] for v in H.vertices()]
+    tau = [0] + [dst[v] for v in H.vertices()]
+    return H, [True] * H.m, list(peel.order), chi, tau, range(1, beta + 2)
+
+
+COREFREE = [
+    # k, beta, n, m
+    (2, 2, 300, 120),
+    (2, 3, 300, 300),
+    (2, 4, 300, 420),
+    (3, 2, 300, 90),
+    (3, 3, 500, 500),
+    (3, 4, 400, 600),
+    (4, 2, 300, 60),
+    (4, 3, 300, 180),
+    (4, 4, 400, 400),
+]
+
+
+@pytest.mark.parametrize("k,beta,n,m", COREFREE)
+@pytest.mark.parametrize("shifted", [True, False])
+def test_coreless_regions_match_the_reference(k, beta, n, m, shifted):
+    res = assert_same(coreless_call(k, beta, n, m, 1000 * k + 10 * beta,
+                                    shifted), caps=True)
+    assert res[0] == "ok"
+    if shifted:
+        assert res[3] > 0, "the instance makes no detours"
+
+
+def test_coreless_region_at_n_4000_matches_the_reference():
+    res = assert_same(coreless_call(2, 2, 4000, 1600, 77))
+    assert res[0] == "ok" and res[3] > 1000
+
+
+def test_connect_regions_match_the_reference(monkeypatch):
+    """Bridges and final base cases inside ``connect`` with alpha >= 1: the
+    region is part of the live set, so some vertices sit outside the order
+    and some edges are dead."""
+    calls = []
+    builder = reconfig._core_steps
+
+    def recording(H, edge_ok, order, chi, tau, pool, cap, stats):
+        calls.append((H, list(edge_ok), list(order), list(chi), list(tau),
+                      pool))
+        return builder(H, edge_ok, order, chi, tau, pool, cap, stats)
+
+    monkeypatch.setattr(reconfig, "_core_steps", recording)
+    rng = random.Random(2024)
+    for k, n, m, alpha, beta in [(2, 60, 60, 1, 2), (2, 80, 100, 2, 2),
+                                 (3, 80, 80, 1, 2), (3, 120, 120, 2, 3),
+                                 (4, 100, 150, 1, 3), (3, 300, 300, 2, 3),
+                                 (2, 200, 200, 1, 2)]:
+        q = alpha + beta + 1
+        for _ in range(3):
+            H = generate_hnm(n, m, k, rng.getrandbits(48))
+            c1 = random_proper_coloring(H, q, rng)
+            c2 = random_proper_coloring(H, q, rng)
+            try:
+                connect(H, c1, c2, q, alpha, beta)
+            except NotColorableEvidence:
+                pass
+    monkeypatch.undo()
+    partial = outside = detoured = 0
+    for call in calls:
+        H, edge_ok, order, _, _, _ = call
+        partial += not all(edge_ok)
+        inside = set(order)
+        outside += any(ok and not set(e) <= inside
+                       for e, ok in zip(H.edges, edge_ok))
+        res = assert_same(call, caps=True)
+        detoured += res[0] == "ok" and res[3] > 0
+    assert partial and outside and detoured
+
+
+@pytest.mark.parametrize("k,beta,n,m", COREFREE[::2])
+def test_violated_preconditions_raise_the_same_errors(k, beta, n, m):
+    """A pool too small for the spares, and targets that are not proper on
+    the region: both builders fail at the same point with the same message,
+    including where the step cap fires first."""
+    H, edge_ok, order, chi, tau, pool = coreless_call(k, beta, n, m, 7 * n)
+    rng = random.Random(n + m)
+    bad_tau = list(tau)
+    for v in order:
+        if rng.random() < 0.2:
+            bad_tau[v] = rng.choice(pool)
+    kinds = set()
+    for call in [(H, edge_ok, order, chi, tau, pool[:1]),
+                 (H, edge_ok, order, chi, tau, pool[:2]),
+                 (H, edge_ok, order, chi, bad_tau, pool)]:
+        for cap in [0, 1, 2, 5, 20, 100, BIG_CAP]:
+            res = outcome(core_steps_reference, call, cap)
+            assert outcome(reconfig._core_steps, call, cap) == res, cap
+            kinds.add(res[0])
+    assert "StepCapExceededError" in kinds
+    assert kinds & {"SpareColorError", "ValidationError"}
+
+
+def test_step_cap_fires_before_a_later_missing_spare():
+    """Path 1-2-3 activated as 1, 3, 2 with a one-color pool: at level 2 the
+    first replayed move takes a detour, and the second finds no spare. Under
+    a cap of 1 the detour overflows first; under a cap of 2 it does not."""
+    H = build(3, 2, [(1, 2), (2, 3)])
+    call = (H, [True, True], [1, 3, 2], [0, 3, 2, 2], [0, 2, 2, 1], (1,))
+    want = {1: ("StepCapExceededError", "level 2 outgrew the step cap"),
+            2: ("SpareColorError", "no spare color for vertex 2 at level 2"),
+            BIG_CAP: ("SpareColorError",
+                      "no spare color for vertex 2 at level 2")}
+    for cap, head in want.items():
+        res = outcome(reconfig._core_steps, call, cap)
+        assert res[:2] == head
+        assert res == outcome(core_steps_reference, call, cap)
+
+
+@pytest.mark.parametrize("name,q,alpha,beta", [("connect_k2", 4, 1, 2),
+                                               ("connect_k4", 5, 1, 3)])
+def test_connect_trace_matches_golden(name, q, alpha, beta, tmp_path, capsys):
+    """Traces recorded with the quadratic rewriter, compared byte for byte."""
+    files = {s: str(GOLDEN / f"{name}.{s}.txt") for s in ("h", "c1", "c2")}
+    out = tmp_path / "trace.txt"
+    assert main(["connect", files["h"], files["c1"], files["c2"],
+                 "--q", str(q), "--alpha", str(alpha), "--beta", str(beta),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.trace.txt").read_bytes()
+    assert capsys.readouterr().err == \
+        (GOLDEN / f"{name}.stderr.txt").read_text()

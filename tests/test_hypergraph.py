@@ -8,6 +8,7 @@ from recolor import (
     Coloring,
     DuplicateEdgeError,
     EdgeArityError,
+    InstanceTooLargeError,
     RepeatedVertexError,
     ValidationError,
     VertexRangeError,
@@ -100,6 +101,18 @@ class TestGenerateHnm:
         with pytest.raises(ValidationError):
             generate_hnm(4, 7, 2, 0)
 
+    def test_refuses_unmaterializable_edge_counts(self, monkeypatch):
+        import types
+
+        import recolor.hypergraph as hg
+
+        def no_sampling(seed):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(hg, "random", types.SimpleNamespace(Random=no_sampling))
+        with pytest.raises(InstanceTooLargeError, match="6000000"):
+            generate_hnm(10_000, 6_000_000, 3, 0)
+
     def test_degree_sum(self):
         for seed in range(30):
             H = generate_hnm(12, 18, 3, seed)
@@ -167,6 +180,17 @@ class TestColoring:
     def test_replace(self):
         c = Coloring((1, 2, 3)).replace(2, 9)
         assert c.colors == (1, 9, 3)
+
+    @pytest.mark.parametrize("vertex", [0, -1, 4])
+    def test_vertex_outside_range(self, vertex):
+        c = Coloring((1, 2, 3))
+        with pytest.raises(VertexRangeError):
+            c[vertex]
+        with pytest.raises(VertexRangeError):
+            c.replace(vertex, 2)
+
+    def test_iterates_in_vertex_order(self):
+        assert list(Coloring((4, 5, 6))) == [4, 5, 6]
 
     def test_used_colors(self):
         assert Coloring((2, 2, 7)).used_colors() == {2, 7}
