@@ -197,6 +197,8 @@ def _parse_trace(path_file: str):
 
 
 def _cmd_verify(args) -> int:
+    if args.q < 1:
+        raise ValidationError(f"q must be positive, got {args.q}")
     H = read_hypergraph(args.hypergraph)
     start = read_coloring(args.start)
     steps = _parse_trace(args.trace)
@@ -207,6 +209,9 @@ def _cmd_verify(args) -> int:
         if new < 1:
             _emit(args, f"failed index {i} reason color-out-of-range\n")
             return 1
+    if len(start) != H.n:
+        _emit(args, "failed index start reason start-length-mismatch\n")
+        return 1
     cur = [0] + list(start.colors)
     for i, (v, old, new) in enumerate(steps):
         if cur[v] != old:

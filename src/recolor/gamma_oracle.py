@@ -6,13 +6,24 @@ exhaustive and budgeted: enumeration refuses outright when q**n exceeds its
 budget, and the all-pairs diameter sweep refuses when the largest component
 is too big to BFS from every node.
 
-Colorings are encoded internally as mixed-radix integers (digit v is the
-color of vertex v), which makes neighbor probing one add and one dict lookup.
+Colorings are encoded as mixed-radix integers: digit v-1 is the color of
+vertex v minus one. The enumerator builds each code digit by digit as it
+assigns vertices, so no coloring is materialised on the way.
+
+Components need no search. The colorings that differ only at vertex v share
+the code with digit v-1 erased, and any two of them are one recoloring
+apart, so each such group is a clique and the components are the union over
+v of these groupings. ``gamma_stats`` finds them with n grouping passes of
+union-find over the enumerated codes: per coloring and vertex, one dict
+lookup and at most one union, where a BFS would probe all n*(q-1) neighbors
+of every coloring. The diameter sweep and ``gamma_distance`` do need BFS.
+Both filter the neighbor list of ``_neighbors`` against their own set: the
+sweep once per node, into adjacency lists that every source then walks.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -53,19 +64,22 @@ def _finishing_edges(H: Hypergraph) -> list[list[tuple[int, ...]]]:
     return fin
 
 
-def _proper_codes(H: Hypergraph, q: int) -> Iterator[tuple[int, ...]]:
-    """Yield proper colorings as tuples, in lexicographic order."""
+def _proper_codes(H: Hypergraph, q: int) -> Iterator[int]:
+    """Yield the codes of the proper colorings, in lexicographic order of
+    the colorings (vertex 1 first)."""
     n = H.n
     fin = _finishing_edges(H)
+    pows = [q ** i for i in range(n)]
     assign = [0] * (n + 1)
+    part = [0] * (n + 1)  # part[v]: code of the colors of vertices 1..v
     v = 1
     while v >= 1:
-        assign[v] += 1
-        if assign[v] > q:
+        c = assign[v] + 1
+        if c > q:
             assign[v] = 0
             v -= 1
             continue
-        c = assign[v]
+        assign[v] = c
         ok = True
         for others in fin[v]:
             mono = True
@@ -78,49 +92,63 @@ def _proper_codes(H: Hypergraph, q: int) -> Iterator[tuple[int, ...]]:
                 break
         if not ok:
             continue
+        code = part[v - 1] + (c - 1) * pows[v - 1]
         if v == n:
-            yield tuple(assign[1:])
+            yield code
         else:
+            part[v] = code
             v += 1
 
 
 def enumerate_proper(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Coloring]:
-    """All proper q-colorings in lexicographic order (budgeted backtracking)."""
+    """All proper q-colorings in lexicographic order (budgeted backtracking).
+
+    Refuses when called; the colorings themselves are produced lazily.
+    """
     _check_budget(H, q, budget)
-    for tup in _proper_codes(H, q):
-        yield Coloring(tup)
+    # decode by table: the colors of the low and of the high half of a code
+    low, high = ([tuple(x // q ** i % q + 1 for i in range(d)) for x in range(q ** d)]
+                 for d in (H.n // 2, H.n - H.n // 2))
+    split = len(low)
+    return (Coloring(low[code % split] + high[code // split])
+            for code in _proper_codes(H, q))
 
 
-def _encode(tup: tuple[int, ...], pows: list[int]) -> int:
-    code = 0
-    for i, c in enumerate(tup):
-        code += (c - 1) * pows[i]
-    return code
+def _neighbors(code: int, pows: list[int], q: int) -> list[int]:
+    """The n*(q-1) codes one recoloring away from ``code``."""
+    out: list[int] = []
+    for p in pows:
+        base = code - code // p % q * p
+        out.extend(range(base, code, p))
+        out.extend(range(code + p, base + q * p, p))
+    return out
 
 
-def _component_of(start: int, index: dict[int, int], codes: list[int],
-                  seen: bytearray, n: int, q: int, pows: list[int]) -> list[int]:
-    """BFS over coloring codes; returns the component as a list of node indices."""
-    comp = [start]
-    seen[start] = 1
-    queue = deque([start])
-    while queue:
-        ci = queue.popleft()
-        code = codes[ci]
-        rem = code
-        for i in range(n):
-            digit = rem % q
-            rem //= q
-            base = code - digit * pows[i]
-            for d in range(q):
-                if d == digit:
-                    continue
-                ni = index.get(base + d * pows[i])
-                if ni is not None and not seen[ni]:
-                    seen[ni] = 1
-                    comp.append(ni)
-                    queue.append(ni)
-    return comp
+def _component_roots(codes: list[int], pows: list[int], q: int) -> list[int]:
+    """Union-find over the digit-erased groups: entry j is the least index
+    of the component holding codes[j]."""
+    parent = list(range(len(codes)))  # invariant: parent[j] <= j
+    for p in pows:
+        first: dict[int, int] = {}
+        for j, code in enumerate(codes):
+            a = first.setdefault(code - code // p % q * p, j)
+            if a == j:
+                continue
+            while parent[a] != a:  # find with path halving
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = j
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # parents point to smaller indices, so one ascending sweep finds roots
+    for j in range(len(parent)):
+        parent[j] = parent[parent[j]]
+    return parent
 
 
 def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
@@ -136,64 +164,48 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
     _check_budget(H, q, budget)
     n = H.n
     pows = [q ** i for i in range(n)]
-    codes: list[int] = []
-    index: dict[int, int] = {}
-    for tup in _proper_codes(H, q):
-        code = _encode(tup, pows)
-        index[code] = len(codes)
-        codes.append(code)
-    total = len(codes)
-    seen = bytearray(total)
-    components: list[list[int]] = []
-    for start in range(total):
-        if not seen[start]:
-            components.append(_component_of(start, index, codes, seen, n, q, pows))
-    sizes = tuple(sorted(len(c) for c in components))
+    codes = list(_proper_codes(H, q))
+    roots = _component_roots(codes, pows, q)
+    size = Counter(roots)  # keyed by least index, inserted in ascending order
     diameter: Optional[int] = None
-    if compute_diameter and total > 0:
-        largest = max(components, key=len)
-        work = len(largest) * len(largest) * n * (q - 1)
+    if compute_diameter and codes:
+        largest = max(size, key=size.__getitem__)  # the first of the largest
+        work = size[largest] * size[largest] * n * (q - 1)
         if work > diameter_budget:
             raise InstanceTooLargeError(
                 f"diameter sweep needs ~{work} probes, over the budget {diameter_budget}")
-        diameter = _diameter_of(largest, codes, index, n, q, pows)
+        diameter = _diameter_of(
+            [code for code, r in zip(codes, roots) if r == largest], pows, q)
     return GammaStats(
-        num_colorings=total,
-        num_components=len(components),
-        component_sizes=sizes,
+        num_colorings=len(codes),
+        num_components=len(size),
+        component_sizes=tuple(sorted(size.values())),
         diameter=diameter,
-        connected=len(components) <= 1,
+        connected=len(size) <= 1,
     )
 
 
-def _diameter_of(comp: list[int], codes: list[int], index: dict[int, int],
-                 n: int, q: int, pows: list[int]) -> int:
-    local = {ci: i for i, ci in enumerate(comp)}
+def _diameter_of(comp: list[int], pows: list[int], q: int) -> int:
+    """Largest eccentricity over the codes of one component, by BFS from
+    each over adjacency lists built once."""
+    local = {code: i for i, code in enumerate(comp)}
+    adj = [[local[nb] for nb in _neighbors(code, pows, q) if nb in local]
+           for code in comp]
     diameter = 0
-    for src in comp:
-        dist = [-1] * len(comp)
-        dist[local[src]] = 0
-        queue = deque([src])
-        far = 0
-        while queue:
-            ci = queue.popleft()
-            dci = dist[local[ci]]
-            code = codes[ci]
-            rem = code
-            for i in range(n):
-                digit = rem % q
-                rem //= q
-                base = code - digit * pows[i]
-                for d in range(q):
-                    if d == digit:
-                        continue
-                    ni = index.get(base + d * pows[i])
-                    if ni is not None:
-                        li = local.get(ni)
-                        if li is not None and dist[li] < 0:
-                            dist[li] = dci + 1
-                            far = dci + 1
-                            queue.append(ni)
+    for src in range(len(comp)):
+        seen = bytearray(len(comp))
+        seen[src] = 1
+        frontier = [src]
+        far = -1
+        while frontier:
+            far += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        nxt.append(w)
+            frontier = nxt
         diameter = max(diameter, far)
     return diameter
 
@@ -210,35 +222,23 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
             raise ValidationError(f"{name} uses colors above q={q}")
         if not is_proper(H, col):
             raise ValidationError(f"{name} is not proper")
-    n = H.n
-    pows = [q ** i for i in range(n)]
-    codes: list[int] = []
-    index: dict[int, int] = {}
-    for tup in _proper_codes(H, q):
-        code = _encode(tup, pows)
-        index[code] = len(codes)
-        codes.append(code)
-    src = _encode(sigma.colors, pows)
-    dst = _encode(tau.colors, pows)
+    pows = [q ** i for i in range(H.n)]
+    unseen = set(_proper_codes(H, q))
+    src, dst = (sum((c - 1) * p for c, p in zip(col.colors, pows))
+                for col in (sigma, tau))
     if src == dst:
         return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        code = queue.popleft()
-        dcode = dist[code]
-        rem = code
-        for i in range(n):
-            digit = rem % q
-            rem //= q
-            base = code - digit * pows[i]
-            for d in range(q):
-                if d == digit:
-                    continue
-                nxt = base + d * pows[i]
-                if nxt in index and nxt not in dist:
-                    if nxt == dst:
-                        return dcode + 1
-                    dist[nxt] = dcode + 1
-                    queue.append(nxt)
+    unseen.discard(src)
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt: list[int] = []
+        for code in frontier:
+            hits = unseen.intersection(_neighbors(code, pows, q))
+            if dst in hits:
+                return d
+            unseen -= hits
+            nxt.extend(hits)
+        frontier = nxt
     return None

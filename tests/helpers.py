@@ -6,6 +6,7 @@ checks that cannot share a bug with the library's incremental algorithms.
 
 import itertools
 import random
+from collections import deque
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
 from recolor.errors import SpareColorError, StepCapExceededError, ValidationError
@@ -193,3 +194,132 @@ def core_steps_reference(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
         stats.detour_moves += detours
     stats.core_moves += len(steps)
     return steps
+
+
+# The recoloring-graph oracle as it stood before recolor.gamma_oracle moved
+# to one enumerator, union-find components and a shared neighbor list: a
+# digit-probing BFS per component, per diameter source and per distance
+# query. The three BFS are kept verbatim as the differential oracle for
+# gamma_stats and gamma_distance; the proper colorings come from a plain
+# filter over every q-coloring, in the same lexicographic order.
+def _encode(tup, pows):
+    code = 0
+    for i, c in enumerate(tup):
+        code += (c - 1) * pows[i]
+    return code
+
+
+def _proper_index(H, q):
+    """Codes of the proper colorings in lexicographic order, and their index."""
+    pows = [q ** i for i in range(H.n)]
+    codes = []
+    index = {}
+    for tup in itertools.product(range(1, q + 1), repeat=H.n):
+        if is_proper(H, Coloring(tup)):
+            code = _encode(tup, pows)
+            index[code] = len(codes)
+            codes.append(code)
+    return pows, codes, index
+
+
+def _component_of(start, index, codes, seen, n, q, pows):
+    """BFS over coloring codes; returns the component as a list of node indices."""
+    comp = [start]
+    seen[start] = 1
+    queue = deque([start])
+    while queue:
+        ci = queue.popleft()
+        code = codes[ci]
+        rem = code
+        for i in range(n):
+            digit = rem % q
+            rem //= q
+            base = code - digit * pows[i]
+            for d in range(q):
+                if d == digit:
+                    continue
+                ni = index.get(base + d * pows[i])
+                if ni is not None and not seen[ni]:
+                    seen[ni] = 1
+                    comp.append(ni)
+                    queue.append(ni)
+    return comp
+
+
+def _diameter_of(comp, codes, index, n, q, pows):
+    local = {ci: i for i, ci in enumerate(comp)}
+    diameter = 0
+    for src in comp:
+        dist = [-1] * len(comp)
+        dist[local[src]] = 0
+        queue = deque([src])
+        far = 0
+        while queue:
+            ci = queue.popleft()
+            dci = dist[local[ci]]
+            code = codes[ci]
+            rem = code
+            for i in range(n):
+                digit = rem % q
+                rem //= q
+                base = code - digit * pows[i]
+                for d in range(q):
+                    if d == digit:
+                        continue
+                    ni = index.get(base + d * pows[i])
+                    if ni is not None:
+                        li = local.get(ni)
+                        if li is not None and dist[li] < 0:
+                            dist[li] = dci + 1
+                            far = dci + 1
+                            queue.append(ni)
+        diameter = max(diameter, far)
+    return diameter
+
+
+def gamma_stats_reference(H, q, compute_diameter=True):
+    """(num_colorings, num_components, component_sizes, diameter, connected)
+    by BFS; the diameter is taken on the first largest component found."""
+    pows, codes, index = _proper_index(H, q)
+    total = len(codes)
+    seen = bytearray(total)
+    components = []
+    for start in range(total):
+        if not seen[start]:
+            components.append(_component_of(start, index, codes, seen, H.n, q, pows))
+    diameter = None
+    if compute_diameter and total > 0:
+        largest = max(components, key=len)
+        diameter = _diameter_of(largest, codes, index, H.n, q, pows)
+    return (total, len(components), tuple(sorted(len(c) for c in components)),
+            diameter, len(components) <= 1)
+
+
+def gamma_distance_reference(H, q, sigma, tau):
+    """Recoloring distance by BFS from sigma, or None when tau is unreachable."""
+    n = H.n
+    pows, codes, index = _proper_index(H, q)
+    src = _encode(sigma.colors, pows)
+    dst = _encode(tau.colors, pows)
+    if src == dst:
+        return 0
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        code = queue.popleft()
+        dcode = dist[code]
+        rem = code
+        for i in range(n):
+            digit = rem % q
+            rem //= q
+            base = code - digit * pows[i]
+            for d in range(q):
+                if d == digit:
+                    continue
+                nxt = base + d * pows[i]
+                if nxt in index and nxt not in dist:
+                    if nxt == dst:
+                        return dcode + 1
+                    dist[nxt] = dcode + 1
+                    queue.append(nxt)
+    return None

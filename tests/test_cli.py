@@ -232,6 +232,29 @@ class TestConnectAndVerify:
         assert capsys.readouterr().out == \
             "failed index 0 reason old-color-mismatch\n"
 
+    @pytest.mark.parametrize("colors", [(1,), (1, 2, 1)])
+    def test_verify_start_length_mismatch(self, tmp_path, k2_file, colors,
+                                          capsys):
+        # the trace names vertex 2, beyond a one-color start
+        c1 = coloring_file(tmp_path, "a.txt", colors)
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 2 2 3\n")
+        assert main(["verify", k2_file, c1, str(trace), "--q", "3"]) == 1
+        assert capsys.readouterr().out == \
+            "failed index start reason start-length-mismatch\n"
+
+    @pytest.mark.parametrize("q", ["0", "-5"])
+    def test_verify_non_positive_q(self, tmp_path, k2_file, q, capsys):
+        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 1 1 3\n")
+        assert main(["verify", k2_file, c1, str(trace), "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: q must be positive, got {q}\n"
+        assert main(["gamma", k2_file, "--q", q]) == 2
+        assert capsys.readouterr().err == captured.err
+
     def test_verify_bad_trace_file(self, tmp_path, k2_file, capsys):
         c1 = coloring_file(tmp_path, "a.txt", (1, 2))
         trace = tmp_path / "trace.txt"

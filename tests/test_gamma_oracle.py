@@ -1,5 +1,7 @@
 import random
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from recolor import (
     Coloring,
     InstanceTooLargeError,
+    ValidationError,
     build,
     enumerate_proper,
     gamma_distance,
@@ -14,8 +17,12 @@ from recolor import (
     generate_hnm,
     hamming,
     is_proper,
+    read_hypergraph,
 )
-from helpers import random_instance
+from recolor.cli import main
+from helpers import gamma_distance_reference, gamma_stats_reference, random_instance
+
+GOLDEN = Path(__file__).parent / "golden"
 
 K2 = build(2, 2, [(1, 2)])
 K3 = build(3, 2, [(1, 2), (2, 3), (1, 3)])
@@ -46,6 +53,12 @@ class TestEnumerate:
     def test_budget_refusal(self):
         with pytest.raises(InstanceTooLargeError):
             list(enumerate_proper(build(30, 2, []), 3, budget=100))
+
+    def test_refuses_at_the_call(self):
+        with pytest.raises(InstanceTooLargeError):
+            enumerate_proper(build(30, 2, []), 3, budget=100)
+        with pytest.raises(ValidationError, match="q must be positive, got 0"):
+            enumerate_proper(K2, 0)
 
 
 class TestGammaStats:
@@ -141,3 +154,67 @@ class TestGammaDistance:
             assert d == gamma_distance(H, 3, b, a)
             if d is not None:
                 assert d >= hamming(a, b)
+
+
+def seeded_instances():
+    """One seeded instance per (n, k, q) with n 2-7, k 2-3, q 1-5, while
+    q**n stays small enough for the reference BFS, then the edge cases:
+    empty Omega, q=1 with and without edges, edgeless H, tied components."""
+    rng = random.Random(2718)
+    cases = []
+    for n in range(2, 8):
+        for k in range(2, min(3, n) + 1):
+            for q in range(1, 6):
+                if q ** n <= 20000:
+                    m = rng.randint(0, min(3 * n, comb(n, k)))
+                    H = generate_hnm(n, m, k, rng.getrandbits(32))
+                    cases.append(pytest.param(H, q, id=f"n{n}-k{k}-q{q}-m{m}"))
+    tied = read_hypergraph(GOLDEN / "gamma_k3.h.txt")  # sizes 1 1 2 2 5 5
+    cases += [pytest.param(K3, 2, id="empty-omega"),
+              pytest.param(build(3, 2, []), 1, id="q1-edgeless"),
+              pytest.param(K2, 1, id="q1-edge"),
+              pytest.param(build(5, 2, []), 3, id="edgeless"),
+              pytest.param(K2, 2, id="tied-singletons"),
+              pytest.param(tied, 2, id="tied-largest")]
+    return cases
+
+
+class TestAgainstBfsReference:
+    """gamma_stats and gamma_distance against the digit-probing BFS they
+    replaced (tests/helpers.py), on every GammaStats field."""
+
+    DIAMETER_BUDGET = 10 ** 6
+
+    @pytest.mark.parametrize("H,q", seeded_instances())
+    def test_stats_and_distances(self, H, q):
+        try:
+            got = gamma_stats(H, q, diameter_budget=self.DIAMETER_BUDGET)
+            with_diameter = True
+        except InstanceTooLargeError:
+            got = gamma_stats(H, q, compute_diameter=False)
+            with_diameter = False
+        assert (got.num_colorings, got.num_components, got.component_sizes,
+                got.diameter, got.connected) == \
+            gamma_stats_reference(H, q, compute_diameter=with_diameter)
+        colorings = list(enumerate_proper(H, q))
+        rng = random.Random(q * 1000 + H.n * 10 + H.m)
+        for _ in range(min(4, len(colorings))):
+            a, b = rng.choice(colorings), rng.choice(colorings)
+            assert gamma_distance(H, q, a, b) == \
+                gamma_distance_reference(H, q, a, b)
+
+    def test_unreachable_distance(self):
+        a, b = Coloring((1, 2, 3)), Coloring((2, 1, 3))
+        assert gamma_distance_reference(K3, 3, a, b) is None
+        assert gamma_distance(K3, 3, a, b) is None
+
+
+@pytest.mark.parametrize("name,q", [("gamma_k2", 3), ("gamma_k3", 2),
+                                    ("gamma_k3q3", 3)])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_gamma_cli_matches_golden(name, q, fmt, tmp_path):
+    """Outputs recorded with the BFS oracle, compared byte for byte."""
+    out = tmp_path / "out.txt"
+    assert main(["gamma", str(GOLDEN / f"{name}.h.txt"), "--q", str(q),
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}.txt").read_bytes()
