@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .hypergraph import (
+    Coloring,
     generate_hnm,
     generate_hnp,
     hypergraph_to_text,
@@ -221,7 +222,7 @@ def _cmd_verify(args) -> int:
     path = reconfig.RecolorPath(
         start=start,
         steps=tuple(reconfig.RecolorStep(v, new) for v, _, new in steps),
-        end=start, stats=reconfig.PathStats())
+        end=Coloring(tuple(cur[1:])), stats=reconfig.PathStats())
     verdict = reconfig.verify_path(H, path, args.q)
     if verdict.ok:
         _emit(args, (f"ok length {len(steps)} "

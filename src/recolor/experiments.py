@@ -84,7 +84,10 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
             "closed form needs a larger d; pass alpha and beta explicitly")
     alpha_real = ((k - 1) * d / denom) ** (1.0 / (k - 1))
     beta_real = 3.0 * ld ** (3 * k)
-    m = math.floor(d * n / k + 0.5)
+    m_real = d * n / k
+    if not (math.isfinite(alpha_real) and math.isfinite(m_real)):
+        raise ValidationError(f"d={d} is too large: the parameter formulas overflow")
+    m = math.floor(m_real + 0.5)
     if m > comb(n, k):
         raise ValidationError(
             f"round(d n / k) = {m} exceeds the {comb(n, k)} possible edges")

@@ -175,7 +175,11 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
         raise InstanceTooLargeError(
             f"edge count {m} is too large to materialize "
             f"(limit {_MAX_MATERIALIZED_EDGES})")
-    rng = random.Random(seed)
+    return Hypergraph(n, k, _distinct_k_sets(random.Random(seed), n, k, m))
+
+
+def _distinct_k_sets(rng: random.Random, n: int, k: int, m: int) -> list:
+    """m distinct uniformly random k-subsets of 1..n, by rejection sampling."""
     pool = range(1, n + 1)
     seen = set()
     out = []
@@ -184,12 +188,12 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
         if e not in seen:
             seen.add(e)
             out.append(e)
-    return Hypergraph(n, k, out)
+    return out
 
 
 # Above this many potential edges, generate_hnp stops enumerating all k-sets
 # and samples the edge count from the exact binomial instead.
-DEFAULT_ENUMERATION_LIMIT = 200_000
+_ENUMERATION_LIMIT = 200_000
 
 # Hard refusal: edge counts beyond this cannot be materialized sensibly.
 _MAX_MATERIALIZED_EDGES = 5_000_000
@@ -217,11 +221,10 @@ def _binomial_draw(rng: random.Random, trials: int, p: float) -> int:
     return i
 
 
-def generate_hnp(n: int, p: float, k: int, seed: int,
-                 enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Hypergraph:
+def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
     """Include each of the C(n,k) possible edges independently with probability p.
 
-    Deterministic per seed. While C(n,k) <= enumeration_limit the k-sets are
+    Deterministic per seed. While C(n,k) <= _ENUMERATION_LIMIT the k-sets are
     enumerated in lexicographic order and kept with probability p each; beyond
     that the edge count is drawn from Binomial(C(n,k), p) and that many
     distinct k-sets are sampled uniformly, which yields the same distribution.
@@ -232,22 +235,14 @@ def generate_hnp(n: int, p: float, k: int, seed: int,
         raise ValidationError(f"p={p} outside [0, 1]")
     total = math.comb(n, k)
     rng = random.Random(seed)
-    if total <= enumeration_limit:
+    if total <= _ENUMERATION_LIMIT:
         edges = [e for e in itertools.combinations(range(1, n + 1), k)
                  if rng.random() < p]
         return Hypergraph(n, k, edges)
     m = _binomial_draw(rng, total, p)
     if m > _MAX_MATERIALIZED_EDGES:
         raise InstanceTooLargeError(f"sampled edge count {m} is too large to materialize")
-    pool = range(1, n + 1)
-    seen = set()
-    out = []
-    while len(out) < m:
-        e = tuple(sorted(rng.sample(pool, k)))
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    return Hypergraph(n, k, out)
+    return Hypergraph(n, k, _distinct_k_sets(rng, n, k, m))
 
 
 def is_proper(H: Hypergraph, coloring: Coloring) -> bool:

@@ -12,7 +12,8 @@ Three builders layer on each other:
 * ``path_between_good_greedy`` joins two greedy-shaped colorings by
   freezing one color class per recursion level.
 
-``connect`` composes all three; ``verify_path`` re-checks any path cold.
+Each public builder validates once, then runs the unchecked phase builders;
+``connect`` composes them into one path. ``verify_path`` re-checks any path.
 """
 
 from __future__ import annotations
@@ -103,12 +104,14 @@ class PathVerdict:
     reason: Optional[str]
 
 
-def _validate_params(alpha: int, beta: int, q: int) -> None:
+def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
     if alpha < 0 or beta < 1:
         raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
     if q < alpha + beta + 1:
         raise ValidationError(
             f"need q >= alpha + beta + 1 = {alpha + beta + 1}, got q={q}")
+    if cap < 0:
+        raise ValidationError(f"step cap must be nonnegative, got {cap}")
 
 
 def _colors_list(H: Hypergraph, coloring: Coloring, q: int) -> list:
@@ -324,9 +327,6 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats):
     chi_class = sorted(v for v in active if cur[v] == cls)
     if chi_class == tau_class:
         chi_class = []          # class already in place, park nothing
-        tau_class_todo = []
-    else:
-        tau_class_todo = tau_class
     if chi_class:
         used = {cur[v] for v in active}
         park = 0
@@ -341,7 +341,7 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats):
         for v in chi_class:
             out.append((v, park))
             cur[v] = park
-    for v in tau_class_todo:
+    for v in tau_class:
         if cur[v] != cls:
             out.append((v, cls))
             cur[v] = cls
@@ -387,7 +387,7 @@ def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
     most beta colors onto the region beyond those used outside, and the
     region free of a beta-core. Needs q >= alpha + beta + 1.
     """
-    _validate_params(alpha, beta, q)
+    _validate_params(alpha, beta, q, step_cap)
     W = frozenset(_active_set(H, region))
     chi_l = _colors_list(H, chi, q)
     tau_l = _colors_list(H, tau, q)
@@ -431,7 +431,7 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
     sequence and the stuck core when the instance is not (alpha, beta)-
     colorable along the constructed sequence.
     """
-    _validate_params(alpha, beta, q)
+    _validate_params(alpha, beta, q, step_cap)
     chi_l = _colors_list(H, chi, q)
     if not is_proper(H, chi):
         raise ValidationError("start coloring is not proper")
@@ -447,7 +447,7 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
                              q: int, alpha: int, beta: int,
                              step_cap: int = DEFAULT_STEP_CAP) -> RecolorPath:
     """Path between two greedy-shaped colorings of the same instance."""
-    _validate_params(alpha, beta, q)
+    _validate_params(alpha, beta, q, step_cap)
     chi_l = _colors_list(H, chi, q)
     tau_l = _colors_list(H, tau, q)
     if not check_good_greedy(H, chi, alpha, beta):
@@ -461,15 +461,14 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
     return _assemble(H, chi, steps, stats)
 
 
-def _reversed_steps(path: RecolorPath):
-    """The same walk backwards: each move undone with the color it clobbered."""
-    cur = [0] + list(path.start.colors)
-    olds = []
-    for st in path.steps:
-        olds.append(cur[st.vertex])
-        cur[st.vertex] = st.new_color
-    return [(st.vertex, old)
-            for st, old in zip(reversed(path.steps), reversed(olds))]
+def _reversed_steps(start: list, steps: list) -> list:
+    """``steps`` run backwards to ``start``, each with the color it replaced."""
+    cur = start[:]
+    back = []
+    for v, c in steps:
+        back.append((v, cur[v]))
+        cur[v] = c
+    return back[::-1]
 
 
 def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
@@ -477,32 +476,33 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     """Full path between two arbitrary proper colorings.
 
     Route: chi1 -> greedy shape, greedy -> greedy, then the second walk
-    reversed back down to chi2. Raises NotColorableEvidence if any stage
-    exposes non-(alpha, beta)-colorability.
+    reversed back down to chi2. Validates once, then composes the phase
+    builders (their shapes are greedy by construction) into one path. Raises
+    NotColorableEvidence if any stage exposes non-(alpha, beta)-colorability.
     """
-    _validate_params(alpha, beta, q)
-    _colors_list(H, chi1, q)
-    _colors_list(H, chi2, q)
+    _validate_params(alpha, beta, q, step_cap)
+    chi1_l = _colors_list(H, chi1, q)
+    chi2_l = _colors_list(H, chi2, q)
     if not is_proper(H, chi1):
         raise ValidationError("first coloring is not proper")
     if not is_proper(H, chi2):
         raise ValidationError("second coloring is not proper")
     if chi1.colors == chi2.colors:
         return RecolorPath(chi1, (), chi1, PathStats())
-    p1, shaped1 = path_to_good_greedy(H, chi1, q, alpha, beta, step_cap)
-    p2, shaped2 = path_to_good_greedy(H, chi2, q, alpha, beta, step_cap)
-    mid = path_between_good_greedy(H, shaped1, shaped2, q, alpha, beta,
-                                   step_cap)
-    steps = [(st.vertex, st.new_color) for st in p1.steps]
-    steps += [(st.vertex, st.new_color) for st in mid.steps]
-    steps += _reversed_steps(p2)
+    active = frozenset(range(1, H.n + 1))
+    # stats in path order: the first walk and the middle share one, then p2's
+    stats, stats2 = PathStats(), PathStats()
+    steps, shaped1 = _inter_steps(H, active, chi1_l, q, alpha, beta, 0,
+                                  step_cap, stats)
+    steps2, shaped2 = _inter_steps(H, active, chi2_l, q, alpha, beta, 0,
+                                   step_cap, stats2)
+    steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0, 1,
+                          step_cap, stats)
+    steps += _reversed_steps(chi2_l, steps2)
     if len(steps) > step_cap:
         raise StepCapExceededError("composed path outgrew the step cap",
                                    cap=step_cap)
-    stats = PathStats()
-    stats.absorb(p1.stats)
-    stats.absorb(mid.stats)
-    stats.absorb(p2.stats)
+    stats.absorb(stats2)
     return _assemble(H, chi1, steps, stats)
 
 

@@ -9,6 +9,7 @@ import random
 from collections import deque
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
+from recolor import reconfig
 from recolor.errors import SpareColorError, StepCapExceededError, ValidationError
 
 
@@ -323,3 +324,50 @@ def gamma_distance_reference(H, q, sigma, tau):
                     dist[nxt] = dcode + 1
                     queue.append(nxt)
     return None
+
+
+# recolor.reconfig.connect as it stood before it composed the phase builders
+# itself: it went through the public path_to_good_greedy (twice) and
+# path_between_good_greedy, each re-validating its inputs and assembling a
+# RecolorPath of its own. Kept verbatim as the differential oracle for
+# connect; only the step cap now reaches _validate_params.
+def _reversed_steps_reference(path):
+    """The same walk backwards: each move undone with the color it clobbered."""
+    cur = [0] + list(path.start.colors)
+    olds = []
+    for st in path.steps:
+        olds.append(cur[st.vertex])
+        cur[st.vertex] = st.new_color
+    return [(st.vertex, old)
+            for st, old in zip(reversed(path.steps), reversed(olds))]
+
+
+def connect_reference(H, chi1, chi2, q, alpha, beta,
+                      step_cap=reconfig.DEFAULT_STEP_CAP):
+    """Full path between two arbitrary proper colorings, the old way."""
+    reconfig._validate_params(alpha, beta, q, step_cap)
+    reconfig._colors_list(H, chi1, q)
+    reconfig._colors_list(H, chi2, q)
+    if not is_proper(H, chi1):
+        raise ValidationError("first coloring is not proper")
+    if not is_proper(H, chi2):
+        raise ValidationError("second coloring is not proper")
+    if chi1.colors == chi2.colors:
+        return reconfig.RecolorPath(chi1, (), chi1, reconfig.PathStats())
+    p1, shaped1 = reconfig.path_to_good_greedy(H, chi1, q, alpha, beta,
+                                               step_cap)
+    p2, shaped2 = reconfig.path_to_good_greedy(H, chi2, q, alpha, beta,
+                                               step_cap)
+    mid = reconfig.path_between_good_greedy(H, shaped1, shaped2, q, alpha,
+                                            beta, step_cap)
+    steps = [(st.vertex, st.new_color) for st in p1.steps]
+    steps += [(st.vertex, st.new_color) for st in mid.steps]
+    steps += _reversed_steps_reference(p2)
+    if len(steps) > step_cap:
+        raise StepCapExceededError("composed path outgrew the step cap",
+                                   cap=step_cap)
+    stats = reconfig.PathStats()
+    stats.absorb(p1.stats)
+    stats.absorb(mid.stats)
+    stats.absorb(p2.stats)
+    return reconfig._assemble(H, chi1, steps, stats)

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from recolor import Coloring, build, hypergraph_to_text, write_coloring
+from recolor import Coloring, build, hypergraph_to_text, reconfig, write_coloring
 from recolor.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 K2_TEXT = hypergraph_to_text(build(2, 2, [(1, 2)]))
 K3_TEXT = hypergraph_to_text(build(3, 2, [(1, 2), (2, 3), (1, 3)]))
@@ -53,6 +57,9 @@ class TestParams:
         ["params", "1e400", "2", "10"],
         ["montecarlo", "--n", "30", "--k", "2", "--trials", "1",
          "--d", "inf"],
+        ["params", "1e308", "3", "10"],
+        ["montecarlo", "--n", "10", "--k", "3", "--trials", "1",
+         "--d", "1e308"],
     ])
     def test_non_finite_d(self, argv, capsys):
         assert main(argv) == 2
@@ -87,6 +94,19 @@ class TestGen:
         assert main(["gen", "--n", "10000", "--k", "3",
                      "--m", "6000000"]) == 3
         assert capsys.readouterr().err.startswith("refused:")
+
+    @pytest.mark.parametrize("name,argv", [
+        ("gen_m", ["--n", "12", "--k", "3", "--m", "20", "--seed", "7"]),
+        # C(10, 3) = 120 k-sets: every one is enumerated
+        ("gen_p_enum", ["--n", "10", "--k", "3", "--p", "0.1", "--seed", "3"]),
+        # C(700, 2) = 244,650 k-sets: binomial edge count, then sampling
+        ("gen_p_binom", ["--n", "700", "--k", "2", "--p", "0.0001",
+                         "--seed", "5"]),
+    ])
+    def test_matches_golden(self, name, argv, tmp_path, capsys):
+        dest = tmp_path / "h.txt"
+        assert main(["gen", *argv, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "h.txt"
@@ -215,6 +235,33 @@ class TestConnectAndVerify:
         assert main(["connect", k2_file, c1, c2, "--q", "3", "--alpha", "0",
                      "--beta", "2", "--step-cap", "1"]) == 3
         assert capsys.readouterr().err.startswith("refused:")
+
+    def test_negative_step_cap_is_malformed(self, tmp_path, k2_file, capsys):
+        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
+        c2 = coloring_file(tmp_path, "b.txt", (2, 1))
+        assert main(["connect", k2_file, c1, c2, "--q", "3", "--alpha", "0",
+                     "--beta", "2", "--step-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step cap must be nonnegative, got -1\n"
+
+    def test_verify_hands_over_the_replayed_end(self, tmp_path, k2_file,
+                                                 monkeypatch, capsys):
+        seen = []
+        inner = reconfig.verify_path
+
+        def capturing(H, path, q):
+            verdict = inner(H, path, q)
+            seen.append((path, verdict))
+            return verdict
+
+        monkeypatch.setattr(reconfig, "verify_path", capturing)
+        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 1 1 3\n1 2 2 1\n2 1 3 2\n")
+        assert main(["verify", k2_file, c1, str(trace), "--q", "3"]) == 0
+        [(path, verdict)] = seen
+        assert verdict.ok and path.end == verdict.end == Coloring((2, 1))
 
     def test_verify_rejects_tampering(self, tmp_path, k2_file, capsys):
         c1 = coloring_file(tmp_path, "a.txt", (1, 2))

@@ -24,6 +24,7 @@ from recolor import (
     write_coloring,
     write_hypergraph,
 )
+from recolor import hypergraph
 from helpers import random_instance
 
 
@@ -153,11 +154,12 @@ class TestGenerateHnp:
 
     def test_binomial_path_valid(self):
         # n large enough to leave the full-enumeration regime
-        H = generate_hnp(300, 0.0005, 2, 3, enumeration_limit=1000)
-        assert len(set(H.edges)) == H.m
+        assert math.comb(700, 2) > hypergraph._ENUMERATION_LIMIT
+        H = generate_hnp(700, 0.0001, 2, 3)
+        assert H.m > 0 and len(set(H.edges)) == H.m
         for e in H.edges:
             assert list(e) == sorted(e) and len(e) == 2
-        again = generate_hnp(300, 0.0005, 2, 3, enumeration_limit=1000)
+        again = generate_hnp(700, 0.0001, 2, 3)
         assert H.edges == again.edges
 
 

@@ -111,6 +111,22 @@ class TestPathCore:
             path_core(H, H.vertices(), chi, tau, alpha=0, beta=3, q=4,
                       step_cap=3)
 
+    def test_negative_step_cap_is_malformed(self):
+        chi, tau = Coloring((1, 2)), Coloring((2, 1))
+        with pytest.raises(ValidationError,
+                           match="^step cap must be nonnegative, got -1$"):
+            path_core(K2, [1, 2], chi, tau, alpha=0, beta=2, q=3, step_cap=-1)
+        for builder, args in [(path_to_good_greedy, (chi, 3, 0, 2)),
+                              (path_between_good_greedy, (chi, tau, 3, 0, 2)),
+                              (connect, (chi, chi, 3, 0, 2))]:
+            with pytest.raises(ValidationError, match="step cap"):
+                builder(K2, *args, step_cap=-1)
+        # a cap of 0 is valid: it refuses any move, but only as a budget
+        assert path_core(K2, [1, 2], chi, chi, alpha=0, beta=2, q=3,
+                         step_cap=0).steps == ()
+        with pytest.raises(StepCapExceededError):
+            path_core(K2, [1, 2], chi, tau, alpha=0, beta=2, q=3, step_cap=0)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_random_coreless_rewrites(self, seed):
