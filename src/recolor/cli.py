@@ -262,16 +262,11 @@ def _cmd_montecarlo(args) -> int:
     cfg = experiments.MonteCarloConfig(
         n=args.n, k=args.k, trials=args.trials, seed=args.seed,
         d=args.d, alpha=args.alpha, beta=args.beta, m=args.m)
-    rows = [experiments.CSV_HEADER]
-    hits = 0
-    total = 0
-    for rec in experiments.montecarlo_colorability(cfg):
-        rows.append(rec.csv_row())
-        hits += rec.witness
-        total += 1
+    records = list(experiments.montecarlo_colorability(cfg))
+    rows = [experiments.CSV_HEADER] + [rec.csv_row() for rec in records]
     _emit(args, "\n".join(rows) + "\n")
-    rate = hits / total if total else 0.0
-    print(f"witness_rate {rate!r} over {total} trials", file=sys.stderr)
+    rate = experiments.witness_rate(records)
+    print(f"witness_rate {rate!r} over {len(records)} trials", file=sys.stderr)
     return 0
 
 

@@ -44,6 +44,60 @@ def _active_set(H: Hypergraph, active: Optional[Iterable[int]]) -> frozenset[int
     return act
 
 
+def _peel(H: Hypergraph, active: Iterable[int], floor: int,
+          limit: int) -> tuple[list[int], list[int]]:
+    """Remove vertices of ``active`` one at a time while any is eligible.
+
+    A vertex is eligible while its inside-degree d is below ``limit``; each
+    step removes the eligible vertex with the least (max(d, floor), id).
+    Needs floor < limit. Returns the removal order and each removed
+    vertex's d at its removal.
+    """
+    n1 = H.n + 1
+    k = H.k
+    edges = H.edges
+    alive = [False] * n1
+    for v in active:
+        alive[v] = True
+    # live member count per edge; an edge contributes to inside-degrees only
+    # while all k of its vertices are alive
+    live = [0] * H.m
+    deg = [0] * n1
+    for idx, e in enumerate(edges):
+        cnt = sum(1 for u in e if alive[u])
+        live[idx] = cnt
+        if cnt == k:
+            for u in e:
+                deg[u] += 1
+    # key max(d, floor) * (n + 1) + v orders by (max(d, floor), id). Keys
+    # only drop, so a vertex's newest entry pops before its stale ones.
+    heap = [(deg[v] if deg[v] > floor else floor) * n1 + v
+            for v in active if deg[v] < limit]
+    heapq.heapify(heap)
+    removal = []
+    removed_deg = []
+    while heap:
+        v = heapq.heappop(heap) % n1
+        if not alive[v]:
+            continue
+        alive[v] = False
+        removal.append(v)
+        removed_deg.append(deg[v])
+        for ei in H.incidence[v - 1]:
+            if live[ei] == k:
+                # this edge just lost its first vertex
+                for u in edges[ei]:
+                    if alive[u]:
+                        du = deg[u] - 1
+                        deg[u] = du
+                        # u turned eligible (du = limit - 1 >= floor) or
+                        # its key dropped
+                        if floor <= du < limit:
+                            heapq.heappush(heap, du * n1 + u)
+            live[ei] -= 1
+    return removal, removed_deg
+
+
 def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) -> PeelResult:
     """Peel ``active`` down to its beta-core.
 
@@ -55,40 +109,9 @@ def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) 
     if beta < 1:
         raise ValidationError(f"beta must be at least 1, got {beta}")
     act = _active_set(H, active)
-    is_active = [False] * (H.n + 1)
-    for v in act:
-        is_active[v] = True
-    # live member count per edge; an edge contributes to inside-degrees only
-    # while all k of its vertices are active
-    live = [0] * H.m
-    for idx, e in enumerate(H.edges):
-        live[idx] = sum(1 for u in e if is_active[u])
-    deg = [0] * (H.n + 1)
-    for idx, e in enumerate(H.edges):
-        if live[idx] == H.k:
-            for u in e:
-                deg[u] += 1
-    heap = [v for v in sorted(act) if deg[v] < beta]
-    heapq.heapify(heap)
-    removed = [False] * (H.n + 1)
-    removal = []
-    while heap:
-        v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
-        removal.append(v)
-        for ei in H.incidence[v - 1]:
-            if live[ei] == H.k:
-                # this edge just lost its first vertex
-                for u in H.edges[ei]:
-                    if u != v and is_active[u] and not removed[u]:
-                        deg[u] -= 1
-                        if deg[u] == beta - 1:
-                            heapq.heappush(heap, u)
-            live[ei] -= 1
-    core = frozenset(v for v in act if not removed[v])
-    return PeelResult(core=core, order=tuple(reversed(removal)))
+    # every eligible vertex keys at beta - 1, so ties go to the smallest id
+    removal, _ = _peel(H, act, beta - 1, beta)
+    return PeelResult(core=act.difference(removal), order=tuple(reversed(removal)))
 
 
 def blocked_colors(H: Hypergraph, v: int, partial_coloring: Mapping[int, int]) -> set[int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, log
 from typing import Iterable, Iterator, Optional
 
-from .core_peel import beta_core
+from .core_peel import _peel, beta_core
 from .errors import InstanceTooLargeError, ValidationError
 from .hypergraph import Hypergraph, generate_hnm
 from .independence import extend_to_mis, greedy_sequence, max_independent_set_exact
@@ -84,9 +84,16 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
             "closed form needs a larger d; pass alpha and beta explicitly")
     alpha_real = ((k - 1) * d / denom) ** (1.0 / (k - 1))
     beta_real = 3.0 * ld ** (3 * k)
-    m_real = d * n / k
+    overflow = f"the parameter formulas overflow a float at d={d}, n={n}"
+    try:
+        # an int operand beyond the float range raises instead of giving inf
+        m_real = d * n / k
+        m0 = n / alpha_real
+        p = min(1.0, d / comb(n - 1, k - 1))
+    except OverflowError:
+        raise ValidationError(overflow) from None
     if not (math.isfinite(alpha_real) and math.isfinite(m_real)):
-        raise ValidationError(f"d={d} is too large: the parameter formulas overflow")
+        raise ValidationError(overflow)
     m = math.floor(m_real + 0.5)
     if m > comb(n, k):
         raise ValidationError(
@@ -95,10 +102,7 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
         d=float(d), k=k, n=n,
         alpha_real=alpha_real, alpha=math.ceil(alpha_real),
         beta_real=beta_real, beta=math.ceil(beta_real),
-        m0=n / alpha_real,
-        n0=16.0 * (n / alpha_real) * ld * ld,
-        p=min(1.0, d / comb(n - 1, k - 1)),
-        m=m)
+        m0=m0, n0=16.0 * m0 * ld * ld, p=p, m=m)
 
 
 @dataclass(frozen=True)
@@ -184,57 +188,6 @@ def _density_exact(H, cap, L):
     return ProbeVerdict(status, best_ratio, float(L), witness)
 
 
-def _density_peel(H, cap, L):
-    # strip min-inside-degree vertices one by one; every suffix of the
-    # removal order is a candidate subset
-    import heapq
-
-    n = H.n
-    alive = [False] + [True] * n
-    members = [H.k] * H.m
-    deg = [0] * (n + 1)
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    spanned = H.m
-    heap = [(deg[v], v) for v in range(1, n + 1)]
-    heapq.heapify(heap)
-    removed = []
-    size = n
-    best_ratio = -1.0
-    best_removed = 0
-
-    def consider():
-        nonlocal best_ratio, best_removed
-        if 1 <= size <= cap and spanned / size > best_ratio:
-            best_ratio = spanned / size
-            best_removed = len(removed)
-
-    consider()
-    while size > 1:
-        while True:
-            dv, v = heapq.heappop(heap)
-            if alive[v] and deg[v] == dv:
-                break
-        alive[v] = False
-        removed.append(v)
-        size -= 1
-        for ei in H.incidence[v - 1]:
-            was = members[ei]
-            members[ei] = was - 1
-            if was == H.k:
-                spanned -= 1
-                for u in H.edges[ei]:
-                    if alive[u]:
-                        deg[u] -= 1
-                        heapq.heappush(heap, (deg[u], u))
-        consider()
-    gone = set(removed[:best_removed])
-    witness = frozenset(v for v in range(1, n + 1) if v not in gone)
-    status = "bound-violated" if best_ratio >= L else "inconclusive"
-    return ProbeVerdict(status, best_ratio, float(L), witness)
-
-
 def probe_density(H: Hypergraph, n0: float, L: float,
                   mode: str = "auto", exact_limit: int = 20) -> ProbeVerdict:
     """Look for a small vertex set spanning at least L edges per vertex.
@@ -255,7 +208,21 @@ def probe_density(H: Hypergraph, n0: float, L: float,
                 f"exact density scan visits 2^{H.n} subsets; "
                 f"the limit is n <= {exact_limit}")
         return _density_exact(H, cap, L)
-    return _density_peel(H, cap, L)
+    # strip min-inside-degree vertices by (degree, id); every suffix of the
+    # removal order is a candidate subset (no vertex degree reaches m + 1)
+    removal, removed_deg = _peel(H, range(1, H.n + 1), 0, H.m + 1)
+    spanned = H.m
+    best_ratio = -1.0
+    best_removed = 0
+    for gone, d in enumerate(removed_deg):
+        size = H.n - gone
+        if size <= cap and spanned / size > best_ratio:
+            best_ratio = spanned / size
+            best_removed = gone
+        spanned -= d
+    status = "bound-violated" if best_ratio >= L else "inconclusive"
+    return ProbeVerdict(status, best_ratio, float(L),
+                        frozenset(removal[best_removed:]))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,10 @@ class Hypergraph:
             raise ValidationError(f"uniformity k must be at least 2, got {k}")
         if n < k:
             raise ValidationError(f"need n >= k, got n={n}, k={k}")
+        if n > _MAX_VERTICES:
+            raise InstanceTooLargeError(
+                f"vertex count {n} is too large to materialize "
+                f"(limit {_MAX_VERTICES})")
         canon = []
         seen = set()
         for raw in edges:
@@ -178,25 +182,29 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     return Hypergraph(n, k, _distinct_k_sets(random.Random(seed), n, k, m))
 
 
-def _distinct_k_sets(rng: random.Random, n: int, k: int, m: int) -> list:
-    """m distinct uniformly random k-subsets of 1..n, by rejection sampling."""
+def _distinct_k_sets(rng: random.Random, n: int, k: int,
+                     m: int) -> Iterator[tuple[int, ...]]:
+    """m distinct uniformly random k-subsets of 1..n, by rejection sampling.
+
+    Lazy, so a Hypergraph that refuses its n does so before the first draw.
+    """
     pool = range(1, n + 1)
     seen = set()
-    out = []
-    while len(out) < m:
+    while len(seen) < m:
         e = tuple(sorted(rng.sample(pool, k)))
         if e not in seen:
             seen.add(e)
-            out.append(e)
-    return out
+            yield e
 
 
 # Above this many potential edges, generate_hnp stops enumerating all k-sets
 # and samples the edge count from the exact binomial instead.
 _ENUMERATION_LIMIT = 200_000
 
-# Hard refusal: edge counts beyond this cannot be materialized sensibly.
+# Hard refusals: edge and vertex counts beyond these cannot be materialized
+# sensibly (every vertex gets its own incidence list).
 _MAX_MATERIALIZED_EDGES = 5_000_000
+_MAX_VERTICES = 5_000_000
 
 
 def _binomial_draw(rng: random.Random, trials: int, p: float) -> int:

@@ -152,6 +152,12 @@ def _completes_edge(H: Hypergraph, u: int, S: frozenset[int] | set[int]) -> bool
     return False
 
 
+def _is_maximal(H: Hypergraph, S: frozenset[int] | set[int],
+                residual: frozenset[int] | set[int]) -> bool:
+    # maximality of S inside residual: every other vertex completes an edge
+    return all(_completes_edge(H, u, S) for u in residual - S)
+
+
 def _is_independent(H: Hypergraph, S: frozenset[int] | set[int]) -> bool:
     for e in H.edges:
         if all(v in S for v in e):
@@ -176,9 +182,8 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     for color in range(1, alpha + 1):
         cls = {v for v in rem if coloring[v] == color}
         # independence is free (color class of a proper coloring); check maximality
-        for u in rem - cls:
-            if not _completes_edge(H, u, cls):
-                return False
+        if not _is_maximal(H, cls, rem):
+            return False
         rem -= cls
     residual_colors = {coloring[v] for v in rem}
     if len(residual_colors) > beta:
@@ -186,6 +191,24 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     if beta_core(H, beta, rem).core:
         return False
     return True
+
+
+def _mask_tables(H: Hypergraph, verts: list[int]):
+    """Bitmasks over ``verts`` (vertex i of the list is bit i): each vertex's
+    bit, the mask of every edge inside ``verts``, and per vertex the masks
+    of the other members of its edges there."""
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    edge_masks: list[int] = []
+    rest_masks: dict[int, list[int]] = {v: [] for v in verts}
+    for e in H.edges:
+        if all(u in bit for u in e):
+            mask = 0
+            for u in e:
+                mask |= bit[u]
+            edge_masks.append(mask)
+            for u in e:
+                rest_masks[u].append(mask & ~bit[u])
+    return bit, edge_masks, rest_masks
 
 
 class ExactCertifier:
@@ -205,19 +228,8 @@ class ExactCertifier:
                 f"{len(act)} active vertices exceed the exhaustive cap of {max_size}")
         self.H = H
         self._verts = act
-        self._bit = {v: 1 << i for i, v in enumerate(act)}
+        self._bit, self._edge_masks, self._rest_masks = _mask_tables(H, act)
         self._full = (1 << len(act)) - 1
-        act_set = set(act)
-        self._edge_masks: list[int] = []
-        self._rest_masks: dict[int, list[int]] = {v: [] for v in act}
-        for e in H.edges:
-            if all(u in act_set for u in e):
-                mask = 0
-                for u in e:
-                    mask |= self._bit[u]
-                self._edge_masks.append(mask)
-                for u in e:
-                    self._rest_masks[u].append(mask & ~self._bit[u])
         self._mis_cache: dict[int, tuple[int, ...]] = {}
         self._core_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._safe: set[tuple[int, int, int]] = set()
@@ -341,11 +353,8 @@ def verify_witness(H: Hypergraph, witness: ColorabilityWitness, alpha: int, beta
     for S in witness.sequence.sets:
         if not S <= residual:
             return False
-        if not _is_independent(H, S):
+        if not _is_independent(H, S) or not _is_maximal(H, S, residual):
             return False
-        for u in residual - S:
-            if not _completes_edge(H, u, S):
-                return False
         residual -= S
     if frozenset(residual) != witness.sequence.residual:
         return False
@@ -362,14 +371,7 @@ def max_independent_set_exact(H: Hypergraph, max_size: int = 30) -> tuple[int, f
     """
     if H.n > max_size:
         raise InstanceTooLargeError(f"n={H.n} exceeds the exact cap of {max_size}")
-    bit = {v: 1 << (v - 1) for v in range(1, H.n + 1)}
-    rest_masks: dict[int, list[int]] = {v: [] for v in range(1, H.n + 1)}
-    for e in H.edges:
-        mask = 0
-        for u in e:
-            mask |= bit[u]
-        for u in e:
-            rest_masks[u].append(mask & ~bit[u])
+    bit, _, rest_masks = _mask_tables(H, list(range(1, H.n + 1)))
 
     greedy = extend_to_mis(H)
     best_size = len(greedy)

@@ -4,12 +4,15 @@ Everything here is deliberately naive: subset scans and definition-level
 checks that cannot share a bug with the library's incremental algorithms.
 """
 
+import heapq
 import itertools
 import random
 from collections import deque
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
 from recolor import reconfig
+from recolor.core_peel import PeelResult, _active_set
+from recolor.experiments import ProbeVerdict
 from recolor.errors import SpareColorError, StepCapExceededError, ValidationError
 
 
@@ -371,3 +374,97 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
     stats.absorb(mid.stats)
     stats.absorb(p2.stats)
     return reconfig._assemble(H, chi1, steps, stats)
+
+
+# recolor.core_peel.beta_core and recolor.experiments._density_peel as they
+# stood while each kept its own heap peel, kept verbatim as differential
+# oracles for the shared min-key peel that replaced both.
+def beta_core_reference(H, beta, active=None):
+    """Peel ``active`` down to its beta-core, smallest eligible id first."""
+    if beta < 1:
+        raise ValidationError(f"beta must be at least 1, got {beta}")
+    act = _active_set(H, active)
+    is_active = [False] * (H.n + 1)
+    for v in act:
+        is_active[v] = True
+    # live member count per edge; an edge contributes to inside-degrees only
+    # while all k of its vertices are active
+    live = [0] * H.m
+    for idx, e in enumerate(H.edges):
+        live[idx] = sum(1 for u in e if is_active[u])
+    deg = [0] * (H.n + 1)
+    for idx, e in enumerate(H.edges):
+        if live[idx] == H.k:
+            for u in e:
+                deg[u] += 1
+    heap = [v for v in sorted(act) if deg[v] < beta]
+    heapq.heapify(heap)
+    removed = [False] * (H.n + 1)
+    removal = []
+    while heap:
+        v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
+        removal.append(v)
+        for ei in H.incidence[v - 1]:
+            if live[ei] == H.k:
+                # this edge just lost its first vertex
+                for u in H.edges[ei]:
+                    if u != v and is_active[u] and not removed[u]:
+                        deg[u] -= 1
+                        if deg[u] == beta - 1:
+                            heapq.heappush(heap, u)
+            live[ei] -= 1
+    core = frozenset(v for v in act if not removed[v])
+    return PeelResult(core=core, order=tuple(reversed(removal)))
+
+
+def density_peel_reference(H, cap, L):
+    """The heuristic density probe: (degree, id) peel, best suffix."""
+    # strip min-inside-degree vertices one by one; every suffix of the
+    # removal order is a candidate subset
+    n = H.n
+    alive = [False] + [True] * n
+    members = [H.k] * H.m
+    deg = [0] * (n + 1)
+    for e in H.edges:
+        for v in e:
+            deg[v] += 1
+    spanned = H.m
+    heap = [(deg[v], v) for v in range(1, n + 1)]
+    heapq.heapify(heap)
+    removed = []
+    size = n
+    best_ratio = -1.0
+    best_removed = 0
+
+    def consider():
+        nonlocal best_ratio, best_removed
+        if 1 <= size <= cap and spanned / size > best_ratio:
+            best_ratio = spanned / size
+            best_removed = len(removed)
+
+    consider()
+    while size > 1:
+        while True:
+            dv, v = heapq.heappop(heap)
+            if alive[v] and deg[v] == dv:
+                break
+        alive[v] = False
+        removed.append(v)
+        size -= 1
+        for ei in H.incidence[v - 1]:
+            was = members[ei]
+            members[ei] = was - 1
+            if was == H.k:
+                spanned -= 1
+                for u in H.edges[ei]:
+                    if alive[u]:
+                        deg[u] -= 1
+                        heapq.heappush(heap, (deg[u], u))
+        consider()
+    gone = set(removed[:best_removed])
+    witness = frozenset(v for v in range(1, n + 1) if v not in gone)
+    status = "bound-violated" if best_ratio >= L else "inconclusive"
+    return ProbeVerdict(status, best_ratio, float(L), witness)

@@ -2,13 +2,21 @@ from pathlib import Path
 
 import pytest
 
-from recolor import Coloring, build, hypergraph_to_text, reconfig, write_coloring
+from recolor import (
+    Coloring,
+    build,
+    hypergraph,
+    hypergraph_to_text,
+    reconfig,
+    write_coloring,
+)
 from recolor.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 K2_TEXT = hypergraph_to_text(build(2, 2, [(1, 2)]))
 K3_TEXT = hypergraph_to_text(build(3, 2, [(1, 2), (2, 3), (1, 3)]))
+HUGE_N = "1" + "0" * 320  # too large to convert to a float
 
 
 @pytest.fixture
@@ -66,6 +74,17 @@ class TestParams:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["params", "1e9", "2", HUGE_N],
+        ["montecarlo", "--n", HUGE_N, "--k", "2", "--trials", "1",
+         "--d", "1e9"],
+    ])
+    def test_n_beyond_float_range(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the parameter formulas overflow")
+        assert err.count("\n") == 1
+
 
 class TestGen:
     def test_m_route_reproducible(self, capsys):
@@ -89,6 +108,20 @@ class TestGen:
     def test_bad_m(self, capsys):
         assert main(["gen", "--n", "4", "--k", "2", "--m", "99"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_vertex_count_beyond_cap_refused(self, tmp_path, capsys):
+        # one past the cap, with no edges: refused before any allocation
+        n = str(hypergraph._MAX_VERTICES + 1)
+        f = tmp_path / "h.txt"
+        f.write_text(f"{n} 2 0\n")
+        for argv in (["gen", "--n", n, "--k", "2", "--m", "0"],
+                     ["core", str(f), "--beta", "1"],
+                     ["montecarlo", "--n", n, "--k", "2", "--trials", "1",
+                      "--alpha", "1", "--beta", "1", "--m", "0"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("refused: vertex count")
 
     def test_unmaterializable_m_refused(self, capsys):
         assert main(["gen", "--n", "10000", "--k", "3",
@@ -346,7 +379,7 @@ class TestMonteCarlo:
         lines = captured.out.splitlines()
         assert lines[0].startswith("trial,seed,")
         assert len(lines) == 6
-        assert captured.err.startswith("witness_rate ")
+        assert captured.err == "witness_rate 0.2 over 5 trials\n"
 
     def test_byte_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

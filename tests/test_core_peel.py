@@ -1,4 +1,6 @@
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,15 @@ from recolor import (
     generate_hnm,
     is_proper,
 )
-from helpers import core_bruteforce, edges_inside, random_instance
+from recolor.cli import main
+from helpers import (
+    beta_core_reference,
+    core_bruteforce,
+    edges_inside,
+    random_instance,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def check_order_certificate(H, beta, result, active=None):
@@ -100,6 +110,33 @@ class TestBetaCore:
     def test_determinism(self):
         H = generate_hnm(10, 16, 2, 3)
         assert beta_core(H, 2) == beta_core(H, 2)
+
+    def test_matches_own_heap_predecessor(self):
+        """Core and order agree with the peel that kept its own heap, over
+        full and partial active sets, sparse to dense."""
+        rng = random.Random(2024)
+        for _ in range(600):
+            k = rng.randint(2, 4)
+            n = rng.randint(k, 40)
+            H = generate_hnm(n, rng.randint(0, min(comb(n, k), 3 * n)), k,
+                             rng.randrange(10 ** 9))
+            beta = rng.randint(1, 5)
+            active = (None if rng.random() < 0.5 else
+                      [v for v in H.vertices() if rng.random() < 0.7])
+            assert beta_core(H, beta, active) == \
+                beta_core_reference(H, beta, active)
+
+
+@pytest.mark.parametrize("name,beta", [("core_k2", 2), ("core_k3", 3),
+                                       ("core_k4", 6)])
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_core_cli_matches_golden(name, beta, fmt, tmp_path):
+    """Outputs recorded with the peel that kept its own heap, compared byte
+    for byte: a partial 2-core, and two full peels."""
+    out = tmp_path / "out.txt"
+    assert main(["core", str(GOLDEN / f"{name}.h.txt"), "--beta", str(beta),
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}.txt").read_bytes()
 
 
 class TestBlockedColors:

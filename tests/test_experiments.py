@@ -1,4 +1,5 @@
 import math
+import random
 from math import comb, log
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from recolor import (
     witness_rate,
 )
 from recolor.seeding import derive_seed
-from helpers import edges_inside, is_independent_bruteforce
+from helpers import density_peel_reference, edges_inside, is_independent_bruteforce
 
 mp.mp.dps = 50
 
@@ -183,6 +184,22 @@ class TestDensityProbe:
         for v in (ex, he):
             inside = edges_inside(H, v.witness)
             assert len(inside) / len(v.witness) == pytest.approx(v.observed)
+
+    def test_heuristic_matches_own_heap_predecessor(self):
+        """Status, observed ratio and witness agree with the (degree, id)
+        peel that kept its own heap, under every subset-size cap."""
+        rng = random.Random(2025)
+        for _ in range(300):
+            k = rng.randint(2, 4)
+            n = rng.randint(k, 40)
+            H = generate_hnm(n, rng.randint(0, min(comb(n, k), 3 * n)), k,
+                             rng.randrange(10 ** 9))
+            n0 = rng.randint(1, n + 2)
+            L = rng.uniform(0.1, 3.0)
+            got = probe_density(H, n0, L, mode="heuristic")
+            want = density_peel_reference(H, min(n0, n), L)
+            assert (got.status, got.observed, got.witness) == \
+                (want.status, want.observed, want.witness)
 
     def test_heuristic_clean_run_is_inconclusive(self):
         H = generate_hnm(18, 20, 3, 11)

@@ -61,6 +61,11 @@ class TestBuild:
         with pytest.raises(VertexRangeError):
             build(4, 2, [(0, 1)])
 
+    def test_refuses_vertex_count_beyond_cap(self):
+        # one past the cap, with no edges: refused before any allocation
+        with pytest.raises(InstanceTooLargeError, match="vertex count"):
+            build(hypergraph._MAX_VERTICES + 1, 2, [])
+
     def test_k_below_two(self):
         with pytest.raises(ValidationError):
             build(4, 1, [])
@@ -113,6 +118,21 @@ class TestGenerateHnm:
         monkeypatch.setattr(hg, "random", types.SimpleNamespace(Random=no_sampling))
         with pytest.raises(InstanceTooLargeError, match="6000000"):
             generate_hnm(10_000, 6_000_000, 3, 0)
+
+    def test_refuses_vertex_count_before_sampling(self, monkeypatch):
+        import types
+
+        class NoDraws(random.Random):
+            def sample(self, *args, **kwargs):
+                raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(hypergraph, "random",
+                            types.SimpleNamespace(Random=NoDraws))
+        n = hypergraph._MAX_VERTICES + 1
+        with pytest.raises(InstanceTooLargeError, match="vertex count"):
+            generate_hnm(n, 3, 2, 0)
+        with pytest.raises(InstanceTooLargeError, match="vertex count"):
+            generate_hnp(n, 1e-12, 2, 0)
 
     def test_degree_sum(self):
         for seed in range(30):
