@@ -342,6 +342,33 @@ class TestConnectAndVerify:
         assert main(["verify", k2_file, c1, str(trace), "--q", "3"]) == 2
         assert "out of order" in capsys.readouterr().err
 
+    # (case, start coloring, trace) on the connect_k2 instance at q=4; the
+    # trace defaults to verify_<case>.trace. The last two carry two faults
+    # each, so the order of the checks decides which verdict is printed.
+    @pytest.mark.parametrize("case,start,trace", [
+        ("valid_text", "connect_k2.c1", "connect_k2.trace"),
+        ("valid_csv", "connect_k2.c1", "verify_valid_csv.trace"),
+        ("vertex_out_of_range", "connect_k2.c1", None),
+        ("color_below_range", "connect_k2.c1", None),
+        ("color_above_range", "connect_k2.c1", None),
+        ("start_length_mismatch", "verify_short.start", None),
+        ("old_color_mismatch", "connect_k2.c1", None),
+        ("start_color_out_of_range", "verify_color5.start", None),
+        ("improper_start", "verify_improper.start", None),
+        ("hamming_step", "connect_k2.c1", None),
+        ("improper_intermediate", "connect_k2.c1", None),
+        ("short_start_late_vertex", "verify_short.start", None),
+        ("improper_then_mismatch", "connect_k2.c1", None),
+    ])
+    def test_verify_matches_golden(self, case, start, trace, capsys):
+        """Exit code and stdout, recorded before the step format changed."""
+        trace = trace or f"verify_{case}.trace"
+        rc = main(["verify", str(GOLDEN / "connect_k2.h.txt"),
+                   str(GOLDEN / f"{start}.txt"), str(GOLDEN / f"{trace}.txt"),
+                   "--q", "4"])
+        got = f"exit {rc}\n{capsys.readouterr().out}"
+        assert got.encode() == (GOLDEN / f"verify_{case}.out.txt").read_bytes()
+
 
 class TestGamma:
     def test_text(self, k2_file, capsys):
