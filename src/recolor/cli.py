@@ -152,11 +152,10 @@ def _cmd_certify(args) -> int:
 def _trace_text(path, fmt: str) -> str:
     cur = [0] + list(path.start.colors)
     rows = []
-    for i, st in enumerate(path.steps):
-        rows.append(f"{i},{st.vertex},{cur[st.vertex]},{st.new_color}"
-                    if fmt == "csv" else
-                    f"{i} {st.vertex} {cur[st.vertex]} {st.new_color}")
-        cur[st.vertex] = st.new_color
+    for i, (v, c) in enumerate(path.steps):
+        rows.append(f"{i},{v},{cur[v]},{c}" if fmt == "csv" else
+                    f"{i} {v} {cur[v]} {c}")
+        cur[v] = c
     if fmt == "csv":
         rows.insert(0, "index,vertex,old_color,new_color")
     return "\n".join(rows) + "\n" if rows else ""
@@ -220,8 +219,7 @@ def _cmd_verify(args) -> int:
             return 1
         cur[v] = new
     path = reconfig.RecolorPath(
-        start=start,
-        steps=tuple(reconfig.RecolorStep(v, new) for v, _, new in steps),
+        start=start, steps=tuple((v, new) for v, _, new in steps),
         end=Coloring(tuple(cur[1:])), stats=reconfig.PathStats())
     verdict = reconfig.verify_path(H, path, args.q)
     if verdict.ok:

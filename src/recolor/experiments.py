@@ -136,8 +136,8 @@ def probe_independent_set_bound(H: Hypergraph, d: float, mode: str = "auto",
     heuristic mode runs seeded greedy extensions and can only ever
     exhibit a violation.
     """
-    if not d > 1:
-        raise ValidationError(f"need d > 1, got {d}")
+    if not (d > 1 and math.isfinite(d)):
+        raise ValidationError(f"need a finite d > 1, got {d}")
     _check_mode(mode)
     k = H.k
     u = (2 * k * log(d) / ((k - 1) * d)) ** (1.0 / (k - 1)) * H.n
@@ -196,9 +196,9 @@ def probe_density(H: Hypergraph, n0: float, L: float,
     enumerates all subsets (n <= exact_limit); the heuristic peels
     min-degree vertices and inspects every suffix of the removal order.
     """
-    if n0 < 1:
-        raise ValidationError(f"need n0 >= 1, got {n0}")
-    if L <= 0:
+    if not (n0 >= 1 and math.isfinite(n0)):
+        raise ValidationError(f"need a finite n0 >= 1, got {n0}")
+    if not L > 0:
         raise ValidationError(f"need a positive density threshold, got {L}")
     _check_mode(mode)
     cap = min(int(n0), H.n)

@@ -1,6 +1,8 @@
 """Explicit recoloring paths between proper colorings.
 
-A path is a list of single-vertex moves, each keeping the coloring proper.
+A path is a sequence of single-vertex moves, each keeping the coloring
+proper: ``RecolorPath.steps`` is a tuple of ``(vertex, new_color)`` int
+pairs, the format every phase builder produces.
 The builders here never search: every path comes out of a constructive
 argument, so success is certified by construction and failure surfaces as
 a structured exception (a colorability witness or a violated precondition).
@@ -40,7 +42,6 @@ from .independence import (
 
 __all__ = [
     "DEFAULT_STEP_CAP",
-    "RecolorStep",
     "PathStats",
     "RecolorPath",
     "PathVerdict",
@@ -52,12 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP_CAP = 10 ** 7
-
-
-@dataclass(frozen=True)
-class RecolorStep:
-    vertex: int
-    new_color: int
 
 
 @dataclass
@@ -86,7 +81,7 @@ class PathStats:
 @dataclass(frozen=True)
 class RecolorPath:
     start: Coloring
-    steps: tuple
+    steps: tuple                # (vertex, new_color) int pairs, in order
     end: Coloring
     stats: PathStats
 
@@ -371,10 +366,8 @@ def _assemble(H, start, steps, stats):
     cur = [0] + list(start.colors)
     for v, c in steps:
         cur[v] = c
-    return RecolorPath(start=start,
-                       steps=tuple(RecolorStep(v, c) for v, c in steps),
-                       end=Coloring(tuple(cur[1:])),
-                       stats=stats)
+    return RecolorPath(start=start, steps=tuple(steps),
+                       end=Coloring(tuple(cur[1:])), stats=stats)
 
 
 def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
@@ -520,8 +513,7 @@ def verify_path(H: Hypergraph, path: RecolorPath, q: int) -> PathVerdict:
     if not is_proper(H, path.start):
         return PathVerdict(False, None, None, "improper-start")
     cur = [0] + cols
-    for idx, st in enumerate(path.steps):
-        v, c = st.vertex, st.new_color
+    for idx, (v, c) in enumerate(path.steps):
         if not 1 <= v <= H.n:
             return PathVerdict(False, None, idx, "vertex-out-of-range")
         if not 1 <= c <= q:

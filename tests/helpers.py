@@ -333,16 +333,17 @@ def gamma_distance_reference(H, q, sigma, tau):
 # itself: it went through the public path_to_good_greedy (twice) and
 # path_between_good_greedy, each re-validating its inputs and assembling a
 # RecolorPath of its own. Kept verbatim as the differential oracle for
-# connect; only the step cap now reaches _validate_params.
+# connect; only the step cap now reaches _validate_params, and steps are
+# read as the (vertex, new_color) pairs that RecolorPath.steps now holds.
 def _reversed_steps_reference(path):
     """The same walk backwards: each move undone with the color it clobbered."""
     cur = [0] + list(path.start.colors)
     olds = []
-    for st in path.steps:
-        olds.append(cur[st.vertex])
-        cur[st.vertex] = st.new_color
-    return [(st.vertex, old)
-            for st, old in zip(reversed(path.steps), reversed(olds))]
+    for v, c in path.steps:
+        olds.append(cur[v])
+        cur[v] = c
+    return [(v, old)
+            for (v, _), old in zip(reversed(path.steps), reversed(olds))]
 
 
 def connect_reference(H, chi1, chi2, q, alpha, beta,
@@ -363,8 +364,7 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
                                                step_cap)
     mid = reconfig.path_between_good_greedy(H, shaped1, shaped2, q, alpha,
                                             beta, step_cap)
-    steps = [(st.vertex, st.new_color) for st in p1.steps]
-    steps += [(st.vertex, st.new_color) for st in mid.steps]
+    steps = list(p1.steps) + list(mid.steps)
     steps += _reversed_steps_reference(p2)
     if len(steps) > step_cap:
         raise StepCapExceededError("composed path outgrew the step cap",

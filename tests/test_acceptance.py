@@ -286,7 +286,7 @@ def test_07_class_phase_touches_each_vertex_at_most_twice(capfd):
         q = alpha + beta + 1
         chi = random_proper_coloring(H, q, rng)
         p, _ = rc.path_to_good_greedy(H, chi, q, alpha, beta)
-        counts = Counter(s.vertex for s in p.steps[:p.stats.inter_moves])
+        counts = Counter(v for v, _ in p.steps[:p.stats.inter_moves])
         recount = max(counts.values(), default=0)
         worst = max(worst, recount, p.stats.max_inter_recolors)
         paths += 1

@@ -12,14 +12,17 @@ import dataclasses
 import random
 
 from recolor import (
+    ColorabilityWitness,
     Coloring,
+    MISequence,
     NotColorableEvidence,
     PathStats,
     RecolorPath,
-    RecolorStep,
+    build,
     connect,
     generate_hnm,
     verify_path,
+    verify_witness,
 )
 from recolor import reconfig
 from helpers import connect_reference, random_proper_coloring
@@ -139,11 +142,61 @@ def reversed_path(path):
     the color it replaced."""
     cur = list(path.start.colors)
     back = []
-    for st in path.steps:
-        back.append(RecolorStep(st.vertex, cur[st.vertex - 1]))
-        cur[st.vertex - 1] = st.new_color
+    for v, c in path.steps:
+        back.append((v, cur[v - 1]))
+        cur[v - 1] = c
     return RecolorPath(path.end, tuple(reversed(back)), path.start,
                        PathStats())
+
+
+def test_color_permutation_keeps_connect_sound():
+    """One color permutation applied to both endpoints: connect still ends
+    in a path that replays to the permuted target, or in a witness that
+    checks. The permuted call may end in a witness where the original
+    built a path, or the reverse: the greedy classes are seeded from the
+    endpoint's own classes on colors 1..alpha, which the permutation moves."""
+    rng = random.Random(8)
+    paths = 0
+    for H, c1, c2, q, alpha, beta in CORPUS:
+        sigma = list(range(1, q + 1))
+        rng.shuffle(sigma)
+        d1, d2 = (Coloring(tuple(sigma[c - 1] for c in col.colors))
+                  for col in (c1, c2))
+        try:
+            path = connect(H, d1, d2, q, alpha, beta)
+        except NotColorableEvidence as exc:
+            assert verify_witness(H, exc.witness, alpha, beta)
+            continue
+        verdict = verify_path(H, path, q)
+        assert verdict.ok, verdict
+        assert verdict.end == d2
+        paths += 1
+    assert paths >= 100
+
+
+def test_vertex_relabeling_keeps_witnesses_valid():
+    """A witness renamed along with its instance still checks."""
+    rng = random.Random(9)
+    witnesses = 0
+    for H, c1, c2, q, alpha, beta in CORPUS:
+        try:
+            connect(H, c1, c2, q, alpha, beta)
+            continue
+        except NotColorableEvidence as exc:
+            w = exc.witness
+        perm = [0] + rng.sample(range(1, H.n + 1), H.n)
+
+        def ren(S):
+            return frozenset(perm[v] for v in S)
+
+        G = build(H.n, H.k, [[perm[u] for u in e] for e in H.edges])
+        moved = ColorabilityWitness(
+            MISequence(tuple(map(ren, w.sequence.sets)),
+                       ren(w.sequence.residual)),
+            ren(w.core_vertices))
+        assert verify_witness(G, moved, alpha, beta)
+        witnesses += 1
+    assert witnesses >= 50
 
 
 def test_reversed_paths_verify_from_their_end():

@@ -153,6 +153,12 @@ class TestIndependentSetProbe:
         with pytest.raises(ValidationError):
             probe_independent_set_bound(build(3, 2, []), 5.0, mode="magic")
 
+    @pytest.mark.parametrize("d", [float("inf"), float("nan")])
+    def test_non_finite_d(self, d):
+        # log(d)/d is inf/inf at d = inf: the bound would be nan
+        with pytest.raises(ValidationError, match="finite d"):
+            probe_independent_set_bound(build(3, 2, [(1, 2)]), d)
+
 
 class TestDensityProbe:
     def test_triangle_violates_at_ratio_one(self):
@@ -215,6 +221,12 @@ class TestDensityProbe:
             probe_density(build(3, 2, []), 0, 1)
         with pytest.raises(ValidationError):
             probe_density(build(3, 2, []), 3, 0)
+
+    @pytest.mark.parametrize("n0,L", [(float("nan"), 1), (float("inf"), 1),
+                                      (3, float("nan"))])
+    def test_non_finite_size_or_nan_threshold(self, n0, L):
+        with pytest.raises(ValidationError):
+            probe_density(build(3, 2, [(1, 2)]), n0, L, mode="heuristic")
 
 
 class TestMonteCarlo:

@@ -10,6 +10,7 @@ from recolor import (
     Coloring,
     InstanceTooLargeError,
     ValidationError,
+    beta_core,
     build,
     enumerate_proper,
     gamma_distance,
@@ -207,6 +208,39 @@ class TestAgainstBfsReference:
         a, b = Coloring((1, 2, 3)), Coloring((2, 1, 3))
         assert gamma_distance_reference(K3, 3, a, b) is None
         assert gamma_distance(K3, 3, a, b) is None
+
+
+def shuffled(n, rng):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return perm
+
+
+class TestMetamorphic:
+    """S_n renames the vertices and S_q the colors; either way Γ_q maps to
+    an isomorphic graph, so no census field and no distance may change."""
+
+    SMALL = [p for p in seeded_instances()
+             if p.values[1] ** p.values[0].n <= 1000]
+
+    @pytest.mark.parametrize("H,q", SMALL)
+    def test_vertex_relabeling(self, H, q):
+        perm = shuffled(H.n, random.Random(H.n * 100 + H.m * 10 + q))
+        G = build(H.n, H.k, [[perm[u - 1] for u in e] for e in H.edges])
+        assert gamma_stats(G, q) == gamma_stats(H, q)
+        for beta in (1, 2, 3):
+            assert len(beta_core(G, beta).core) == len(beta_core(H, beta).core)
+
+    @pytest.mark.parametrize("H,q", SMALL)
+    def test_color_permutation_keeps_distances(self, H, q):
+        rng = random.Random(H.n * 100 + H.m * 10 + q)
+        sigma = shuffled(q, rng)
+        colorings = list(enumerate_proper(H, q))
+        for _ in range(min(4, len(colorings))):
+            a, b = rng.choice(colorings), rng.choice(colorings)
+            pa, pb = (Coloring(tuple(sigma[c - 1] for c in x.colors))
+                      for x in (a, b))
+            assert gamma_distance(H, q, pa, pb) == gamma_distance(H, q, a, b)
 
 
 @pytest.mark.parametrize("name,q", [("gamma_k2", 3), ("gamma_k3", 2),

@@ -10,7 +10,6 @@ from recolor import (
     NonemptyCoreError,
     NotColorableEvidence,
     RecolorPath,
-    RecolorStep,
     PathStats,
     StepCapExceededError,
     ValidationError,
@@ -42,8 +41,8 @@ def assert_sound(H, path, q, target=None):
     assert verdict.end == path.end
     if target is not None:
         assert path.end.colors == target.colors
-    for st_ in path.steps:
-        assert 1 <= st_.new_color <= q
+    for _, c in path.steps:
+        assert 1 <= c <= q
 
 
 class TestPathCore:
@@ -56,8 +55,7 @@ class TestPathCore:
     def test_k2_worked_trace(self):
         chi, tau = Coloring((1, 2)), Coloring((2, 1))
         p = path_core(K2, [1, 2], chi, tau, alpha=0, beta=2, q=3)
-        assert [(s.vertex, s.new_color) for s in p.steps] == \
-            [(1, 3), (2, 1), (1, 2)]
+        assert p.steps == ((1, 3), (2, 1), (1, 2))
         assert_sound(K2, p, 3, tau)
         assert gamma_distance(K2, 3, chi, tau) == 3  # optimal here
 
@@ -183,7 +181,7 @@ class TestPathToGoodGreedy:
         assert_sound(H, p, q, tau)
         # class-phase accounting: the first inter_moves steps touch each
         # vertex at most twice
-        per_vertex = Counter(s.vertex for s in p.steps[:p.stats.inter_moves])
+        per_vertex = Counter(v for v, _ in p.steps[:p.stats.inter_moves])
         assert all(c <= 2 for c in per_vertex.values())
         assert p.stats.max_inter_recolors <= 2
 
@@ -251,13 +249,13 @@ class TestPathBetweenGoodGreedy:
         frozen = {v for v in H.vertices() if tau[v] == 1}
         cur = dict(enumerate(chi.colors, start=1))
         froze_at = -1 if all(cur[v] == 1 for v in frozen) else None
-        for i, s in enumerate(p.steps):
-            cur[s.vertex] = s.new_color
+        for i, (v, c) in enumerate(p.steps):
+            cur[v] = c
             if froze_at is None and all(cur[v] == 1 for v in frozen):
                 froze_at = i
-        for s in p.steps[froze_at + 1:]:
-            assert s.vertex not in frozen
-            assert s.new_color >= 2
+        for v, c in p.steps[froze_at + 1:]:
+            assert v not in frozen
+            assert c >= 2
 
 
 class TestConnect:
@@ -332,7 +330,7 @@ class TestVerifyPath:
 
     def test_noop_step_flagged(self):
         chi = Coloring((1, 2))
-        p = RecolorPath(chi, (RecolorStep(1, 1),), chi, PathStats())
+        p = RecolorPath(chi, ((1, 1),), chi, PathStats())
         v = verify_path(K2, p, 3)
         assert not v.ok and v.reason == "hamming-step" and v.failure_index == 0
 
@@ -343,19 +341,19 @@ class TestVerifyPath:
 
     def test_improper_intermediate(self):
         chi = Coloring((1, 2))
-        p = RecolorPath(chi, (RecolorStep(2, 1),), chi, PathStats())
+        p = RecolorPath(chi, ((2, 1),), chi, PathStats())
         v = verify_path(K2, p, 3)
         assert not v.ok and v.reason == "improper-intermediate"
 
     def test_color_out_of_range(self):
         chi = Coloring((1, 2))
-        p = RecolorPath(chi, (RecolorStep(1, 4),), chi, PathStats())
+        p = RecolorPath(chi, ((1, 4),), chi, PathStats())
         v = verify_path(K2, p, 3)
         assert not v.ok and v.reason == "color-out-of-range"
 
     def test_vertex_out_of_range(self):
         chi = Coloring((1, 2))
-        p = RecolorPath(chi, (RecolorStep(3, 1),), chi, PathStats())
+        p = RecolorPath(chi, ((3, 1),), chi, PathStats())
         v = verify_path(K2, p, 3)
         assert not v.ok and v.reason == "vertex-out-of-range"
 
