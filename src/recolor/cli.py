@@ -23,6 +23,7 @@ from .errors import (
 )
 from .hypergraph import (
     Coloring,
+    _open_utf8,
     generate_hnm,
     generate_hnp,
     hypergraph_to_text,
@@ -177,16 +178,14 @@ def _cmd_connect(args) -> int:
 
 def _parse_trace(path_file: str):
     steps = []
-    with open(path_file) as fh:
+    with _open_utf8(path_file) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line == "index,vertex,old_color,new_color":
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 4:
-                raise ValidationError(f"bad trace line {raw!r}")
             try:
-                idx, v, old, new = (int(x) for x in parts)
+                # a line of other than four fields fails the unpacking
+                idx, v, old, new = map(int, line.replace(",", " ").split())
             except ValueError as exc:
                 raise ValidationError(f"bad trace line {raw!r}") from exc
             if idx != len(steps):

@@ -38,6 +38,9 @@ def _active_set(H: Hypergraph, active: Optional[Iterable[int]]) -> frozenset[int
     if active is None:
         return frozenset(range(1, H.n + 1))
     act = frozenset(active)
+    if act and {*map(type, act)} == {int} and min(act) >= 1 and max(act) <= H.n:
+        return act
+    # slow path: int subclasses other than bool pass, anything else is named
     for v in act:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= H.n:
             raise VertexRangeError(f"active vertex {v!r} outside 1..{H.n}")
@@ -56,19 +59,21 @@ def _peel(H: Hypergraph, active: Iterable[int], floor: int,
     n1 = H.n + 1
     k = H.k
     edges = H.edges
+    inc = H.incidence
     alive = [False] * n1
-    for v in active:
-        alive[v] = True
-    # live member count per edge; an edge contributes to inside-degrees only
+    # live member count per edge, from the incidence lists of ``active`` so
+    # the cost is O(region edges); an edge contributes to inside-degrees only
     # while all k of its vertices are alive
     live = [0] * H.m
     deg = [0] * n1
-    for idx, e in enumerate(edges):
-        cnt = sum(1 for u in e if alive[u])
-        live[idx] = cnt
-        if cnt == k:
-            for u in e:
-                deg[u] += 1
+    for v in active:
+        alive[v] = True
+        for ei in inc[v - 1]:
+            c = live[ei] + 1
+            live[ei] = c
+            if c == k:
+                for u in edges[ei]:
+                    deg[u] += 1
     # key max(d, floor) * (n + 1) + v orders by (max(d, floor), id). Keys
     # only drop, so a vertex's newest entry pops before its stale ones.
     heap = [(deg[v] if deg[v] > floor else floor) * n1 + v
@@ -83,7 +88,7 @@ def _peel(H: Hypergraph, active: Iterable[int], floor: int,
         alive[v] = False
         removal.append(v)
         removed_deg.append(deg[v])
-        for ei in H.incidence[v - 1]:
+        for ei in inc[v - 1]:
             if live[ei] == k:
                 # this edge just lost its first vertex
                 for u in edges[ei]:

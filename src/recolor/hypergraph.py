@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -298,7 +299,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     if len(head) != 3:
         raise ValidationError(f"header must be 'n k m', got {lines[0]!r}")
     try:
-        n, k, m = (int(x) for x in head)
+        n, k, m = map(int, head)
     except ValueError as exc:
         raise ValidationError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
@@ -306,7 +307,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     edges = []
     for ln in lines[1:]:
         try:
-            edges.append(tuple(int(x) for x in ln.split()))
+            edges.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise ValidationError(f"bad edge line {ln!r}") from exc
     return Hypergraph(n, k, edges)
@@ -317,8 +318,20 @@ def write_hypergraph(H: Hypergraph, path) -> None:
         fh.write(hypergraph_to_text(H))
 
 
+@contextmanager
+def _open_utf8(path):
+    """Open a text file for reading; bytes that are not UTF-8 are malformed
+    input, reported as a ValidationError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def read_hypergraph(path) -> Hypergraph:
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         return hypergraph_from_text(fh.read())
 
 
@@ -331,7 +344,7 @@ def coloring_from_text(text: str) -> Coloring:
     if not parts:
         raise ValidationError("empty coloring text")
     try:
-        return Coloring(tuple(int(x) for x in parts))
+        return Coloring(tuple(map(int, parts)))
     except ValueError as exc:
         raise ValidationError(f"bad coloring text {text!r}") from exc
 
@@ -342,5 +355,5 @@ def write_coloring(coloring: Coloring, path) -> None:
 
 
 def read_coloring(path) -> Coloring:
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         return coloring_from_text(fh.read())

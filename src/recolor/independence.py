@@ -81,35 +81,34 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
     """
     mode = _canon_strategy(strategy)
     act = _active_set(H, active)
-    k = H.k
+    inc = H.incidence
+    full = H.k - 1
     chosen: set[int] = set()
     cnt = [0] * H.m  # chosen members per edge
-
-    def completes(v: int) -> bool:
-        for ei in H.incidence[v - 1]:
-            if cnt[ei] == k - 1:
-                return True
-        return False
-
-    def add(v: int) -> None:
-        for ei in H.incidence[v - 1]:
-            cnt[ei] += 1
-        chosen.add(v)
 
     for v in sorted(set(seed_set)):
         if v not in act:
             raise ValidationError(f"seed vertex {v} is not active")
-        if completes(v):
-            raise ValidationError("seed set is not independent inside the active set")
-        add(v)
+        for ei in inc[v - 1]:
+            if cnt[ei] == full:
+                raise ValidationError(
+                    "seed set is not independent inside the active set")
+        for ei in inc[v - 1]:
+            cnt[ei] += 1
+        chosen.add(v)
     rest = sorted(act - chosen)
     if mode == "random":
         if rng_seed is None:
             raise ValidationError("the seeded-random strategy requires rng_seed")
         random.Random(rng_seed).shuffle(rest)
     for v in rest:
-        if not completes(v):
-            add(v)
+        for ei in inc[v - 1]:
+            if cnt[ei] == full:
+                break           # v would complete an edge
+        else:
+            for ei in inc[v - 1]:
+                cnt[ei] += 1
+            chosen.add(v)
     return frozenset(chosen)
 
 

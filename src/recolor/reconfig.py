@@ -119,11 +119,24 @@ def _colors_list(H: Hypergraph, coloring: Coloring, q: int) -> list:
 
 
 def _edge_flags(H: Hypergraph, active: frozenset) -> list:
-    """Per-edge booleans: does the edge sit entirely inside ``active``?"""
-    act = [False] * (H.n + 1)
+    """Per-edge booleans: does the edge sit entirely inside ``active``?
+
+    Counts each edge's members from the incidence lists of ``active``, so
+    past the m-long allocations the cost is O(region edges).
+    """
+    if len(active) == H.n:
+        return [True] * H.m
+    k = H.k
+    inc = H.incidence
+    members = [0] * H.m
+    flags = [False] * H.m
     for v in active:
-        act[v] = True
-    return [all(act[u] for u in e) for e in H.edges]
+        for ei in inc[v - 1]:
+            c = members[ei] + 1
+            members[ei] = c
+            if c == k:
+                flags[ei] = True
+    return flags
 
 
 def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
@@ -242,14 +255,14 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
     Builds a maximally independent classes on colors floor+1..floor+a,
     seeding each from chi's own class so no vertex moves more than once,
     then recolors the leftover onto at most beta colors along a peel order.
-    Returns (steps, new colors). Raises NotColorableEvidence with the class
+    Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
+    is ``active`` itself. Raises NotColorableEvidence with the class
     sequence and core when the leftover cannot be peeled.
     """
     cur = chi[:]
     steps = []
     residual = set(active)
     classes = []
-    recolors = 0
     for level in range(1, a + 1):
         color = floor + level
         if residual:
@@ -262,10 +275,10 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
             if cur[v] != color:
                 steps.append((v, color))
                 cur[v] = color
-                recolors = max(recolors, 1)
         residual -= part
     stats.inter_moves += len(steps)
-    stats.max_inter_recolors = max(stats.max_inter_recolors, recolors)
+    # each vertex moves at most once in the class phase
+    stats.max_inter_recolors = max(stats.max_inter_recolors, min(len(steps), 1))
     if len(steps) > cap:
         raise StepCapExceededError("class phase outgrew the step cap", cap=cap)
     W = frozenset(residual)
@@ -293,22 +306,25 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
             if len(steps) > cap:
                 raise StepCapExceededError(
                     "bridge phase outgrew the step cap", cap=cap)
-    return steps, cur
+    return steps, cur, peel
 
 
-def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats):
+def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
+                 peel=None):
     """Steps from chi to tau on ``active``, both greedy-shaped above ``floor``.
 
     Peels one class per level: park chi's copy of color floor+1 on an unused
     color, paint tau's class floor+1 into place, then freeze that class and
     recurse on the rest with one fewer greedy level. The base case hands the
-    (coreless, since tau is greedy-shaped) remainder to the region rewriter.
+    (coreless, since tau is greedy-shaped) remainder to the region rewriter,
+    along ``peel`` when the caller already peeled ``active``.
     """
     if all(chi[v] == tau[v] for v in active):
         return []
     stats.final_depth = max(stats.final_depth, depth)
     if a == 0:
-        peel = beta_core(H, beta, active)
+        if peel is None:
+            peel = beta_core(H, beta, active)
         if peel.core:
             raise ValidationError(
                 "residual keeps a core; the endpoints were not greedy-shaped")
@@ -345,11 +361,12 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats):
         raise StepCapExceededError("class swap outgrew the step cap", cap=cap)
     sub_active = frozenset(active) - frozenset(tau_class)
     try:
-        mid, shaped = _inter_steps(H, sub_active, cur, q, a - 1, beta,
-                                   floor + 1, cap, stats)
+        mid, shaped, peel = _inter_steps(H, sub_active, cur, q, a - 1, beta,
+                                         floor + 1, cap, stats)
         out.extend(mid)
         out.extend(_final_steps(H, sub_active, shaped, tau, q, a - 1, beta,
-                                floor + 1, depth + 1, cap, stats))
+                                floor + 1, depth + 1, cap, stats,
+                                peel if a == 1 else None))
     except NotColorableEvidence as exc:
         w = exc.witness
         lifted = ColorabilityWitness(
@@ -430,8 +447,8 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
         raise ValidationError("start coloring is not proper")
     stats = PathStats()
     active = frozenset(range(1, H.n + 1))
-    steps, _ = _inter_steps(H, active, chi_l, q, alpha, beta, 0,
-                            step_cap, stats)
+    steps, _, _ = _inter_steps(H, active, chi_l, q, alpha, beta, 0,
+                               step_cap, stats)
     path = _assemble(H, chi, steps, stats)
     return path, path.end
 
@@ -485,12 +502,13 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     active = frozenset(range(1, H.n + 1))
     # stats in path order: the first walk and the middle share one, then p2's
     stats, stats2 = PathStats(), PathStats()
-    steps, shaped1 = _inter_steps(H, active, chi1_l, q, alpha, beta, 0,
-                                  step_cap, stats)
-    steps2, shaped2 = _inter_steps(H, active, chi2_l, q, alpha, beta, 0,
-                                   step_cap, stats2)
+    steps, shaped1, peel1 = _inter_steps(H, active, chi1_l, q, alpha, beta,
+                                         0, step_cap, stats)
+    steps2, shaped2, _ = _inter_steps(H, active, chi2_l, q, alpha, beta, 0,
+                                      step_cap, stats2)
+    # at alpha = 0 the first walk peeled all of ``active``
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0, 1,
-                          step_cap, stats)
+                          step_cap, stats, peel1 if alpha == 0 else None)
     steps += _reversed_steps(chi2_l, steps2)
     if len(steps) > step_cap:
         raise StepCapExceededError("composed path outgrew the step cap",
@@ -505,23 +523,29 @@ def verify_path(H: Hypergraph, path: RecolorPath, q: int) -> PathVerdict:
     Checks the start is proper in [q], every step changes exactly one vertex
     to a different in-range color, and properness holds after each move.
     """
+    n = H.n
     cols = list(path.start.colors)
-    if len(cols) != H.n:
+    if len(cols) != n:
         return PathVerdict(False, None, None, "start-length-mismatch")
     if any(c > q for c in cols):
         return PathVerdict(False, None, None, "start-color-out-of-range")
     if not is_proper(H, path.start):
         return PathVerdict(False, None, None, "improper-start")
+    incidence = H.incidence
+    edges = H.edges
     cur = [0] + cols
     for idx, (v, c) in enumerate(path.steps):
-        if not 1 <= v <= H.n:
+        if not 1 <= v <= n:
             return PathVerdict(False, None, idx, "vertex-out-of-range")
         if not 1 <= c <= q:
             return PathVerdict(False, None, idx, "color-out-of-range")
         if cur[v] == c:
             return PathVerdict(False, None, idx, "hamming-step")
         cur[v] = c
-        for ei in H.incidence[v - 1]:
-            if all(cur[u] == c for u in H.edges[ei]):
+        for ei in incidence[v - 1]:
+            for u in edges[ei]:
+                if cur[u] != c:
+                    break
+            else:
                 return PathVerdict(False, None, idx, "improper-intermediate")
     return PathVerdict(True, Coloring(tuple(cur[1:])), None, None)

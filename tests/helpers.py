@@ -468,3 +468,65 @@ def density_peel_reference(H, cap, L):
     witness = frozenset(v for v in range(1, n + 1) if v not in gone)
     status = "bound-violated" if best_ratio >= L else "inconclusive"
     return ProbeVerdict(status, best_ratio, float(L), witness)
+
+
+# recolor.reconfig.verify_path, recolor.cli._parse_trace and
+# recolor.reconfig._edge_flags as they stood before the replay kernel was
+# inlined, the trace parser read each line with map(int, ...) and the edge
+# flags were counted from the region's incidence lists. Kept verbatim, but
+# for the module prefix on PathVerdict, as differential oracles.
+def verify_path_reference(H, path, q):
+    """Replay a path cold and report the first violation, if any."""
+    cols = list(path.start.colors)
+    if len(cols) != H.n:
+        return reconfig.PathVerdict(False, None, None, "start-length-mismatch")
+    if any(c > q for c in cols):
+        return reconfig.PathVerdict(False, None, None,
+                                    "start-color-out-of-range")
+    if not is_proper(H, path.start):
+        return reconfig.PathVerdict(False, None, None, "improper-start")
+    cur = [0] + cols
+    for idx, (v, c) in enumerate(path.steps):
+        if not 1 <= v <= H.n:
+            return reconfig.PathVerdict(False, None, idx,
+                                        "vertex-out-of-range")
+        if not 1 <= c <= q:
+            return reconfig.PathVerdict(False, None, idx, "color-out-of-range")
+        if cur[v] == c:
+            return reconfig.PathVerdict(False, None, idx, "hamming-step")
+        cur[v] = c
+        for ei in H.incidence[v - 1]:
+            if all(cur[u] == c for u in H.edges[ei]):
+                return reconfig.PathVerdict(False, None, idx,
+                                            "improper-intermediate")
+    return reconfig.PathVerdict(True, Coloring(tuple(cur[1:])), None, None)
+
+
+def parse_trace_reference(path_file):
+    """(vertex, old_color, new_color) rows of a trace file, in order."""
+    steps = []
+    with open(path_file) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line == "index,vertex,old_color,new_color":
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 4:
+                raise ValidationError(f"bad trace line {raw!r}")
+            try:
+                idx, v, old, new = (int(x) for x in parts)
+            except ValueError as exc:
+                raise ValidationError(f"bad trace line {raw!r}") from exc
+            if idx != len(steps):
+                raise ValidationError(
+                    f"trace index {idx} out of order (expected {len(steps)})")
+            steps.append((v, old, new))
+    return steps
+
+
+def edge_flags_reference(H, active):
+    """Per-edge booleans: does the edge sit entirely inside ``active``?"""
+    act = [False] * (H.n + 1)
+    for v in active:
+        act[v] = True
+    return [all(act[u] for u in e) for e in H.edges]

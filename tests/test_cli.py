@@ -1,14 +1,22 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from recolor import (
     Coloring,
+    blocked_colors,
     build,
+    generate_hnm,
     hypergraph,
     hypergraph_to_text,
     reconfig,
     write_coloring,
+    write_hypergraph,
 )
 from recolor.cli import main
 
@@ -37,6 +45,29 @@ def coloring_file(tmp_path, name, colors):
     f = tmp_path / name
     write_coloring(Coloring(colors), f)
     return str(f)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def bench_sized_instance():
+    """generate_hnm at n = m = 2000, k = 3, and two proper q = 6 colorings,
+    each colored in a seeded random order with a random unblocked color."""
+    n, q = 2000, 6
+    H = generate_hnm(n, n, 3, 2000)
+    rng = random.Random(6)
+    colorings = []
+    for _ in range(2):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        partial = {}
+        for v in order:
+            blocked = blocked_colors(H, v, partial)
+            partial[v] = rng.choice(
+                [c for c in range(1, q + 1) if c not in blocked])
+        colorings.append(Coloring(tuple(partial[v] for v in range(1, n + 1))))
+    return H, colorings
 
 
 class TestParams:
@@ -165,6 +196,59 @@ class TestCore:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["core", str(tmp_path / "nope.txt"), "--beta", "1"]) == 2
+
+
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
+class TestNotUtf8:
+    """A file that does not decode is malformed input: exit 2, one line."""
+
+    def assert_malformed(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "UTF-8" in captured.err
+
+    def test_hypergraph_file(self, tmp_path, capsys):
+        f = tmp_path / "h.txt"
+        f.write_bytes(NOT_UTF8)
+        self.assert_malformed(["core", str(f), "--beta", "2"], capsys)
+
+    def test_coloring_file(self, tmp_path, k2_file, capsys):
+        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
+        bad = tmp_path / "b.txt"
+        bad.write_bytes(b"2 " + NOT_UTF8)
+        self.assert_malformed(["connect", k2_file, c1, str(bad), "--q", "3",
+                               "--alpha", "0", "--beta", "2"], capsys)
+
+    def test_trace_file(self, tmp_path, k2_file, capsys):
+        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes(b"0 1 1 3\n" + NOT_UTF8 + b"\n")
+        self.assert_malformed(["verify", k2_file, c1, str(trace), "--q", "3"],
+                              capsys)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    f = tmp_path / "k3.txt"
+    f.write_text(K3_TEXT)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "recolor", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    done = run("core", str(f), "--beta", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "core_size 3\ncore 1 2 3\norder \n"
+    bad = run("core", str(f), "--beta", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
 
 
 class TestMisAndGreedy:
@@ -368,6 +452,27 @@ class TestConnectAndVerify:
                    "--q", "4"])
         got = f"exit {rc}\n{capsys.readouterr().out}"
         assert got.encode() == (GOLDEN / f"verify_{case}.out.txt").read_bytes()
+
+    def test_bench_sized_roundtrip_matches_golden(self, tmp_path, capsys):
+        """Trace, stderr and verdict digests at n=2000, q=6, alpha=2,
+        beta=3, recorded before the replay kernel and the region-local
+        scans changed."""
+        H, (c1, c2) = bench_sized_instance()
+        hg, f1, f2 = (str(tmp_path / name) for name in ("h", "c1", "c2"))
+        trace = tmp_path / "trace.txt"
+        write_hypergraph(H, hg)
+        write_coloring(c1, f1)
+        write_coloring(c2, f2)
+        assert main(["connect", hg, f1, f2, "--q", "6", "--alpha", "2",
+                     "--beta", "3", "--out", str(trace)]) == 0
+        err = capsys.readouterr().err
+        assert sha256(trace.read_bytes()) == (
+            "e097cfa91781ac9631a8ac90b6a27ab9ec49851284b011f087485c7d4ede4065")
+        assert sha256(err.encode()) == (
+            "921d496f846c02fa890361349c2ee5ce6151491ff00879cbb3194ef83c0a7812")
+        assert main(["verify", hg, f1, str(trace), "--q", "6"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == (
+            "a12368f984de14237c99edc5c67dc0c2ba46dedfc21244b0ea992ddfbac9c4b0")
 
 
 class TestGamma:

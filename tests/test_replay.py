@@ -1,0 +1,224 @@
+"""The replay kernel, the trace parser and the edge flags against the
+versions they replaced.
+
+``verify_path_reference``, ``parse_trace_reference`` and
+``edge_flags_reference`` in ``helpers`` are the old code, kept verbatim.
+Each test here feeds old and new the same seeded inputs, faulty ones above
+all, and asks for the same answer: the same ``PathVerdict``, the same parsed
+rows or ``ValidationError`` message, the same per-edge flags.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+from recolor import (
+    Coloring,
+    NotColorableEvidence,
+    RecolorPath,
+    ValidationError,
+    connect,
+    generate_hnm,
+    verify_path,
+)
+from recolor import reconfig
+from recolor.cli import _parse_trace
+from helpers import (
+    edge_flags_reference,
+    parse_trace_reference,
+    random_proper_coloring,
+    verify_path_reference,
+)
+
+REASONS = {"start-length-mismatch", "start-color-out-of-range",
+           "improper-start", "vertex-out-of-range", "color-out-of-range",
+           "hamming-step", "improper-intermediate"}
+
+
+def replay(start, steps, upto):
+    """1-indexed colors after the first ``upto`` steps."""
+    cur = [0] + list(start.colors)
+    for v, c in steps[:upto]:
+        cur[v] = c
+    return cur
+
+
+def improper_move(H, cur, rng):
+    """A move completing a monochrome edge: all its other vertices already
+    share a color its last vertex does not wear. None if there is none."""
+    edges = list(H.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        for v in e:
+            others = {cur[u] for u in e if u != v}
+            if len(others) == 1 and cur[v] not in others:
+                return v, others.pop()
+    return None
+
+
+def faulty_paths(H, path, q, rng):
+    """(fault, path) pairs: the clean path, then one injected fault each."""
+    start, steps = path.start, list(path.steps)
+    n, cols = H.n, list(start.colors)
+    yield "ok", path
+
+    def with_start(colors):
+        return RecolorPath(Coloring(tuple(colors)), path.steps, path.end,
+                           path.stats)
+
+    def with_steps(new_steps):
+        return RecolorPath(start, tuple(new_steps), path.end, path.stats)
+
+    yield "start-length-mismatch", with_start(cols[:-1])
+    yield "start-length-mismatch", with_start(cols + [1])
+    bad = cols[:]
+    bad[rng.randrange(n)] = q + 1
+    yield "start-color-out-of-range", with_start(bad)
+    e = rng.choice(H.edges)
+    bad = cols[:]
+    for u in e:
+        bad[u - 1] = cols[e[0] - 1]
+    yield "improper-start", with_start(bad)
+    i = rng.randrange(len(steps) + 1)
+    cur = replay(start, steps, i)
+    v = rng.randrange(1, n + 1)
+    for w in (0, n + 1, -3):
+        yield "vertex-out-of-range", with_steps(steps[:i] + [(w, 1)] + steps[i:])
+    for c in (0, q + 1, -1):
+        yield "color-out-of-range", with_steps(steps[:i] + [(v, c)] + steps[i:])
+    yield "hamming-step", with_steps(steps[:i] + [(v, cur[v])] + steps[i:])
+    move = improper_move(H, cur, rng)
+    if move is not None:
+        yield ("improper-intermediate",
+               with_steps(steps[:i] + [move] + steps[i:]))
+    if steps:
+        # a step redirected to another in-range color: whatever breaks
+        # first, old and new must name it
+        j = rng.randrange(len(steps))
+        w, c = steps[j]
+        other = rng.choice([x for x in range(1, q + 1) if x != c])
+        yield None, with_steps(steps[:j] + [(w, other)] + steps[j + 1:])
+
+
+@pytest.mark.parametrize("k,n,m,alpha,beta", [
+    (2, 40, 50, 1, 2), (2, 60, 90, 2, 2), (3, 60, 80, 2, 3),
+    (3, 120, 150, 2, 2), (4, 60, 120, 1, 3),
+])
+def test_verify_path_matches_the_reference_on_injected_faults(k, n, m, alpha,
+                                                              beta):
+    rng = random.Random(n * 1000 + m + k)
+    q = alpha + beta + 1
+    seen = set()
+    for _ in range(6):
+        H = generate_hnm(n, m, k, rng.getrandbits(48))
+        c1 = random_proper_coloring(H, q, rng)
+        c2 = random_proper_coloring(H, q, rng)
+        try:
+            path = connect(H, c1, c2, q, alpha, beta)
+        except NotColorableEvidence:
+            continue
+        for fault, faulty in faulty_paths(H, path, q, rng):
+            got = verify_path(H, faulty, q)
+            assert got == verify_path_reference(H, faulty, q)
+            if fault == "ok":
+                assert got.ok and got.end == c2
+            elif fault is not None:
+                assert got.reason == fault
+            seen.add(got.reason)
+    assert seen >= REASONS | {None}
+
+
+def test_verify_path_matches_the_reference_on_random_steps():
+    """Steps drawn at random, a few just outside the vertex and color
+    ranges: most fail early, some replay to the end."""
+    rng = random.Random(77)
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        n = rng.randrange(k, 12)
+        m = rng.randrange(0, min(2 * n, comb(n, k)) + 1)
+        H = generate_hnm(n, m, k, rng.getrandbits(32))
+        q = rng.randrange(2, 6)
+        start = Coloring(tuple(rng.randrange(1, q + 2)
+                               for _ in range(n + rng.choice((0, 0, 0, 1)))))
+        steps = tuple((rng.randrange(0, n + 2), rng.randrange(0, q + 2))
+                      for _ in range(rng.randrange(0, 8)))
+        path = RecolorPath(start, steps, start, reconfig.PathStats())
+        assert verify_path(H, path, q) == verify_path_reference(H, path, q)
+
+
+TRACE_TEXTS = [
+    "",
+    "\n\n",
+    "0 1 1 3\n1 2 2 1\n2 1 3 2\n",
+    "0 1 1 3\n1 2 2 1\n2 1 3 2",                     # no final newline
+    "index,vertex,old_color,new_color\n0,1,1,3\n1,2,2,1\n",
+    "  0 1 1 3  \r\n\r\n1\t2\t2\t1\n",
+    "0, 1 ,1, 3\n",
+    "0 1 1 3\nindex,vertex,old_color,new_color\n1 2 2 1\n",
+    "index vertex old_color new_color\n0 1 1 3\n",
+    "0 1 1\n",
+    "0 1 1 3 4\n",
+    "0 1 1 x\n",
+    "0 1 1 x 5\n",
+    "0 1 1.5 3\n",
+    "0,1,1,3,\n",
+    "0 1 1 3\n0 2 2 1\n",
+    "1 1 1 3\n",
+    "-1 1 1 3\n",
+    "0 -4 0 -2\n",
+    "+0 1_0 ٣ 3\n",
+    "0 1 1 3\n1 2 2 1\n7 1 3 2\n",
+    "0 1 1 3\n1 2 2\n",
+    "0 " + "9" * 5000 + " 1 3\n",
+]
+
+
+def parse_outcome(parse, path):
+    try:
+        return "ok", parse(str(path))
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("text", TRACE_TEXTS)
+def test_parse_trace_matches_the_reference(text, tmp_path):
+    f = tmp_path / "trace.txt"
+    f.write_text(text, encoding="utf-8")
+    assert parse_outcome(_parse_trace, f) == \
+        parse_outcome(parse_trace_reference, f)
+
+
+def test_parse_trace_matches_the_reference_on_random_lines(tmp_path):
+    tokens = ["0", "1", "2", "3", "-1", "x", "", ",", " ", "  ", "\t", "1e3"]
+    rng = random.Random(5)
+    f = tmp_path / "trace.txt"
+    for _ in range(400):
+        lines = []
+        for i in range(rng.randrange(0, 5)):
+            if rng.random() < 0.6:
+                sep = rng.choice((" ", ",", " , "))
+                lines.append(sep.join(str(x) for x in
+                                      (i, rng.randrange(1, 4),
+                                       rng.randrange(1, 4),
+                                       rng.randrange(1, 4))))
+            else:
+                lines.append("".join(rng.choice(tokens)
+                                     for _ in range(rng.randrange(0, 8))))
+        f.write_text("\n".join(lines), encoding="utf-8")
+        assert parse_outcome(_parse_trace, f) == \
+            parse_outcome(parse_trace_reference, f)
+
+
+def test_edge_flags_match_the_reference_on_partial_regions():
+    rng = random.Random(11)
+    for k, n, m in [(2, 30, 60), (3, 50, 120), (4, 40, 90), (3, 200, 200)]:
+        for _ in range(5):
+            H = generate_hnm(n, m, k, rng.getrandbits(48))
+            verts = list(range(1, n + 1))
+            regions = [frozenset(), frozenset(verts)]
+            regions += [frozenset(rng.sample(verts, rng.randrange(1, n)))
+                        for _ in range(8)]
+            for region in regions:
+                assert reconfig._edge_flags(H, region) == \
+                    edge_flags_reference(H, region)
