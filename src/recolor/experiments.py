@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Optional
 from .core_peel import _peel, beta_core
 from .errors import InstanceTooLargeError, ValidationError
 from .hypergraph import Hypergraph, generate_hnm
-from .independence import extend_to_mis, greedy_sequence, max_independent_set_exact
+from .independence import (_mask_tables, extend_to_mis, greedy_sequence,
+                           max_independent_set_exact)
 from .seeding import derive_seed
 
 __all__ = [
@@ -158,11 +159,8 @@ def probe_independent_set_bound(H: Hypergraph, d: float, mode: str = "auto",
 def _edge_count_by_subset(H: Hypergraph) -> list:
     """f[mask] = number of edges entirely inside the vertex subset mask."""
     f = [0] * (1 << H.n)
-    for e in H.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << (v - 1)
-        f[mask] += 1
+    for mask in _mask_tables(H, list(range(1, H.n + 1)))[0]:
+        f[mask] += 1  # vertex v is bit v - 1
     for b in range(H.n):
         bit = 1 << b
         for mask in range(1 << H.n):
@@ -281,6 +279,8 @@ def _resolve_config(cfg: MonteCarloConfig):
         raise ValidationError(f"trial count must be nonnegative, got {cfg.trials}")
     explicit = (cfg.alpha is not None, cfg.beta is not None, cfg.m is not None)
     if all(explicit):
+        if cfg.d is not None and not math.isfinite(cfg.d):
+            raise ValidationError(f"need a finite d, got {cfg.d}")
         alpha, beta, m = cfg.alpha, cfg.beta, cfg.m
         n0 = None
         if cfg.d is not None and cfg.d > 1 and alpha > 0:

@@ -50,7 +50,11 @@ class GammaStats:
 def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
     if q < 1:
         raise ValidationError(f"q must be positive, got {q}")
-    if q ** H.n > budget:
+    if budget < 0:
+        raise ValidationError(f"budget must be nonnegative, got {budget}")
+    # for q >= 2, q**n >= 2**n > budget once n exceeds the budget's bit
+    # length, so a huge power is refused without being computed
+    if (q >= 2 and H.n > budget.bit_length()) or q ** H.n > budget:
         raise InstanceTooLargeError(
             f"q**n = {q}**{H.n} exceeds the enumeration budget {budget}")
 
@@ -159,8 +163,12 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
 
     The diameter sweep runs BFS from every node of the largest component and
     refuses (InstanceTooLargeError) when |C|**2 * n * (q-1) would exceed
-    diameter_budget. Pass compute_diameter=False to skip it.
+    diameter_budget. Pass compute_diameter=False to skip it; a negative
+    diameter_budget is refused even then.
     """
+    if diameter_budget < 0:
+        raise ValidationError(
+            f"diameter budget must be nonnegative, got {diameter_budget}")
     _check_budget(H, q, budget)
     n = H.n
     pows = [q ** i for i in range(n)]

@@ -8,9 +8,11 @@ permitted once the residual is exhausted).
 
 An instance is (alpha, beta)-colorable when NO maximally independent
 sequence of length alpha leaves a residual with a beta-core. The exact
-certifier below enumerates every sequence (with memoization on the residual,
-which is all the outcome depends on); the falsifier samples seeded-random
-greedy sequences and can only ever refute.
+search below enumerates every sequence, memoizing per call on the residual
+(which is all the outcome depends on); the falsifier samples seeded-random
+greedy sequences and can only ever refute. Both exhaustive searches, this
+one and the maximum independent set, hold vertex sets as bitmasks and share
+one test of whether a vertex would complete an edge.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "extend_to_mis",
     "greedy_sequence",
     "check_good_greedy",
-    "ExactCertifier",
     "is_alpha_beta_colorable_exact",
     "falsify_alpha_beta",
     "verify_witness",
@@ -54,20 +55,7 @@ class ColorabilityWitness:
     core_vertices: frozenset[int]
 
 
-_STRATEGIES = {
-    "ascending": "ascending",
-    "ascending-id": "ascending",
-    "random": "random",
-    "seeded-random": "random",
-}
-
-
-def _canon_strategy(strategy: str) -> str:
-    try:
-        return _STRATEGIES[strategy]
-    except KeyError:
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; use 'ascending' or 'random'") from None
+_STRATEGIES = ("ascending", "random")
 
 
 def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
@@ -79,7 +67,9 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
     the random strategy (rng_seed is then required). The result always
     contains the seed set.
     """
-    mode = _canon_strategy(strategy)
+    if strategy not in _STRATEGIES:
+        raise ValidationError(
+            f"unknown strategy {strategy!r}; use 'ascending' or 'random'")
     act = _active_set(H, active)
     inc = H.incidence
     full = H.k - 1
@@ -97,7 +87,7 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
             cnt[ei] += 1
         chosen.add(v)
     rest = sorted(act - chosen)
-    if mode == "random":
+    if strategy == "random":
         if rng_seed is None:
             raise ValidationError("the seeded-random strategy requires rng_seed")
         random.Random(rng_seed).shuffle(rest)
@@ -122,15 +112,17 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     """
     if t < 0:
         raise ValidationError(f"sequence length must be nonnegative, got {t}")
-    mode = _canon_strategy(strategy)
-    if mode == "random" and rng_seed is None:
+    if strategy not in _STRATEGIES:
+        raise ValidationError(
+            f"unknown strategy {strategy!r}; use 'ascending' or 'random'")
+    if strategy == "random" and rng_seed is None:
         raise ValidationError("the seeded-random strategy requires rng_seed")
     residual = set(_active_set(H, active))
     sets = []
     for level in range(t):
         if residual:
-            seed = derive_seed(rng_seed, level) if mode == "random" else None
-            part = extend_to_mis(H, residual, (), mode, seed)
+            seed = derive_seed(rng_seed, level) if strategy == "random" else None
+            part = extend_to_mis(H, residual, (), strategy, seed)
         else:
             part = frozenset()
         sets.append(part)
@@ -192,123 +184,30 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     return True
 
 
-def _mask_tables(H: Hypergraph, verts: list[int]):
-    """Bitmasks over ``verts`` (vertex i of the list is bit i): each vertex's
-    bit, the mask of every edge inside ``verts``, and per vertex the masks
-    of the other members of its edges there."""
-    bit = {v: 1 << i for i, v in enumerate(verts)}
+def _mask_tables(H: Hypergraph, verts: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Bitmasks over ``verts`` (vertex i of the list is bit i): the mask of
+    every edge inside ``verts``, and per list position the masks of the
+    other members of that vertex's edges there."""
+    pos = {v: i for i, v in enumerate(verts)}
     edge_masks: list[int] = []
-    rest_masks: dict[int, list[int]] = {v: [] for v in verts}
+    rest_masks: list[list[int]] = [[] for _ in verts]
     for e in H.edges:
-        if all(u in bit for u in e):
+        if all(u in pos for u in e):
             mask = 0
             for u in e:
-                mask |= bit[u]
+                mask |= 1 << pos[u]
             edge_masks.append(mask)
             for u in e:
-                rest_masks[u].append(mask & ~bit[u])
-    return bit, edge_masks, rest_masks
+                rest_masks[pos[u]].append(mask & ~(1 << pos[u]))
+    return edge_masks, rest_masks
 
 
-class ExactCertifier:
-    """Exhaustive (alpha, beta)-colorability search over one instance.
-
-    Enumeration state (maximal independent sets per residual, residual cores,
-    safe residual/level pairs) is cached, so one certifier can answer many
-    (alpha, beta) queries on the same hypergraph cheaply. Residuals are
-    bitmasks over the active vertices.
-    """
-
-    def __init__(self, H: Hypergraph, active: Optional[Iterable[int]] = None,
-                 max_size: int = 12):
-        act = sorted(_active_set(H, active))
-        if len(act) > max_size:
-            raise InstanceTooLargeError(
-                f"{len(act)} active vertices exceed the exhaustive cap of {max_size}")
-        self.H = H
-        self._verts = act
-        self._bit, self._edge_masks, self._rest_masks = _mask_tables(H, act)
-        self._full = (1 << len(act)) - 1
-        self._mis_cache: dict[int, tuple[int, ...]] = {}
-        self._core_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._safe: set[tuple[int, int, int]] = set()
-
-    def _to_set(self, mask: int) -> frozenset[int]:
-        return frozenset(v for v in self._verts if mask & self._bit[v])
-
-    def _maximal_independent_sets(self, mask: int) -> tuple[int, ...]:
-        cached = self._mis_cache.get(mask)
-        if cached is not None:
-            return cached
-        edge_masks = self._edge_masks
-        out = []
-        sub = mask
-        while True:
-            independent = True
-            for em in edge_masks:
-                if em & sub == em:
-                    independent = False
-                    break
-            if independent:
-                maximal = True
-                outside = mask & ~sub
-                for v in self._verts:
-                    bv = self._bit[v]
-                    if outside & bv:
-                        blocked = False
-                        for rest in self._rest_masks[v]:
-                            if rest & ~sub == 0:
-                                blocked = True
-                                break
-                        if not blocked:
-                            maximal = False
-                            break
-                if maximal:
-                    out.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        result = tuple(out)
-        self._mis_cache[mask] = result
-        return result
-
-    def _residual_core(self, mask: int, beta: int) -> frozenset[int]:
-        key = (mask, beta)
-        cached = self._core_cache.get(key)
-        if cached is None:
-            cached = beta_core(self.H, beta, self._to_set(mask)).core
-            self._core_cache[key] = cached
-        return cached
-
-    def search(self, alpha: int, beta: int) -> Optional[ColorabilityWitness]:
-        """Return a witness sequence, or None when the instance is colorable."""
-        if alpha < 0 or beta < 1:
-            raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
-        prefix: list[frozenset[int]] = []
-
-        def dfs(mask: int, levels: int) -> Optional[ColorabilityWitness]:
-            if levels == 0:
-                core = self._residual_core(mask, beta)
-                if core:
-                    return ColorabilityWitness(
-                        MISequence(tuple(prefix), self._to_set(mask)), core)
-                return None
-            if mask == 0:
-                # only empty sets can follow; an empty residual has no core
-                return None
-            key = (mask, levels, beta)
-            if key in self._safe:
-                return None
-            for sub in self._maximal_independent_sets(mask):
-                prefix.append(self._to_set(sub))
-                found = dfs(mask & ~sub, levels - 1)
-                if found is not None:
-                    return found
-                prefix.pop()
-            self._safe.add(key)
-            return None
-
-        return dfs(self._full, alpha)
+def _blocked(rest_masks_of_v: list[int], chosen_mask: int) -> bool:
+    # would v complete an edge whose other members are all chosen?
+    for rest in rest_masks_of_v:
+        if rest & chosen_mask == rest:
+            return True
+    return False
 
 
 def is_alpha_beta_colorable_exact(
@@ -317,10 +216,73 @@ def is_alpha_beta_colorable_exact(
         max_size: int = 12) -> Union[bool, ColorabilityWitness]:
     """Exhaustively certify colorability.
 
+    A depth-first search over every maximally independent sequence, on
+    residuals held as bitmasks over the active vertices. Each call memoizes
+    the maximal independent sets of every residual it expands and the
+    (residual, levels) pairs already known to leave no core.
+
     Returns True when colorable, otherwise the refuting ColorabilityWitness;
     compare against True (``result is True``) rather than truthiness.
     """
-    witness = ExactCertifier(H, active, max_size).search(alpha, beta)
+    verts = sorted(_active_set(H, active))
+    if len(verts) > max_size:
+        raise InstanceTooLargeError(
+            f"{len(verts)} active vertices exceed the exhaustive cap of {max_size}")
+    if alpha < 0 or beta < 1:
+        raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+    edge_masks, rest_masks = _mask_tables(H, verts)
+    rests = [(1 << i, rv) for i, rv in enumerate(rest_masks)]
+    mis_memo: dict[int, list[int]] = {}
+    safe: set[tuple[int, int]] = set()
+    prefix: list[int] = []
+
+    def to_set(mask: int) -> frozenset[int]:
+        return frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+
+    def maximal_independent_sets(mask: int) -> list[int]:
+        # every independent submask no outside vertex could join, from the
+        # mask down to 0
+        out = []
+        sub = mask
+        while True:
+            for em in edge_masks:
+                if em & sub == em:
+                    break
+            else:
+                outside = mask & ~sub
+                for bv, rv in rests:
+                    if outside & bv and not _blocked(rv, sub):
+                        break
+                else:
+                    out.append(sub)
+            if sub == 0:
+                return out
+            sub = (sub - 1) & mask
+
+    def dfs(mask: int, levels: int) -> Optional[ColorabilityWitness]:
+        key = (mask, levels)
+        if key in safe:
+            return None
+        if levels == 0:
+            core = beta_core(H, beta, to_set(mask)).core
+            if core:
+                return ColorabilityWitness(
+                    MISequence(tuple(map(to_set, prefix)), to_set(mask)), core)
+        elif mask:
+            subs = mis_memo.get(mask)
+            if subs is None:
+                subs = mis_memo[mask] = maximal_independent_sets(mask)
+            for sub in subs:
+                prefix.append(sub)
+                found = dfs(mask & ~sub, levels - 1)
+                if found is not None:
+                    return found
+                prefix.pop()
+        # an empty residual is followed by empty sets only, and has no core
+        safe.add(key)
+        return None
+
+    witness = dfs((1 << len(verts)) - 1, alpha)
     return True if witness is None else witness
 
 
@@ -370,19 +332,12 @@ def max_independent_set_exact(H: Hypergraph, max_size: int = 30) -> tuple[int, f
     """
     if H.n > max_size:
         raise InstanceTooLargeError(f"n={H.n} exceeds the exact cap of {max_size}")
-    bit, _, rest_masks = _mask_tables(H, list(range(1, H.n + 1)))
+    # vertex v is bit v - 1, and the search runs on those bit positions
+    _, rest_masks = _mask_tables(H, list(range(1, H.n + 1)))
 
     greedy = extend_to_mis(H)
     best_size = len(greedy)
-    best_mask = 0
-    for v in greedy:
-        best_mask |= bit[v]
-
-    def blocked(v: int, chosen_mask: int) -> bool:
-        for rest in rest_masks[v]:
-            if rest & ~chosen_mask == 0:
-                return True
-        return False
+    best_mask = sum(1 << (v - 1) for v in greedy)
 
     def dfs(chosen_mask: int, size: int, cand: list[int]) -> None:
         nonlocal best_size, best_mask
@@ -391,12 +346,12 @@ def max_independent_set_exact(H: Hypergraph, max_size: int = 30) -> tuple[int, f
             best_mask = chosen_mask
         if size + len(cand) <= best_size or not cand:
             return
-        v = cand[0]
-        with_v = chosen_mask | bit[v]
-        filtered = [u for u in cand[1:] if not blocked(u, with_v)]
-        dfs(with_v, size + 1, filtered)
+        i = cand[0]
+        with_i = chosen_mask | 1 << i
+        filtered = [j for j in cand[1:] if not _blocked(rest_masks[j], with_i)]
+        dfs(with_i, size + 1, filtered)
         dfs(chosen_mask, size, cand[1:])
 
-    dfs(0, 0, [v for v in range(1, H.n + 1) if not blocked(v, 0)])
-    winner = frozenset(v for v in range(1, H.n + 1) if best_mask & bit[v])
+    dfs(0, 0, [i for i in range(H.n) if not _blocked(rest_masks[i], 0)])
+    winner = frozenset(v for v in range(1, H.n + 1) if best_mask >> (v - 1) & 1)
     return best_size, winner

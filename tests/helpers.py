@@ -8,12 +8,19 @@ import heapq
 import itertools
 import random
 from collections import deque
+from typing import Iterable, Optional, Union
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
 from recolor import reconfig
-from recolor.core_peel import PeelResult, _active_set
+from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.experiments import ProbeVerdict
-from recolor.errors import SpareColorError, StepCapExceededError, ValidationError
+from recolor.errors import (
+    InstanceTooLargeError,
+    SpareColorError,
+    StepCapExceededError,
+    ValidationError,
+)
+from recolor.independence import ColorabilityWitness, MISequence
 
 
 def subsets(vertices):
@@ -530,3 +537,139 @@ def edge_flags_reference(H, active):
     for v in active:
         act[v] = True
     return [all(act[u] for u in e) for e in H.edges]
+
+
+# recolor.independence.ExactCertifier and is_alpha_beta_colorable_exact as
+# they stood before the class was folded into one function with per-call
+# memo tables, together with the mask tables they were built on. Kept
+# verbatim, but for the function's name, as a differential oracle.
+def _mask_tables(H: Hypergraph, verts: list[int]):
+    """Bitmasks over ``verts`` (vertex i of the list is bit i): each vertex's
+    bit, the mask of every edge inside ``verts``, and per vertex the masks
+    of the other members of its edges there."""
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    edge_masks: list[int] = []
+    rest_masks: dict[int, list[int]] = {v: [] for v in verts}
+    for e in H.edges:
+        if all(u in bit for u in e):
+            mask = 0
+            for u in e:
+                mask |= bit[u]
+            edge_masks.append(mask)
+            for u in e:
+                rest_masks[u].append(mask & ~bit[u])
+    return bit, edge_masks, rest_masks
+
+
+class ExactCertifier:
+    """Exhaustive (alpha, beta)-colorability search over one instance.
+
+    Enumeration state (maximal independent sets per residual, residual cores,
+    safe residual/level pairs) is cached, so one certifier can answer many
+    (alpha, beta) queries on the same hypergraph cheaply. Residuals are
+    bitmasks over the active vertices.
+    """
+
+    def __init__(self, H: Hypergraph, active: Optional[Iterable[int]] = None,
+                 max_size: int = 12):
+        act = sorted(_active_set(H, active))
+        if len(act) > max_size:
+            raise InstanceTooLargeError(
+                f"{len(act)} active vertices exceed the exhaustive cap of {max_size}")
+        self.H = H
+        self._verts = act
+        self._bit, self._edge_masks, self._rest_masks = _mask_tables(H, act)
+        self._full = (1 << len(act)) - 1
+        self._mis_cache: dict[int, tuple[int, ...]] = {}
+        self._core_cache: dict[tuple[int, int], frozenset[int]] = {}
+        self._safe: set[tuple[int, int, int]] = set()
+
+    def _to_set(self, mask: int) -> frozenset[int]:
+        return frozenset(v for v in self._verts if mask & self._bit[v])
+
+    def _maximal_independent_sets(self, mask: int) -> tuple[int, ...]:
+        cached = self._mis_cache.get(mask)
+        if cached is not None:
+            return cached
+        edge_masks = self._edge_masks
+        out = []
+        sub = mask
+        while True:
+            independent = True
+            for em in edge_masks:
+                if em & sub == em:
+                    independent = False
+                    break
+            if independent:
+                maximal = True
+                outside = mask & ~sub
+                for v in self._verts:
+                    bv = self._bit[v]
+                    if outside & bv:
+                        blocked = False
+                        for rest in self._rest_masks[v]:
+                            if rest & ~sub == 0:
+                                blocked = True
+                                break
+                        if not blocked:
+                            maximal = False
+                            break
+                if maximal:
+                    out.append(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        result = tuple(out)
+        self._mis_cache[mask] = result
+        return result
+
+    def _residual_core(self, mask: int, beta: int) -> frozenset[int]:
+        key = (mask, beta)
+        cached = self._core_cache.get(key)
+        if cached is None:
+            cached = beta_core(self.H, beta, self._to_set(mask)).core
+            self._core_cache[key] = cached
+        return cached
+
+    def search(self, alpha: int, beta: int) -> Optional[ColorabilityWitness]:
+        """Return a witness sequence, or None when the instance is colorable."""
+        if alpha < 0 or beta < 1:
+            raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+        prefix: list[frozenset[int]] = []
+
+        def dfs(mask: int, levels: int) -> Optional[ColorabilityWitness]:
+            if levels == 0:
+                core = self._residual_core(mask, beta)
+                if core:
+                    return ColorabilityWitness(
+                        MISequence(tuple(prefix), self._to_set(mask)), core)
+                return None
+            if mask == 0:
+                # only empty sets can follow; an empty residual has no core
+                return None
+            key = (mask, levels, beta)
+            if key in self._safe:
+                return None
+            for sub in self._maximal_independent_sets(mask):
+                prefix.append(self._to_set(sub))
+                found = dfs(mask & ~sub, levels - 1)
+                if found is not None:
+                    return found
+                prefix.pop()
+            self._safe.add(key)
+            return None
+
+        return dfs(self._full, alpha)
+
+
+def exact_certifier_reference(
+        H: Hypergraph, alpha: int, beta: int,
+        active: Optional[Iterable[int]] = None,
+        max_size: int = 12) -> Union[bool, ColorabilityWitness]:
+    """Exhaustively certify colorability.
+
+    Returns True when colorable, otherwise the refuting ColorabilityWitness;
+    compare against True (``result is True``) rather than truthiness.
+    """
+    witness = ExactCertifier(H, active, max_size).search(alpha, beta)
+    return True if witness is None else witness

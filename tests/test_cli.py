@@ -302,6 +302,22 @@ class TestCertify:
                      "--exact-limit", "0", "--trials", "50"]) == 1
         assert "not-colorable" in capsys.readouterr().out
 
+    # on certify.h.txt (generate_hnm n=10, k=3, m=24, seed 4); the last case
+    # sits beyond --exact-limit, so its witness comes from the falsifier
+    @pytest.mark.parametrize("case,argv", [
+        ("colorable", ["--alpha", "2", "--beta", "2"]),
+        ("witness", ["--alpha", "2", "--beta", "1"]),
+        ("falsifier", ["--alpha", "1", "--beta", "2", "--exact-limit", "9",
+                       "--trials", "20", "--seed", "3"]),
+    ])
+    def test_matches_golden(self, case, argv, capsys):
+        """Exit code and stdout, recorded before the exact search became
+        one function."""
+        rc = main(["certify", str(GOLDEN / "certify.h.txt"), *argv])
+        got = f"exit {rc}\n{capsys.readouterr().out}"
+        assert got.encode() == (
+            GOLDEN / f"certify_{case}.out.txt").read_bytes()
+
 
 class TestConnectAndVerify:
     def test_roundtrip(self, tmp_path, k2_file, capsys):
@@ -500,6 +516,18 @@ class TestGamma:
         assert main(["gamma", k2_file, "--q", "3", "--budget", "1"]) == 3
         assert capsys.readouterr().err.startswith("refused:")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--budget", "-5"], "budget must be nonnegative, got -5"),
+        (["--diameter-budget", "-1"],
+         "diameter budget must be nonnegative, got -1"),
+        (["--diameter-budget", "-1", "--no-diameter"],
+         "diameter budget must be nonnegative, got -1"),
+    ])
+    def test_negative_budget_is_malformed(self, k2_file, flags, message,
+                                          capsys):
+        assert main(["gamma", k2_file, "--q", "3", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestMonteCarlo:
     ARGS = ["montecarlo", "--n", "30", "--k", "2", "--trials", "5",
@@ -526,6 +554,13 @@ class TestMonteCarlo:
                      "--m", "100"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].split(",")[7] != ""  # n0 present when d is given
+
+    @pytest.mark.parametrize("d", ["inf", "nan"])
+    def test_non_finite_d_with_explicit_params(self, d, capsys):
+        assert main(["montecarlo", "--n", "10", "--k", "2", "--trials", "2",
+                     "--alpha", "1", "--beta", "1", "--m", "5",
+                     "--d", d]) == 2
+        assert capsys.readouterr().err == f"error: need a finite d, got {d}\n"
 
     def test_partial_explicit_params(self, capsys):
         assert main(["montecarlo", "--n", "30", "--k", "2", "--trials", "1",

@@ -157,6 +157,53 @@ class TestGammaDistance:
                 assert d >= hamming(a, b)
 
 
+class NoPow(int):
+    """A palette size whose power must not be taken."""
+
+    def __pow__(self, other):
+        raise AssertionError(f"{int(self)}**{other} computed")
+
+
+class TestBudgets:
+    EDGELESS = build(100, 2, [])
+    CALLS = [
+        lambda H, q, **kw: enumerate_proper(H, q, **kw),
+        lambda H, q, **kw: gamma_stats(H, q, **kw),
+        lambda H, q, **kw: gamma_distance(
+            H, q, Coloring((1,) * H.n), Coloring((1,) * H.n), **kw),
+    ]
+
+    IDS = ["enumerate_proper", "gamma_stats", "gamma_distance"]
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_clearly_over_budget_skips_the_power(self, call):
+        # 3**100 is far over 10**7, which 2**24 already exceeds
+        with pytest.raises(InstanceTooLargeError,
+                           match=r"q\*\*n = 3\*\*100 exceeds the enumeration"
+                                 r" budget 10000000"):
+            call(self.EDGELESS, NoPow(3))
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_negative_budget_is_malformed(self, call):
+        with pytest.raises(ValidationError,
+                           match="budget must be nonnegative, got -5"):
+            call(K2, 3, budget=-5)
+
+    @pytest.mark.parametrize("compute_diameter", [True, False])
+    def test_negative_diameter_budget_is_malformed(self, compute_diameter):
+        with pytest.raises(ValidationError, match="diameter budget must be "
+                                                  "nonnegative, got -1"):
+            gamma_stats(K2, 3, compute_diameter=compute_diameter,
+                        diameter_budget=-1)
+
+    def test_zero_budgets_stay_valid(self):
+        with pytest.raises(InstanceTooLargeError):
+            gamma_stats(K2, 1, budget=0)
+        # one coloring, and a sweep over it costs 0 probes at q = 1
+        s = gamma_stats(build(2, 2, []), 1, budget=1, diameter_budget=0)
+        assert (s.num_colorings, s.diameter) == (1, 0)
+
+
 def seeded_instances():
     """One seeded instance per (n, k, q) with n 2-7, k 2-3, q 1-5, while
     q**n stays small enough for the reference BFS, then the edge cases:

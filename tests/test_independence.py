@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from recolor import (
 from helpers import (
     all_maximal_independent_sets,
     colorable_bruteforce,
+    exact_certifier_reference,
     is_independent_bruteforce,
     max_independent_bruteforce,
     random_instance,
@@ -66,10 +68,13 @@ class TestExtendToMis:
         assert a == b
 
     def test_strategy_aliases(self):
+        # the two strategies have one name each
         H = generate_hnm(8, 8, 2, 2)
-        assert extend_to_mis(H, strategy="ascending-id") == extend_to_mis(H)
-        assert (extend_to_mis(H, strategy="seeded-random", rng_seed=3)
-                == extend_to_mis(H, strategy="random", rng_seed=3))
+        for alias in ("ascending-id", "seeded-random"):
+            with pytest.raises(ValidationError, match="unknown strategy"):
+                extend_to_mis(H, strategy=alias, rng_seed=3)
+            with pytest.raises(ValidationError, match="unknown strategy"):
+                greedy_sequence(H, 1, strategy=alias, rng_seed=3)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
@@ -220,6 +225,53 @@ class TestExactCertifier:
                 rest = frozenset(H.vertices()) - part
                 assert is_alpha_beta_colorable_exact(
                     H, alpha - 1, beta, active=rest) is True
+
+
+class TestExactAgainstReference:
+    """The per-call search against the class it replaced: the same verdict
+    and, for a witness, the same sets in order, residual and core."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_verdicts_and_witnesses(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(2, 9)
+            k = rng.randint(2, min(3, n))
+            H = generate_hnm(n, rng.randint(0, min(2 * n, comb(n, k))), k,
+                             rng.getrandbits(32))
+            verts = list(range(1, n + 1))
+            for active in (None, verts, rng.sample(verts, rng.randint(1, n)),
+                           []):
+                for alpha in range(4):
+                    for beta in range(1, 4):
+                        want = exact_certifier_reference(H, alpha, beta, active)
+                        got = is_alpha_beta_colorable_exact(H, alpha, beta,
+                                                            active)
+                        if want is True:
+                            assert got is True
+                            continue
+                        assert got is not True
+                        assert got.sequence.sets == want.sequence.sets
+                        assert got.sequence.residual == want.sequence.residual
+                        assert got.core_vertices == want.core_vertices
+
+    @pytest.mark.parametrize("args,error", [
+        # a bad active set is named before the size cap ...
+        ((build(13, 2, []), 1, 1, [0] + list(range(1, 13))), ValidationError),
+        ((build(13, 2, []), -1, 0, [14]), ValidationError),
+        # ... and the size cap before a bad alpha or beta
+        ((build(13, 2, []), -1, 0), InstanceTooLargeError),
+        ((build(5, 2, []), -1, 1), ValidationError),
+        ((build(5, 2, []), 1, 0), ValidationError),
+        ((build(5, 2, []), 1, 1, None, 4), InstanceTooLargeError),
+    ])
+    def test_same_refusals(self, args, error):
+        with pytest.raises(error) as want:
+            exact_certifier_reference(*args)
+        with pytest.raises(error) as got:
+            is_alpha_beta_colorable_exact(*args)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestVerifyWitness:
