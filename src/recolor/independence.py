@@ -149,13 +149,6 @@ def _is_maximal(H: Hypergraph, S: frozenset[int] | set[int],
     return all(_completes_edge(H, u, S) for u in residual - S)
 
 
-def _is_independent(H: Hypergraph, S: frozenset[int] | set[int]) -> bool:
-    for e in H.edges:
-        if all(v in S for v in e):
-            return False
-    return True
-
-
 def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) -> bool:
     """Does the coloring decompose into alpha greedy classes plus a tame rest?
 
@@ -171,6 +164,8 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
         return False
     rem = set(range(1, H.n + 1))
     for color in range(1, alpha + 1):
+        if not rem:
+            break
         cls = {v for v in rem if coloring[v] == color}
         # independence is free (color class of a proper coloring); check maximality
         if not _is_maximal(H, cls, rem):
@@ -314,7 +309,8 @@ def verify_witness(H: Hypergraph, witness: ColorabilityWitness, alpha: int, beta
     for S in witness.sequence.sets:
         if not S <= residual:
             return False
-        if not _is_independent(H, S) or not _is_maximal(H, S, residual):
+        # no edge inside S, and S maximal in what is left
+        if any(_completes_edge(H, u, S) for u in S) or not _is_maximal(H, S, residual):
             return False
         residual -= S
     if frozenset(residual) != witness.sequence.residual:

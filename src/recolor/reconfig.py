@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 from .core_peel import _active_set, _first_fit_along, beta_core
@@ -118,28 +119,7 @@ def _colors_list(H: Hypergraph, coloring: Coloring, q: int) -> list:
     return [0] + list(coloring.colors)
 
 
-def _edge_flags(H: Hypergraph, active: frozenset) -> list:
-    """Per-edge booleans: does the edge sit entirely inside ``active``?
-
-    Counts each edge's members from the incidence lists of ``active``, so
-    past the m-long allocations the cost is O(region edges).
-    """
-    if len(active) == H.n:
-        return [True] * H.m
-    k = H.k
-    inc = H.incidence
-    members = [0] * H.m
-    flags = [False] * H.m
-    for v in active:
-        for ei in inc[v - 1]:
-            c = members[ei] + 1
-            members[ei] = c
-            if c == k:
-                flags[ei] = True
-    return flags
-
-
-def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
+def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     """Steps rewriting the peel-ordered region ``order`` from chi to tau.
 
     Level i replays the moves built for the first i vertices of the order
@@ -149,6 +129,16 @@ def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
     spare exists: at most beta-1 live edges meet vnew inside the level,
     while the pool holds beta+1 colors none of which appear outside the
     region.
+
+    Liveness: an edge through vnew is live at level i iff each of its
+    members is placed (at or before vnew in the order) or sits off the
+    order wearing a palette color: a spare, or the target of a vertex on
+    the order. That is exact: every color a move is checked against is in
+    the palette (detours take spares, final moves take targets), and a
+    vertex off the order never moves, so no other edge can ever turn
+    monochromatic. Edges through off-order vertices cannot all be dropped:
+    ``path_core``'s outside wears colors up to alpha, which the targets may
+    reuse.
 
     Invariant: every move was checked, when it was made, against every live
     edge through its own vertex, and a detour changes only vnew's color. An
@@ -175,8 +165,12 @@ def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
     edges = H.edges
     inc = H.incidence
     R = len(order)
-    rank = {v: i for i, v in enumerate(order)}
     pool = tuple(spare_pool)
+    palette = set(pool).union(tau[v] for v in order)
+    near = set(chain.from_iterable([edges[ei] for v in order
+                                    for ei in inc[v - 1]]))
+    # the vertices a live edge may hold; vnew joins them at its level
+    placed = {u for u in near.difference(order) if chi[u] in palette}
     labels = {v: [] for v in order}
     colors = {v: [] for v in order}
     end = (R,)                  # sorts after every label
@@ -191,9 +185,9 @@ def _core_steps(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
 
     total = 0
     for i, vnew in enumerate(order):
-        # edges through vnew that are live at this level
+        placed.add(vnew)
         live = [edges[ei] for ei in inc[vnew - 1]
-                if edge_ok[ei] and all(rank.get(u, -1) <= i for u in edges[ei])]
+                if placed.issuperset(edges[ei])]
 
         def mono(t, c):
             # a live edge through vnew whose other vertices wear c before t
@@ -253,8 +247,9 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
     """Walk ``chi`` restricted to ``active`` into greedy shape above ``floor``.
 
     Builds a maximally independent classes on colors floor+1..floor+a,
-    seeding each from chi's own class so no vertex moves more than once,
-    then recolors the leftover onto at most beta colors along a peel order.
+    seeding each from chi's own class so no vertex moves more than once
+    and stopping once nothing is left, then recolors the leftover onto at
+    most beta colors along a peel order.
     Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
     is ``active`` itself. Raises NotColorableEvidence with the class
     sequence and core when the leftover cannot be peeled.
@@ -264,12 +259,11 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
     residual = set(active)
     classes = []
     for level in range(1, a + 1):
+        if not residual:
+            break               # nothing left, so no core and no witness
         color = floor + level
-        if residual:
-            seed = frozenset(v for v in residual if chi[v] == color)
-            part = extend_to_mis(H, residual, seed_set=seed)
-        else:
-            part = frozenset()
+        seed = frozenset(v for v in residual if chi[v] == color)
+        part = extend_to_mis(H, residual, seed_set=seed)
         classes.append(part)
         for v in sorted(part):
             if cur[v] != color:
@@ -296,8 +290,7 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
             tau = cur[:]
             for v, c in target.items():
                 tau[v] = c
-            edge_ok = _edge_flags(H, active)
-            bridge = _core_steps(H, edge_ok, peel.order, cur, tau,
+            bridge = _core_steps(H, peel.order, cur, tau,
                                  range(floor + a + 1, floor + a + beta + 2),
                                  cap, stats)
             for v, c in bridge:
@@ -328,8 +321,7 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
         if peel.core:
             raise ValidationError(
                 "residual keeps a core; the endpoints were not greedy-shaped")
-        edge_ok = _edge_flags(H, active)
-        return _core_steps(H, edge_ok, peel.order, chi, tau,
+        return _core_steps(H, peel.order, chi, tau,
                            range(floor + 1, floor + beta + 2), cap, stats)
     cls = floor + 1
     cur = chi[:]
@@ -427,8 +419,7 @@ def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
             f"region keeps a {beta}-core of {len(peel.core)} vertices",
             core=peel.core)
     stats = PathStats()
-    edge_ok = [True] * H.m
-    steps = _core_steps(H, edge_ok, peel.order, chi_l, tau_l,
+    steps = _core_steps(H, peel.order, chi_l, tau_l,
                         range(alpha + 1, alpha + beta + 2), step_cap, stats)
     return _assemble(H, chi, steps, stats)
 

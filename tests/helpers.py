@@ -477,11 +477,12 @@ def density_peel_reference(H, cap, L):
     return ProbeVerdict(status, best_ratio, float(L), witness)
 
 
-# recolor.reconfig.verify_path, recolor.cli._parse_trace and
-# recolor.reconfig._edge_flags as they stood before the replay kernel was
-# inlined, the trace parser read each line with map(int, ...) and the edge
-# flags were counted from the region's incidence lists. Kept verbatim, but
-# for the module prefix on PathVerdict, as differential oracles.
+# recolor.reconfig.verify_path and recolor.cli._parse_trace as they stood
+# before the replay kernel was inlined and the trace parser read each line
+# with map(int, ...). Kept verbatim, but for the module prefix on
+# PathVerdict, as differential oracles. edge_flags_reference is the edge
+# filter the rewriter's callers once applied (edges inside the phase's
+# active set); it feeds core_steps_reference in the regions differential.
 def verify_path_reference(H, path, q):
     """Replay a path cold and report the first violation, if any."""
     cols = list(path.start.colors)

@@ -13,16 +13,24 @@ from pathlib import Path
 import pytest
 
 from recolor import (
+    Coloring,
     NotColorableEvidence,
     beta_core,
     build,
     color_coreless,
     connect,
+    extend_to_mis,
     generate_hnm,
+    path_core,
+    verify_path,
 )
 from recolor import reconfig
 from recolor.cli import main
-from helpers import core_steps_reference, random_proper_coloring
+from helpers import (
+    core_steps_reference,
+    edge_flags_reference,
+    random_proper_coloring,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 BIG_CAP = reconfig.DEFAULT_STEP_CAP
@@ -31,11 +39,11 @@ BIG_CAP = reconfig.DEFAULT_STEP_CAP
 def outcome(builder, call, cap):
     """What one builder makes of one call: its steps and stats, or the
     type and message of what it raised."""
-    H, edge_ok, order, chi, tau, pool = call
+    H, order, chi, tau, pool = call
     before = list(chi)
     stats = reconfig.PathStats()
     try:
-        steps = builder(H, edge_ok, order, chi, tau, pool, cap, stats)
+        steps = builder(H, order, chi, tau, pool, cap, stats)
     except Exception as exc:
         res = (type(exc).__name__, str(exc), stats.detours_per_level)
     else:
@@ -45,16 +53,26 @@ def outcome(builder, call, cap):
     return res
 
 
-def assert_same(call, caps=None):
+def reference(flags=None):
+    """``core_steps_reference`` called like ``_core_steps``, on the edges
+    ``flags`` marks: by default all of them, as ``path_core`` marked them."""
+    def run(H, order, chi, tau, pool, cap, stats):
+        ok = [True] * H.m if flags is None else flags
+        return core_steps_reference(H, ok, order, chi, tau, pool, cap, stats)
+    return run
+
+
+def assert_same(call, caps=None, flags=None):
     """Both builders agree uncapped and, when asked, under the step caps
     0, 1, len/2, len-1 and len; returns the uncapped outcome."""
-    want = outcome(core_steps_reference, call, BIG_CAP)
+    ref = reference(flags)
+    want = outcome(ref, call, BIG_CAP)
     assert outcome(reconfig._core_steps, call, BIG_CAP) == want
     if caps and want[0] == "ok":
         n = len(want[1])
         for cap in sorted({0, 1, n // 2, max(n - 1, 0), n}):
             assert (outcome(reconfig._core_steps, call, cap)
-                    == outcome(core_steps_reference, call, cap)), cap
+                    == outcome(ref, call, cap)), cap
     return want
 
 
@@ -79,7 +97,7 @@ def coreless_call(k, beta, n, m, seed, shifted=True):
         dst = color_coreless(H, beta, None, pool[:beta])
     chi = [0] + [src[v] for v in H.vertices()]
     tau = [0] + [dst[v] for v in H.vertices()]
-    return H, [True] * H.m, list(peel.order), chi, tau, range(1, beta + 2)
+    return H, list(peel.order), chi, tau, range(1, beta + 2)
 
 
 COREFREE = [
@@ -113,16 +131,30 @@ def test_coreless_region_at_n_4000_matches_the_reference():
 
 def test_connect_regions_match_the_reference(monkeypatch):
     """Bridges and final base cases inside ``connect`` with alpha >= 1: the
-    region is part of the live set, so some vertices sit outside the order
-    and some edges are dead."""
+    region is part of the phase's active set, so some vertices sit outside
+    the order and some edges are dead. The reference sees the edges inside
+    the active set, as the rewriter's callers once flagged them."""
     calls = []
+    actives = []
     builder = reconfig._core_steps
 
-    def recording(H, edge_ok, order, chi, tau, pool, cap, stats):
-        calls.append((H, list(edge_ok), list(order), list(chi), list(tau),
-                      pool))
-        return builder(H, edge_ok, order, chi, tau, pool, cap, stats)
+    def within(phase):
+        # run a phase with its active set on top of ``actives``
+        def run(H, active, *rest):
+            actives.append(active)
+            try:
+                return phase(H, active, *rest)
+            finally:
+                actives.pop()
+        return run
 
+    def recording(H, order, chi, tau, pool, cap, stats):
+        calls.append(((H, list(order), list(chi), list(tau), pool),
+                      actives[-1]))
+        return builder(H, order, chi, tau, pool, cap, stats)
+
+    for name in ("_inter_steps", "_final_steps"):
+        monkeypatch.setattr(reconfig, name, within(getattr(reconfig, name)))
     monkeypatch.setattr(reconfig, "_core_steps", recording)
     rng = random.Random(2024)
     for k, n, m, alpha, beta in [(2, 60, 60, 1, 2), (2, 80, 100, 2, 2),
@@ -140,15 +172,99 @@ def test_connect_regions_match_the_reference(monkeypatch):
                 pass
     monkeypatch.undo()
     partial = outside = detoured = 0
-    for call in calls:
-        H, edge_ok, order, _, _, _ = call
-        partial += not all(edge_ok)
+    for call, active in calls:
+        H, order = call[0], call[1]
+        flags = edge_flags_reference(H, active)
+        partial += not all(flags)
         inside = set(order)
         outside += any(ok and not set(e) <= inside
-                       for e, ok in zip(H.edges, edge_ok))
-        res = assert_same(call, caps=True)
+                       for e, ok in zip(H.edges, flags))
+        res = assert_same(call, caps=True, flags=flags)
         detoured += res[0] == "ok" and res[3] > 0
     assert partial and outside and detoured
+
+
+def fill_region(H, colors, region, palette, rng):
+    """Color ``region`` in a random order, each vertex a random palette
+    color that completes no monochromatic edge; None when one gets stuck."""
+    cols = list(colors)
+    order = list(region)
+    rng.shuffle(order)
+    for v in order:
+        blocked = set()
+        for ei in H.incidence[v - 1]:
+            rest = {cols[u] for u in H.edges[ei] if u != v}
+            if len(rest) == 1 and 0 not in rest:
+                blocked |= rest
+        free = [c for c in palette if c not in blocked]
+        if not free:
+            return None
+        cols[v] = rng.choice(free)
+    return Coloring(tuple(cols[1:]))
+
+
+def partial_region_draw(rng):
+    """A ``path_core`` call on part of an instance, or None. The outside is
+    an independent set colored within 1..alpha; chi and tau color the
+    coreless region from the outside's colors and alpha+1..alpha+beta, so
+    both reuse outside colors."""
+    k, alpha, beta = rng.choice((2, 2, 3)), rng.randint(1, 2), rng.randint(2, 3)
+    n = rng.randint(6, 18)
+    H = generate_hnm(n, rng.randint(n // 2, 2 * n), k, rng.getrandbits(48))
+    verts = list(range(1, n + 1))
+    outside = extend_to_mis(H, rng.sample(verts, rng.randint(1, n // 2)))
+    region = [v for v in verts if v not in outside]
+    if beta_core(H, beta, region).core:
+        return None
+    colors = [0] * (n + 1)
+    for u in outside:
+        colors[u] = rng.randint(1, alpha)
+    palette = sorted(set(colors[u] for u in outside)) + \
+        list(range(alpha + 1, alpha + beta + 1))
+    chi = fill_region(H, colors, region, palette, rng)
+    tau = fill_region(H, colors, region, palette, rng)
+    if chi is None or tau is None:
+        return None
+    return H, region, chi, tau, alpha, beta
+
+
+def test_path_core_on_partial_regions_matches_the_reference():
+    """``path_core`` on a region whose outside wears colors the region's
+    own colorings reuse: the rewriter keeps the edges through the outside
+    that can still turn monochromatic, where the reference checks every
+    edge. Steps, detours and refusals agree under every step cap, and every
+    path replays. Dropping all edges through the outside breaks this."""
+    rng = random.Random(97)
+    draws = reused = detoured = 0
+    while draws < 400:
+        draw = partial_region_draw(rng)
+        if draw is None:
+            continue
+        H, region, chi, tau, alpha, beta = draw
+        q = alpha + beta + 1
+        draws += 1
+        inside = set(region)
+        reused += all(any(c[v] <= alpha for v in region) for c in (chi, tau))
+        order = beta_core(H, beta, region).order
+        call = (H, list(order), [0, *chi.colors], [0, *tau.colors],
+                range(alpha + 1, alpha + beta + 2))
+        want = outcome(reference(), call, BIG_CAP)
+        assert want[0] == "ok"
+        detoured += want[3] > 0
+        for cap in range(len(want[1]) + 1):
+            ref = outcome(reference(), call, cap)
+            try:
+                path = path_core(H, inside, chi, tau, alpha, beta, q, cap)
+            except Exception as exc:
+                got = (type(exc).__name__, str(exc))
+                assert got == ref[:2], cap
+                continue
+            assert ref == ("ok", list(path.steps),
+                           path.stats.detours_per_level,
+                           path.stats.detour_moves, path.stats.core_moves)
+            verdict = verify_path(H, path, q)
+            assert verdict.ok and verdict.end == tau, verdict.reason
+    assert reused > draws // 2 and detoured > draws // 10
 
 
 @pytest.mark.parametrize("k,beta,n,m", COREFREE[::2])
@@ -156,18 +272,18 @@ def test_violated_preconditions_raise_the_same_errors(k, beta, n, m):
     """A pool too small for the spares, and targets that are not proper on
     the region: both builders fail at the same point with the same message,
     including where the step cap fires first."""
-    H, edge_ok, order, chi, tau, pool = coreless_call(k, beta, n, m, 7 * n)
+    H, order, chi, tau, pool = coreless_call(k, beta, n, m, 7 * n)
     rng = random.Random(n + m)
     bad_tau = list(tau)
     for v in order:
         if rng.random() < 0.2:
             bad_tau[v] = rng.choice(pool)
     kinds = set()
-    for call in [(H, edge_ok, order, chi, tau, pool[:1]),
-                 (H, edge_ok, order, chi, tau, pool[:2]),
-                 (H, edge_ok, order, chi, bad_tau, pool)]:
+    for call in [(H, order, chi, tau, pool[:1]),
+                 (H, order, chi, tau, pool[:2]),
+                 (H, order, chi, bad_tau, pool)]:
         for cap in [0, 1, 2, 5, 20, 100, BIG_CAP]:
-            res = outcome(core_steps_reference, call, cap)
+            res = outcome(reference(), call, cap)
             assert outcome(reconfig._core_steps, call, cap) == res, cap
             kinds.add(res[0])
     assert "StepCapExceededError" in kinds
@@ -179,7 +295,7 @@ def test_step_cap_fires_before_a_later_missing_spare():
     first replayed move takes a detour, and the second finds no spare. Under
     a cap of 1 the detour overflows first; under a cap of 2 it does not."""
     H = build(3, 2, [(1, 2), (2, 3)])
-    call = (H, [True, True], [1, 3, 2], [0, 3, 2, 2], [0, 2, 2, 1], (1,))
+    call = (H, [1, 3, 2], [0, 3, 2, 2], [0, 2, 2, 1], (1,))
     want = {1: ("StepCapExceededError", "level 2 outgrew the step cap"),
             2: ("SpareColorError", "no spare color for vertex 2 at level 2"),
             BIG_CAP: ("SpareColorError",
@@ -187,7 +303,7 @@ def test_step_cap_fires_before_a_later_missing_spare():
     for cap, head in want.items():
         res = outcome(reconfig._core_steps, call, cap)
         assert res[:2] == head
-        assert res == outcome(core_steps_reference, call, cap)
+        assert res == outcome(reference(), call, cap)
 
 
 @pytest.mark.parametrize("name,q,alpha,beta", [("connect_k2", 4, 1, 2),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -290,6 +291,23 @@ class TestVerifyWitness:
             core_vertices=frozenset({1, 2, 3}))
         assert not verify_witness(TRIANGLE, fake, 1, 2)
 
+
+    def test_rejects_set_holding_an_edge(self):
+        # on K4 the set {1, 2} holds edge 12; it is still maximal, and what
+        # is left keeps its 1-core, so only the edge inside it is wrong
+        from recolor import ColorabilityWitness, MISequence
+        K4 = build(4, 2, list(itertools.combinations(range(1, 5), 2)))
+        good = ColorabilityWitness(
+            MISequence((frozenset({1}),), frozenset({2, 3, 4})),
+            core_vertices=frozenset({2, 3, 4}))
+        assert verify_witness(K4, good, 1, 1)
+        fake = ColorabilityWitness(
+            MISequence((frozenset({1, 2}),), frozenset({3, 4})),
+            core_vertices=frozenset({3, 4}))
+        assert beta_core(K4, 1, {3, 4}).core == fake.core_vertices
+        assert all(any(set(e) - {u} <= {1, 2} for e in K4.edges if u in e)
+                   for u in (3, 4))
+        assert not verify_witness(K4, fake, 1, 1)
 
 class TestFalsify:
     def test_edgeless_never_witnesses(self):

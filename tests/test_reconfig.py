@@ -322,6 +322,26 @@ class TestConnect:
             assert d is not None and len(p) >= d
 
 
+    def test_cost_stops_growing_once_the_classes_cover_everything(self):
+        """On a path of four vertices two classes take every vertex, so the
+        other 999,998 greedy levels are empty and build nothing: no class
+        list, step or copy grows with alpha."""
+        import tracemalloc
+        H = build(4, 2, [(1, 2), (2, 3), (3, 4)])
+        chi, tau = Coloring((1, 2, 1, 2)), Coloring((2, 1, 2, 1))
+        alpha = 10 ** 6
+        q = alpha + 2
+        tracemalloc.start()
+        try:
+            p = connect(H, chi, tau, q, alpha, 1)
+            between = path_between_good_greedy(H, chi, tau, q, alpha, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert_sound(H, p, q, tau)
+        assert_sound(H, between, q, tau)
+
 class TestVerifyPath:
     def test_empty_path_ok(self):
         chi = Coloring((1, 2))

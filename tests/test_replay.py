@@ -1,11 +1,10 @@
-"""The replay kernel, the trace parser and the edge flags against the
-versions they replaced.
+"""The replay kernel and the trace parser against the versions they
+replaced.
 
-``verify_path_reference``, ``parse_trace_reference`` and
-``edge_flags_reference`` in ``helpers`` are the old code, kept verbatim.
-Each test here feeds old and new the same seeded inputs, faulty ones above
-all, and asks for the same answer: the same ``PathVerdict``, the same parsed
-rows or ``ValidationError`` message, the same per-edge flags.
+``verify_path_reference`` and ``parse_trace_reference`` in ``helpers`` are
+the old code, kept verbatim. Each test here feeds old and new the same
+seeded inputs, faulty ones above all, and asks for the same answer: the same
+``PathVerdict``, the same parsed rows or ``ValidationError`` message.
 """
 
 import random
@@ -25,7 +24,6 @@ from recolor import (
 from recolor import reconfig
 from recolor.cli import _parse_trace
 from helpers import (
-    edge_flags_reference,
     parse_trace_reference,
     random_proper_coloring,
     verify_path_reference,
@@ -208,17 +206,3 @@ def test_parse_trace_matches_the_reference_on_random_lines(tmp_path):
         f.write_text("\n".join(lines), encoding="utf-8")
         assert parse_outcome(_parse_trace, f) == \
             parse_outcome(parse_trace_reference, f)
-
-
-def test_edge_flags_match_the_reference_on_partial_regions():
-    rng = random.Random(11)
-    for k, n, m in [(2, 30, 60), (3, 50, 120), (4, 40, 90), (3, 200, 200)]:
-        for _ in range(5):
-            H = generate_hnm(n, m, k, rng.getrandbits(48))
-            verts = list(range(1, n + 1))
-            regions = [frozenset(), frozenset(verts)]
-            regions += [frozenset(rng.sample(verts, rng.randrange(1, n)))
-                        for _ in range(8)]
-            for region in regions:
-                assert reconfig._edge_flags(H, region) == \
-                    edge_flags_reference(H, region)
