@@ -166,6 +166,10 @@ class TestGen:
         # C(700, 2) = 244,650 k-sets: binomial edge count, then sampling
         ("gen_p_binom", ["--n", "700", "--k", "2", "--p", "0.0001",
                          "--seed", "5"]),
+        # k = 6: random.sample keeps its pool branch up to n = 85
+        ("gen_m_k6_pool", ["--n", "80", "--k", "6", "--m", "40", "--seed", "7"]),
+        ("gen_m_k6_set", ["--n", "100", "--k", "6", "--m", "40",
+                          "--seed", "7"]),
     ])
     def test_matches_golden(self, name, argv, tmp_path, capsys):
         dest = tmp_path / "h.txt"
@@ -540,6 +544,22 @@ class TestMonteCarlo:
         assert lines[0].startswith("trial,seed,")
         assert len(lines) == 6
         assert captured.err == "witness_rate 0.2 over 5 trials\n"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("montecarlo_n30_k2", ARGS),
+        ("montecarlo_n2000_k3",
+         ["montecarlo", "--n", "2000", "--k", "3", "--trials", "3",
+          "--alpha", "2", "--beta", "2", "--m", "4000", "--seed", "11"]),
+    ])
+    def test_matches_golden(self, name, argv, capsys):
+        """CSV rows and the rate line: each trial's instance is pinned
+        through its residual sizes."""
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (
+            GOLDEN / f"{name}.csv.txt").read_bytes()
+        assert captured.err.encode() == (
+            GOLDEN / f"{name}.stderr.txt").read_bytes()
 
     def test_byte_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
