@@ -17,7 +17,7 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -98,16 +98,7 @@ class Hypergraph:
     __slots__ = ("n", "k", "edges", "incidence")
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
-        if not isinstance(n, int) or not isinstance(k, int):
-            raise ValidationError("n and k must be integers")
-        if k < 2:
-            raise ValidationError(f"uniformity k must be at least 2, got {k}")
-        if n < k:
-            raise ValidationError(f"need n >= k, got n={n}, k={k}")
-        if n > _MAX_VERTICES:
-            raise InstanceTooLargeError(
-                f"vertex count {n} is too large to materialize "
-                f"(limit {_MAX_VERTICES})")
+        _check_shape(n, k)
         canon = []
         seen = set()
         for raw in edges:
@@ -127,14 +118,26 @@ class Hypergraph:
             seen.add(se)
             canon.append(se)
         canon.sort()
+        self._index(n, k, canon)
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, canon: list[tuple[int, ...]]) -> "Hypergraph":
+        """An instance on edges the caller made canonical: a sorted list of
+        distinct sorted k-tuples of ints in 1..n. Skips every check."""
+        H = cls.__new__(cls)
+        H._index(n, k, canon)
+        return H
+
+    def _index(self, n: int, k: int, canon: list[tuple[int, ...]]) -> None:
         self.n = n
         self.k = k
         self.edges = tuple(canon)
-        inc = [[] for _ in range(n)]
+        inc = [[] for _ in range(n + 1)]  # slot 0 is never filled
         for idx, e in enumerate(self.edges):
             for v in e:
-                inc[v - 1].append(idx)
-        self.incidence = tuple(tuple(lst) for lst in inc)
+                inc[v].append(idx)
+        del inc[0]
+        self.incidence = tuple(map(tuple, inc))
 
     @property
     def m(self) -> int:
@@ -165,11 +168,29 @@ def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
+def _check_shape(n: int, k: int) -> None:
+    if not isinstance(n, int) or not isinstance(k, int):
+        raise ValidationError("n and k must be integers")
+    if k < 2:
+        raise ValidationError(f"uniformity k must be at least 2, got {k}")
+    if n < k:
+        raise ValidationError(f"need n >= k, got n={n}, k={k}")
+    if n > _MAX_VERTICES:
+        raise InstanceTooLargeError(
+            f"vertex count {n} is too large to materialize "
+            f"(limit {_MAX_VERTICES})")
+
+
 def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     """Draw exactly m distinct uniformly random k-sets, deterministic per seed.
 
     Rejection sampling with a seen-set; fine as long as m is well below
-    C(n, k), which is the sane regime for these instances anyway.
+    C(n, k), which is the sane regime for these instances anyway. Every
+    limit is checked before the first draw, and the drawn edges, canonical
+    by construction, are indexed without being validated again. The k-sets
+    are those of one ``random.sample`` call each (see ``_distinct_k_sets``),
+    so a seed names the same instance on every Python whose ``sample``
+    draws alike.
     """
     if k < 2 or n < k:
         raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
@@ -180,22 +201,46 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
         raise InstanceTooLargeError(
             f"edge count {m} is too large to materialize "
             f"(limit {_MAX_MATERIALIZED_EDGES})")
-    return Hypergraph(n, k, _distinct_k_sets(random.Random(seed), n, k, m))
+    _check_shape(n, k)
+    return Hypergraph._trusted(
+        n, k, _distinct_k_sets(random.Random(seed), n, k, m))
 
 
 def _distinct_k_sets(rng: random.Random, n: int, k: int,
-                     m: int) -> Iterator[tuple[int, ...]]:
-    """m distinct uniformly random k-subsets of 1..n, by rejection sampling.
+                     m: int) -> list[tuple[int, ...]]:
+    """m distinct uniformly random k-subsets of 1..n, as a sorted list of
+    sorted tuples, by rejection sampling.
 
-    Lazy, so a Hypergraph that refuses its n does so before the first draw.
+    Each k-set comes from the draws ``rng.sample(range(1, n + 1), k)``
+    makes. Above sample's small-population cutoff that is its set branch,
+    replayed here straight on ``getrandbits``: draw ``n.bit_length()`` bits
+    until the value is below n and not yet picked. At or below the cutoff,
+    sample itself is called. So a seed gives the same k-sets as a loop of
+    sample calls, without that call's per-edge overhead.
     """
-    pool = range(1, n + 1)
-    seen = set()
+    seen: set[tuple[int, ...]] = set()
+    add = seen.add
+    # random.Random.sample switches from its pool to its set branch here
+    cutoff = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if n <= cutoff:
+        pool = range(1, n + 1)
+        while len(seen) < m:
+            add(tuple(sorted(rng.sample(pool, k))))
+        return sorted(seen)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    draws = range(k)
     while len(seen) < m:
-        e = tuple(sorted(rng.sample(pool, k)))
-        if e not in seen:
-            seen.add(e)
-            yield e
+        picked = []
+        for _ in draws:
+            # one past the value drawn, so the picks are the vertex ids
+            j = getrandbits(bits) + 1
+            while j > n or j in picked:
+                j = getrandbits(bits) + 1
+            picked.append(j)
+        picked.sort()
+        add(tuple(picked))
+    return sorted(seen)
 
 
 # Above this many potential edges, generate_hnp stops enumerating all k-sets
@@ -245,13 +290,17 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
     total = math.comb(n, k)
     rng = random.Random(seed)
     if total <= _ENUMERATION_LIMIT:
+        _check_shape(n, k)
         edges = [e for e in itertools.combinations(range(1, n + 1), k)
                  if rng.random() < p]
-        return Hypergraph(n, k, edges)
-    m = _binomial_draw(rng, total, p)
-    if m > _MAX_MATERIALIZED_EDGES:
-        raise InstanceTooLargeError(f"sampled edge count {m} is too large to materialize")
-    return Hypergraph(n, k, _distinct_k_sets(rng, n, k, m))
+    else:
+        m = _binomial_draw(rng, total, p)
+        if m > _MAX_MATERIALIZED_EDGES:
+            raise InstanceTooLargeError(
+                f"sampled edge count {m} is too large to materialize")
+        _check_shape(n, k)
+        edges = _distinct_k_sets(rng, n, k, m)
+    return Hypergraph._trusted(n, k, edges)
 
 
 def is_proper(H: Hypergraph, coloring: Coloring) -> bool:

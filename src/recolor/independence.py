@@ -17,6 +17,7 @@ one test of whether a vertex would complete an edge.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -120,11 +121,11 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     residual = set(_active_set(H, active))
     sets = []
     for level in range(t):
-        if residual:
-            seed = derive_seed(rng_seed, level) if strategy == "random" else None
-            part = extend_to_mis(H, residual, (), strategy, seed)
-        else:
-            part = frozenset()
+        if not residual:
+            sets.extend(itertools.repeat(frozenset(), t - level))
+            break
+        seed = derive_seed(rng_seed, level) if strategy == "random" else None
+        part = extend_to_mis(H, residual, (), strategy, seed)
         sets.append(part)
         residual -= part
     return MISequence(sets=tuple(sets), residual=frozenset(residual))
@@ -288,11 +289,22 @@ def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
 
     Returns the first witness found across ``trials`` attempts, or None.
     Finding nothing proves nothing; a returned witness is conclusive.
+    With alpha at least the number of active vertices there is none to
+    find: each level takes at least one vertex of a nonempty residual, so
+    the residual is empty after alpha levels. None is then returned without
+    a draw, once the arguments are checked.
     """
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
+    if alpha < 0:
+        raise ValidationError(f"sequence length must be nonnegative, got {alpha}")
+    act = _active_set(H, active)
+    if beta < 1:
+        raise ValidationError(f"beta must be at least 1, got {beta}")
+    if alpha >= len(act):
+        return None
     for t in range(trials):
-        seq = greedy_sequence(H, alpha, "random", derive_seed(rng_seed, t), active)
+        seq = greedy_sequence(H, alpha, "random", derive_seed(rng_seed, t), act)
         core = beta_core(H, beta, seq.residual).core
         if core:
             return ColorabilityWitness(seq, core)

@@ -674,3 +674,16 @@ def exact_certifier_reference(
     """
     witness = ExactCertifier(H, active, max_size).search(alpha, beta)
     return True if witness is None else witness
+
+
+# The k-set sampler as it stood before recolor.hypergraph._distinct_k_sets
+# replayed random.Random.sample's draws on getrandbits: one sample call per
+# k-set, yielded in draw order. Kept as the differential oracle for it.
+def distinct_k_sets_reference(rng, n, k, m):
+    pool = range(1, n + 1)
+    seen = set()
+    while len(seen) < m:
+        e = tuple(sorted(rng.sample(pool, k)))
+        if e not in seen:
+            seen.add(e)
+            yield e

@@ -25,7 +25,7 @@ from recolor import (
     write_hypergraph,
 )
 from recolor import hypergraph
-from helpers import random_instance
+from helpers import distinct_k_sets_reference, random_instance
 
 
 class TestBuild:
@@ -126,6 +126,9 @@ class TestGenerateHnm:
             def sample(self, *args, **kwargs):
                 raise AssertionError("sampled before refusing")
 
+            def getrandbits(self, *args, **kwargs):
+                raise AssertionError("sampled before refusing")
+
         monkeypatch.setattr(hypergraph, "random",
                             types.SimpleNamespace(Random=NoDraws))
         n = hypergraph._MAX_VERTICES + 1
@@ -133,6 +136,10 @@ class TestGenerateHnm:
             generate_hnm(n, 3, 2, 0)
         with pytest.raises(InstanceTooLargeError, match="vertex count"):
             generate_hnp(n, 1e-12, 2, 0)
+
+    def test_refuses_one_past_the_vertex_cap(self):
+        with pytest.raises(InstanceTooLargeError, match="vertex count"):
+            generate_hnm(5_000_001, 1, 2, 0)
 
     def test_degree_sum(self):
         for seed in range(30):
@@ -181,6 +188,95 @@ class TestGenerateHnp:
             assert list(e) == sorted(e) and len(e) == 2
         again = generate_hnp(700, 0.0001, 2, 3)
         assert H.edges == again.edges
+
+
+def sample_cutoff(k):
+    """The largest population random.Random.sample draws k from with its
+    pool branch; above it sample switches to its set branch."""
+    return 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+
+
+class TestDistinctKSets:
+    """hypergraph._distinct_k_sets against one random.sample call per k-set:
+    the same k-sets, and the generator left in the same state."""
+
+    @staticmethod
+    def assert_matches_reference(n, k, m, seed):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = hypergraph._distinct_k_sets(fast, n, k, m)
+        assert got == sorted(distinct_k_sets_reference(slow, n, k, m))
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("above", [0, 1])
+    @pytest.mark.parametrize("m", [0, 1, 60])
+    def test_either_side_of_the_cutoff(self, k, above, m):
+        for seed in range(3):
+            self.assert_matches_reference(sample_cutoff(k) + above, k, m, seed)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    @pytest.mark.parametrize("n", [32, 33, 64, 128, 129])
+    def test_either_side_of_a_power_of_two(self, n, k):
+        # n.bit_length() bits a draw: n = 2**j takes one more than n - 1
+        for seed in range(3):
+            self.assert_matches_reference(n, k, 60, seed)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_every_k_set_of_a_small_population(self, k):
+        sizes = {k, k + 1, 9}
+        if k <= 3:  # C(n, k) stays small just past the cutoff
+            sizes |= {sample_cutoff(k) + 1, sample_cutoff(k) + 3}
+        for n in sorted(sizes):
+            total = math.comb(n, k)
+            for m in (0, 1, total):
+                self.assert_matches_reference(n, k, m, seed=n + k)
+
+    @given(st.integers(2, 7), st.integers(0, 110), st.integers(0, 60),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep(self, k, extra, m, seed):
+        n = k + extra
+        self.assert_matches_reference(n, k, min(m, math.comb(n, k)), seed)
+
+
+class TestUnvalidatedConstruction:
+    """The generators index their edges without the checks of Hypergraph();
+    rebuilding through build() must give the same instance."""
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: generate_hnm(30, 60, 2, seed),
+        lambda seed: generate_hnm(12, 20, 3, seed),
+        lambda seed: generate_hnm(100, 40, 6, seed),
+        lambda seed: generate_hnm(2000, 3000, 3, seed),
+        lambda seed: generate_hnp(10, 0.3, 3, seed),   # enumeration branch
+        lambda seed: generate_hnp(700, 0.0001, 2, seed),   # binomial branch
+    ])
+    def test_matches_build(self, make):
+        for seed in range(4):
+            H = make(seed)
+            again = build(H.n, H.k, H.edges)
+            assert H == again
+            assert H.incidence == again.incidence
+            assert isinstance(H.edges, tuple)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((2.0, 2, []), ValidationError, "n and k must be integers"),
+        ((4, 1, []), ValidationError, "uniformity k must be at least 2, got 1"),
+        ((2, 3, []), ValidationError, "need n >= k, got n=2, k=3"),
+        ((5_000_001, 2, []), InstanceTooLargeError,
+         "vertex count 5000001 is too large to materialize (limit 5000000)"),
+        ((4, 3, [(1, 2)]), EdgeArityError,
+         "edge (1, 2) has 2 vertices, expected 3"),
+        ((4, 2, [(1, True)]), VertexRangeError,
+         "vertex id True is not an integer"),
+        ((4, 2, [(1, 5)]), VertexRangeError, "vertex 5 outside 1..4 in edge (1, 5)"),
+        ((4, 2, [(2, 2)]), RepeatedVertexError, "edge (2, 2) repeats a vertex"),
+        ((3, 2, [(1, 2), (2, 1)]), DuplicateEdgeError, "duplicate edge (1, 2)"),
+    ])
+    def test_constructor_keeps_its_checks(self, args, error, message):
+        with pytest.raises(error) as caught:
+            hypergraph.Hypergraph(*args)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestColoring:

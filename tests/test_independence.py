@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from recolor import (
     Coloring,
     InstanceTooLargeError,
     ValidationError,
+    VertexRangeError,
     beta_core,
     build,
     check_good_greedy,
@@ -30,6 +32,7 @@ from helpers import (
 )
 
 TRIANGLE = build(3, 2, [(1, 2), (2, 3), (1, 3)])
+PATH4 = build(4, 2, [(1, 2), (2, 3), (3, 4)])
 PATH3 = build(3, 2, [(1, 2), (2, 3)])
 
 
@@ -118,6 +121,13 @@ class TestGreedySequence:
     def test_random_requires_seed(self):
         with pytest.raises(ValidationError):
             greedy_sequence(TRIANGLE, 2, strategy="random")
+
+    def test_pads_with_empty_sets_once_the_residual_runs_out(self):
+        seq = greedy_sequence(PATH4, 10 ** 6, "random", rng_seed=3)
+        assert len(seq.sets) == 10 ** 6
+        assert seq.sets[:3] == greedy_sequence(PATH4, 3, "random", 3).sets
+        assert set(seq.sets[2:]) == {frozenset()}
+        assert seq.residual == frozenset()
 
     def test_random_deterministic(self):
         H = generate_hnm(10, 14, 2, 9)
@@ -328,6 +338,32 @@ class TestFalsify:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValidationError):
             falsify_alpha_beta(TRIANGLE, 1, 1, trials=0, rng_seed=0)
+
+    def test_alpha_covering_the_active_set_returns_at_once(self):
+        # alpha levels empty any residual of at most alpha vertices
+        start = time.perf_counter()
+        assert falsify_alpha_beta(PATH4, 10 ** 6, 1, trials=5,
+                                  rng_seed=0) is None
+        assert falsify_alpha_beta(TRIANGLE, 2, 1, trials=5, rng_seed=0,
+                                  active={1, 2}) is None
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("kwargs,error,message", [
+        (dict(alpha=10 ** 6, beta=1, trials=0), ValidationError,
+         "trials must be positive, got 0"),
+        (dict(alpha=-1, beta=0, trials=0), ValidationError,
+         "trials must be positive, got 0"),
+        (dict(alpha=-1, beta=0, trials=1, active={9}), ValidationError,
+         "sequence length must be nonnegative, got -1"),
+        (dict(alpha=10 ** 6, beta=0, trials=1, active={9}),
+         VertexRangeError, "active vertex 9 outside 1..4"),
+        (dict(alpha=10 ** 6, beta=0, trials=1), ValidationError,
+         "beta must be at least 1, got 0"),
+    ])
+    def test_refusals_come_before_the_shortcut(self, kwargs, error, message):
+        with pytest.raises(error) as caught:
+            falsify_alpha_beta(PATH4, rng_seed=0, **kwargs)
+        assert type(caught.value) is error and str(caught.value) == message
 
     def test_witness_consistent_with_exact(self):
         # a found witness refutes colorability; the exact search must agree
