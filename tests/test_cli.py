@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -11,14 +12,16 @@ from recolor import (
     Coloring,
     blocked_colors,
     build,
+    coloring_from_text,
     generate_hnm,
     hypergraph,
+    hypergraph_from_text,
     hypergraph_to_text,
     reconfig,
     write_coloring,
     write_hypergraph,
 )
-from recolor.cli import main
+from recolor.cli import _parse_trace, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,6 +89,18 @@ class TestParams:
         assert lines[0] == "d,k,n,alpha_real,alpha,beta_real,beta,m0,n0,p,m"
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 11
+
+    @pytest.mark.parametrize("name,argv", [
+        ("params_k2_n1e10", ["1e9", "2", str(10 ** 10)]),
+        ("params_k2_n1e6", ["400000", "2", str(10 ** 6)]),
+        ("params_k3", ["1e16", "3", str(10 ** 9)]),
+        ("params_k4", ["1e30", "4", str(10 ** 12)]),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_matches_golden(self, name, argv, fmt, capsys):
+        assert main(["params", *argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == (
+            GOLDEN / f"{name}.{fmt}.txt").read_bytes()
 
     def test_domain_error(self, capsys):
         assert main(["params", "10", "2", "1000"]) == 2
@@ -253,6 +268,56 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     bad = run("core", str(f), "--beta", "0")
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: ")
+
+
+MALFORMED = json.loads((GOLDEN / "malformed_text.json").read_text())
+
+
+class TestMalformedText:
+    """Each malformed hypergraph, coloring and trace text in the golden
+    table, with its error class and message; texts with several faults pin
+    the order of the checks."""
+
+    @staticmethod
+    def _read(reader, text, tmp_path):
+        if reader == "hypergraph":
+            return hypergraph_from_text(text)
+        if reader == "coloring":
+            return coloring_from_text(text)
+        f = tmp_path / "trace.txt"
+        f.write_text(text)
+        return _parse_trace(str(f))
+
+    @pytest.mark.parametrize("case", MALFORMED,
+                             ids=lambda c: f"{c['reader']}:{c['text']!r}")
+    def test_reader(self, case, tmp_path):
+        with pytest.raises(Exception) as info:
+            self._read(case["reader"], case["text"], tmp_path)
+        assert type(info.value).__name__ == case["error"]
+        assert str(info.value) == case["message"]
+
+    @pytest.mark.parametrize("case", MALFORMED,
+                             ids=lambda c: f"{c['reader']}:{c['text']!r}")
+    def test_cli(self, case, tmp_path, k2_file, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(case["text"])
+        start = coloring_file(tmp_path, "start.txt", (1, 2))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = {
+            "hypergraph": ["core", str(bad), "--beta", "1"],
+            "coloring": ["verify", k2_file, str(bad), str(empty), "--q", "2"],
+            "trace": ["verify", k2_file, start, str(bad), "--q", "2"],
+        }[case["reader"]]
+        if case["error"] == "InstanceTooLargeError":
+            code, prefix = 3, "refused"
+        else:
+            code, prefix = 2, "error"
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "\n" not in case["message"]
+        assert captured.err == f"{prefix}: {case['message']}\n"
 
 
 class TestMisAndGreedy:
