@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import fields
 
 from . import experiments, gamma_oracle, reconfig
 from .core_peel import beta_core
@@ -40,6 +41,8 @@ from .independence import (
 # exit codes: 0 ok / colorable, 1 negative verdict (witness, failed
 # verification), 2 bad input, 3 refused (budget, cap, inconclusive)
 
+_TRACE_HEADER = "index,vertex,old_color,new_color"
+
 
 def _emit(args, text: str) -> None:
     if args.out:
@@ -51,20 +54,11 @@ def _emit(args, text: str) -> None:
 
 def _cmd_params(args) -> int:
     ps = experiments.params_from_d(args.d, args.k, args.n)
+    cells = {f.name: repr(getattr(ps, f.name)) for f in fields(ps)}
     if args.fmt == "csv":
-        head = "d,k,n,alpha_real,alpha,beta_real,beta,m0,n0,p,m"
-        row = ",".join([
-            repr(ps.d), str(ps.k), str(ps.n), repr(ps.alpha_real),
-            str(ps.alpha), repr(ps.beta_real), str(ps.beta),
-            repr(ps.m0), repr(ps.n0), repr(ps.p), str(ps.m)])
-        _emit(args, f"{head}\n{row}\n")
+        _emit(args, f"{','.join(cells)}\n{','.join(cells.values())}\n")
     else:
-        _emit(args, "".join([
-            f"d {ps.d!r}\n", f"k {ps.k}\n", f"n {ps.n}\n",
-            f"alpha_real {ps.alpha_real!r}\n", f"alpha {ps.alpha}\n",
-            f"beta_real {ps.beta_real!r}\n", f"beta {ps.beta}\n",
-            f"m0 {ps.m0!r}\n", f"n0 {ps.n0!r}\n",
-            f"p {ps.p!r}\n", f"m {ps.m}\n"]))
+        _emit(args, "".join(f"{name} {cell}\n" for name, cell in cells.items()))
     return 0
 
 
@@ -151,14 +145,12 @@ def _cmd_certify(args) -> int:
 
 
 def _trace_text(path, fmt: str) -> str:
+    sep = "," if fmt == "csv" else " "
     cur = [0] + list(path.start.colors)
-    rows = []
+    rows = [_TRACE_HEADER] if fmt == "csv" else []
     for i, (v, c) in enumerate(path.steps):
-        rows.append(f"{i},{v},{cur[v]},{c}" if fmt == "csv" else
-                    f"{i} {v} {cur[v]} {c}")
+        rows.append(f"{i}{sep}{v}{sep}{cur[v]}{sep}{c}")
         cur[v] = c
-    if fmt == "csv":
-        rows.insert(0, "index,vertex,old_color,new_color")
     return "\n".join(rows) + "\n" if rows else ""
 
 
@@ -181,7 +173,7 @@ def _parse_trace(path_file: str):
     with _open_utf8(path_file) as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line == "index,vertex,old_color,new_color":
+            if not line or line == _TRACE_HEADER:
                 continue
             try:
                 # a line of other than four fields fails the unpacking
@@ -201,21 +193,22 @@ def _cmd_verify(args) -> int:
     H = read_hypergraph(args.hypergraph)
     start = read_coloring(args.start)
     steps = _parse_trace(args.trace)
+
+    def failed(where, reason) -> int:
+        _emit(args, f"failed index {where} reason {reason}\n")
+        return 1
+
     for i, (v, old, new) in enumerate(steps):
         if not 1 <= v <= H.n:
-            _emit(args, f"failed index {i} reason vertex-out-of-range\n")
-            return 1
+            return failed(i, "vertex-out-of-range")
         if new < 1:
-            _emit(args, f"failed index {i} reason color-out-of-range\n")
-            return 1
+            return failed(i, "color-out-of-range")
     if len(start) != H.n:
-        _emit(args, "failed index start reason start-length-mismatch\n")
-        return 1
+        return failed("start", "start-length-mismatch")
     cur = [0] + list(start.colors)
     for i, (v, old, new) in enumerate(steps):
         if cur[v] != old:
-            _emit(args, f"failed index {i} reason old-color-mismatch\n")
-            return 1
+            return failed(i, "old-color-mismatch")
         cur[v] = new
     path = reconfig.RecolorPath(
         start=start, steps=tuple((v, new) for v, _, new in steps),
@@ -225,9 +218,8 @@ def _cmd_verify(args) -> int:
         _emit(args, (f"ok length {len(steps)} "
                      f"end {' '.join(map(str, verdict.end.colors))}\n"))
         return 0
-    where = "start" if verdict.failure_index is None else verdict.failure_index
-    _emit(args, f"failed index {where} reason {verdict.reason}\n")
-    return 1
+    return failed("start" if verdict.failure_index is None
+                  else verdict.failure_index, verdict.reason)
 
 
 def _cmd_gamma(args) -> int:

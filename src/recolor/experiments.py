@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, log
 from typing import Iterable, Iterator, Optional
 
@@ -34,10 +34,6 @@ __all__ = [
     "montecarlo_colorability",
     "witness_rate",
 ]
-
-CSV_HEADER = ("trial,seed,n,k,m,alpha,beta,n0,"
-              "residual_size,residual_core_size,witness,path_len")
-
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -260,14 +256,14 @@ class TrialRecord:
     wall_ms: float = 0.0
 
     def csv_row(self) -> str:
-        return ",".join([
-            str(self.trial), str(self.seed), str(self.n), str(self.k),
-            str(self.m), str(self.alpha), str(self.beta),
-            "" if self.n0 is None else repr(self.n0),
-            str(self.residual_size), str(self.residual_core_size),
-            "1" if self.witness else "0",
-            "" if self.path_len is None else str(self.path_len),
-        ])
+        """CSV_HEADER's cells: repr, 1/0 for the witness flag, "" for None."""
+        return ",".join(
+            "" if c is None else repr(int(c) if type(c) is bool else c)
+            for c in (getattr(self, name) for name in _CSV_FIELDS))
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_ms")
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def _resolve_config(cfg: MonteCarloConfig):
