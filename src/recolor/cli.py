@@ -108,12 +108,11 @@ def _cmd_greedy(args) -> int:
         for i, part in enumerate(seq.sets, 1):
             lines.extend(f"{i},{v}" for v in sorted(part))
         lines.extend(f"residual,{v}" for v in sorted(seq.residual))
-        _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [f"level {i}: {' '.join(map(str, sorted(part)))}"
                  for i, part in enumerate(seq.sets, 1)]
         lines.append(f"residual: {' '.join(map(str, sorted(seq.residual)))}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -379,10 +378,7 @@ def main(argv=None) -> int:
     except (InstanceTooLargeError, StepCapExceededError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

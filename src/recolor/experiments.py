@@ -309,7 +309,8 @@ def montecarlo_colorability(config: MonteCarloConfig) -> Iterator[TrialRecord]:
         t0 = time.perf_counter()
         trial_seed = derive_seed(config.seed, t)
         H = generate_hnm(config.n, m, config.k, derive_seed(trial_seed, 0))
-        seq = greedy_sequence(H, alpha, strategy="random",
+        # every level takes a vertex until none is left; n levels suffice
+        seq = greedy_sequence(H, min(alpha, config.n), strategy="random",
                               rng_seed=derive_seed(trial_seed, 1))
         peel = beta_core(H, beta, seq.residual)
         yield TrialRecord(
@@ -323,9 +324,5 @@ def montecarlo_colorability(config: MonteCarloConfig) -> Iterator[TrialRecord]:
 
 def witness_rate(records: Iterable[TrialRecord]) -> float:
     """Fraction of records whose trial kept a core; 0.0 on an empty batch."""
-    total = 0
-    hits = 0
-    for rec in records:
-        total += 1
-        hits += rec.witness
-    return hits / total if total else 0.0
+    flags = [rec.witness for rec in records]
+    return sum(flags) / len(flags) if flags else 0.0

@@ -12,6 +12,7 @@ least two distinct colors.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -132,12 +133,23 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges = tuple(canon)
-        inc = [[] for _ in range(n + 1)]  # slot 0 is never filled
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(idx)
-        del inc[0]
-        self.incidence = tuple(map(tuple, inc))
+        # edgeless vertices share (); the lists and tuples made here form
+        # no cycles, so the cyclic collector pauses while they are built
+        inc = [()] * (n + 1)  # slot 0 is never filled
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for idx, e in enumerate(self.edges):
+                for v in e:
+                    if inc[v]:
+                        inc[v].append(idx)
+                    else:
+                        inc[v] = [idx]
+            del inc[0]
+            self.incidence = tuple(map(tuple, inc))
+        finally:
+            if collecting:
+                gc.enable()
 
     @property
     def m(self) -> int:
@@ -192,6 +204,8 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     so a seed names the same instance on every Python whose ``sample``
     draws alike.
     """
+    if not all(isinstance(x, int) for x in (n, m, k)):
+        raise ValidationError("n, m and k must be integers")
     if k < 2 or n < k:
         raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
     total = math.comb(n, k)
@@ -248,7 +262,7 @@ def _distinct_k_sets(rng: random.Random, n: int, k: int,
 _ENUMERATION_LIMIT = 200_000
 
 # Hard refusals: edge and vertex counts beyond these cannot be materialized
-# sensibly (every vertex gets its own incidence list).
+# sensibly (every vertex gets an incidence entry).
 _MAX_MATERIALIZED_EDGES = 5_000_000
 _MAX_VERTICES = 5_000_000
 
@@ -283,6 +297,8 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
     that the edge count is drawn from Binomial(C(n,k), p) and that many
     distinct k-sets are sampled uniformly, which yields the same distribution.
     """
+    if not isinstance(n, int) or not isinstance(k, int):
+        raise ValidationError("n and k must be integers")
     if k < 2 or n < k:
         raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
     if not 0.0 <= p <= 1.0:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from math import comb, log
 
 import mpmath as mp
@@ -287,6 +288,33 @@ class TestMonteCarlo:
             assert rec.residual_size == 0
             assert not rec.witness
             assert rec.path_len is None
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_alpha_beyond_n_matches_the_full_sequence(self, seed):
+        n = 12
+        cfg = MonteCarloConfig(n=n, k=2, trials=4, seed=seed,
+                               alpha=n + 3, beta=1, m=30)
+        for rec in montecarlo_colorability(cfg):
+            H = generate_hnm(n, 30, 2, derive_seed(rec.seed, 0))
+            seq = greedy_sequence(H, n + 3, strategy="random",
+                                  rng_seed=derive_seed(rec.seed, 1))
+            assert len(seq.sets) == rec.alpha == n + 3
+            assert rec.residual_size == len(seq.residual)
+            assert rec.residual_core_size == len(
+                beta_core(H, 1, seq.residual).core)
+
+    def test_huge_alpha_costs_no_memory(self):
+        # alpha levels past n are empty; they must not be materialized
+        cfg = MonteCarloConfig(n=30, k=2, trials=3, seed=9,
+                               alpha=10 ** 6, beta=2, m=60)
+        tracemalloc.start()
+        try:
+            records = list(montecarlo_colorability(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.alpha for r in records] == [10 ** 6] * 3
+        assert peak < 1_000_000
 
     def test_n0_only_reported_with_density(self):
         bare = next(iter(montecarlo_colorability(

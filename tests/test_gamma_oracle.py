@@ -145,6 +145,19 @@ class TestGammaDistance:
         assert gamma_distance(K3, 3, Coloring((1, 2, 3)),
                               Coloring((2, 1, 3))) is None
 
+    @pytest.mark.parametrize("name,tampered,message", [
+        ("tau", (2,), "tau has wrong length"),
+        ("tau", (2, 4), "tau uses colors above q=3"),
+        ("tau", (2, 2), "tau is not proper"),
+        ("sigma", (1, 4), "sigma uses colors above q=3"),
+    ])
+    def test_rejects_a_tampered_endpoint(self, name, tampered, message):
+        ends = {"sigma": Coloring((1, 2)), "tau": Coloring((2, 1))}
+        assert gamma_distance(K2, 3, ends["sigma"], ends["tau"]) == 3
+        ends[name] = Coloring(tampered)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            gamma_distance(K2, 3, ends["sigma"], ends["tau"])
+
     def test_symmetric_and_triangleish(self):
         H = generate_hnm(5, 4, 2, 2)
         cs = list(enumerate_proper(H, 3))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +238,30 @@ class TestDistinctKSets:
     def test_sweep(self, k, extra, m, seed):
         n = k + extra
         self.assert_matches_reference(n, k, min(m, math.comb(n, k)), seed)
+
+
+def test_a_million_edgeless_vertices_cost_no_list_each():
+    # an empty list alone is 56 bytes; two pointer arrays are 16 a vertex
+    tracemalloc.start()
+    try:
+        H = hypergraph_from_text("1000000 2 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(H.incidence) == 10 ** 6 and set(H.incidence) == {()}
+    assert peak < 24 * 10 ** 6
+
+
+@pytest.mark.parametrize("make,args", [
+    (generate_hnm, (10.0, 5, 2, 1)),
+    (generate_hnp, (10.0, 0.5, 2, 1)),
+    (generate_hnm, (10, 5, 2.0, 1)),
+    (generate_hnm, (10, 5.0, 2, 1)),
+    (generate_hnp, (10, 0.5, 2.0, 1)),
+])
+def test_generators_refuse_non_integer_sizes(make, args):
+    with pytest.raises(ValidationError, match="must be integers$"):
+        make(*args)
 
 
 class TestUnvalidatedConstruction:

@@ -319,6 +319,42 @@ class TestVerifyWitness:
                    for u in (3, 4))
         assert not verify_witness(K4, fake, 1, 1)
 
+    @staticmethod
+    def k4_witness():
+        """K4 at alpha = 2, beta = 1: two singleton levels leave an edge."""
+        from recolor import ColorabilityWitness, MISequence
+        K4 = build(4, 2, list(itertools.combinations(range(1, 5), 2)))
+        w = is_alpha_beta_colorable_exact(K4, 2, 1)
+        assert verify_witness(K4, w, 2, 1)
+        return K4, w, ColorabilityWitness, MISequence
+
+    def test_rejects_wrong_sequence_length(self):
+        # the first level alone, as a consistent alpha = 1 witness
+        K4, w, Witness, Seq = self.k4_witness()
+        first, second = w.sequence.sets
+        rest = w.sequence.residual | second
+        short = Witness(Seq((first,), rest), beta_core(K4, 1, rest).core)
+        assert verify_witness(K4, short, 1, 1)
+        assert not verify_witness(K4, short, 2, 1)
+
+    def test_rejects_set_outside_the_residual(self):
+        # the first level again as the second: independent, maximal in
+        # what is left, and what is left keeps its core
+        K4, w, Witness, Seq = self.k4_witness()
+        first, second = w.sequence.sets
+        rest = w.sequence.residual | second
+        fake = Witness(Seq((first, first), rest),
+                       beta_core(K4, 1, rest).core)
+        assert fake.core_vertices
+        assert not verify_witness(K4, fake, 2, 1)
+
+    def test_rejects_wrong_residual(self):
+        K4, w, Witness, Seq = self.k4_witness()
+        first, second = w.sequence.sets
+        fake = Witness(Seq(w.sequence.sets, w.sequence.residual | second),
+                       w.core_vertices)
+        assert not verify_witness(K4, fake, 2, 1)
+
 class TestFalsify:
     def test_edgeless_never_witnesses(self):
         H = build(5, 2, [])

@@ -75,6 +75,18 @@ class TestPathCore:
         with pytest.raises(ValidationError):
             path_core(PATH3, [1, 2], chi, tau, alpha=2, beta=1, q=4)
 
+    def test_disagreement_outside_region_is_named(self):
+        # vertex 3 has no edge, so only the disagreement check can refuse
+        H = build(3, 2, [(1, 2)])
+        chi, tau = Coloring((1, 2, 1)), Coloring((2, 1, 1))
+        assert_sound(H, path_core(H, [1, 2], chi, tau, alpha=1, beta=2, q=4),
+                     4, tau)
+        with pytest.raises(
+                ValidationError,
+                match="^colorings disagree at vertex 3 outside the region$"):
+            path_core(H, [1, 2], chi, tau.replace(3, 2),
+                      alpha=1, beta=2, q=4)
+
     def test_outside_color_above_alpha(self):
         chi = Coloring((1, 2, 3))
         with pytest.raises(ValidationError):
@@ -201,6 +213,17 @@ class TestPathBetweenGoodGreedy:
         with pytest.raises(ValidationError):
             path_between_good_greedy(TRIANGLE, Coloring((1, 2, 3)),
                                      Coloring((2, 1, 3)), 3, 1, 1)
+
+    def test_rejects_non_good_greedy_target(self):
+        # (2, 4, 3) is proper but leaves class 1 empty
+        chi, tau = Coloring((1, 2, 3)), Coloring((2, 1, 3))
+        assert_sound(TRIANGLE, path_between_good_greedy(
+            TRIANGLE, chi, tau, 4, 2, 1), 4, tau)
+        bad = tau.replace(2, 4)
+        assert not check_good_greedy(TRIANGLE, bad, 2, 1)
+        with pytest.raises(ValidationError,
+                           match="^target coloring is not greedy-shaped$"):
+            path_between_good_greedy(TRIANGLE, chi, bad, 4, 2, 1)
 
     def test_alpha_zero_delegates_to_region_rewrite(self):
         H = generate_hnm(8, 9, 2, 5)
