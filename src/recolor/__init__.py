@@ -3,143 +3,26 @@
 Build proper colorings, peel cores, draw maximally independent sequences,
 construct explicit single-vertex recoloring paths between colorings, and
 cross-check everything against a brute-force oracle at small scale.
+
+Each library module's ``__all__`` is its public surface; the package
+re-exports all of them, so a public name is declared once, where it is
+defined.
 """
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeArityError,
-    InstanceTooLargeError,
-    NonemptyCoreError,
-    NotColorableEvidence,
-    RepeatedVertexError,
-    SpareColorError,
-    StepCapExceededError,
-    ValidationError,
-    VertexRangeError,
-)
-from .seeding import derive_seed
-from .hypergraph import (
-    Coloring,
-    Hypergraph,
-    build,
-    coloring_from_text,
-    coloring_to_text,
-    generate_hnm,
-    generate_hnp,
-    hamming,
-    hypergraph_from_text,
-    hypergraph_to_text,
-    is_proper,
-    read_coloring,
-    read_hypergraph,
-    write_coloring,
-    write_hypergraph,
-)
-from .core_peel import PeelResult, beta_core, blocked_colors, color_coreless
-from .independence import (
-    ColorabilityWitness,
-    MISequence,
-    check_good_greedy,
-    extend_to_mis,
-    falsify_alpha_beta,
-    greedy_sequence,
-    is_alpha_beta_colorable_exact,
-    max_independent_set_exact,
-    verify_witness,
-)
-from .reconfig import (
-    DEFAULT_STEP_CAP,
-    PathStats,
-    PathVerdict,
-    RecolorPath,
-    connect,
-    path_between_good_greedy,
-    path_core,
-    path_to_good_greedy,
-    verify_path,
-)
-from .gamma_oracle import (
-    GammaStats,
-    enumerate_proper,
-    gamma_distance,
-    gamma_stats,
-)
-from .experiments import (
-    CSV_HEADER,
-    MonteCarloConfig,
-    ParamSet,
-    ProbeVerdict,
-    TrialRecord,
-    montecarlo_colorability,
-    params_from_d,
-    probe_density,
-    probe_independent_set_bound,
-    witness_rate,
-)
+from . import (core_peel, errors, experiments, gamma_oracle, hypergraph,
+               independence, reconfig, seeding)
+from .errors import *
+from .seeding import *
+from .hypergraph import *
+from .core_peel import *
+from .independence import *
+from .reconfig import *
+from .gamma_oracle import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Coloring",
-    "ColorabilityWitness",
-    "CSV_HEADER",
-    "DEFAULT_STEP_CAP",
-    "DuplicateEdgeError",
-    "EdgeArityError",
-    "GammaStats",
-    "Hypergraph",
-    "InstanceTooLargeError",
-    "MISequence",
-    "MonteCarloConfig",
-    "NonemptyCoreError",
-    "NotColorableEvidence",
-    "ParamSet",
-    "PathStats",
-    "PathVerdict",
-    "PeelResult",
-    "ProbeVerdict",
-    "RecolorPath",
-    "RepeatedVertexError",
-    "SpareColorError",
-    "StepCapExceededError",
-    "TrialRecord",
-    "ValidationError",
-    "VertexRangeError",
-    "beta_core",
-    "blocked_colors",
-    "build",
-    "check_good_greedy",
-    "color_coreless",
-    "coloring_from_text",
-    "coloring_to_text",
-    "connect",
-    "derive_seed",
-    "enumerate_proper",
-    "extend_to_mis",
-    "falsify_alpha_beta",
-    "gamma_distance",
-    "gamma_stats",
-    "generate_hnm",
-    "generate_hnp",
-    "greedy_sequence",
-    "hamming",
-    "hypergraph_from_text",
-    "hypergraph_to_text",
-    "is_alpha_beta_colorable_exact",
-    "is_proper",
-    "max_independent_set_exact",
-    "montecarlo_colorability",
-    "params_from_d",
-    "path_between_good_greedy",
-    "path_core",
-    "path_to_good_greedy",
-    "probe_density",
-    "probe_independent_set_bound",
-    "read_coloring",
-    "read_hypergraph",
-    "verify_path",
-    "verify_witness",
-    "witness_rate",
-    "write_coloring",
-    "write_hypergraph",
-]
+__all__ = [name for module in (errors, seeding, hypergraph, core_peel,
+                               independence, reconfig, gamma_oracle,
+                               experiments)
+           for name in module.__all__]

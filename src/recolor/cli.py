@@ -24,6 +24,7 @@ from .errors import (
 )
 from .hypergraph import (
     Coloring,
+    _excerpt,
     _open_utf8,
     generate_hnm,
     generate_hnp,
@@ -178,10 +179,10 @@ def _parse_trace(path_file: str):
                 # a line of other than four fields fails the unpacking
                 idx, v, old, new = map(int, line.replace(",", " ").split())
             except ValueError as exc:
-                raise ValidationError(f"bad trace line {raw!r}") from exc
+                raise ValidationError(f"bad trace line {_excerpt(raw)}") from exc
             if idx != len(steps):
                 raise ValidationError(
-                    f"trace index {idx} out of order (expected {len(steps)})")
+                    f"trace index {_excerpt(idx)} out of order (expected {len(steps)})")
             steps.append((v, old, new))
     return steps
 

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ValidationError", "EdgeArityError", "RepeatedVertexError", "VertexRangeError",
+    "DuplicateEdgeError", "InstanceTooLargeError", "NonemptyCoreError",
+    "SpareColorError", "StepCapExceededError", "NotColorableEvidence",
+]
+
 
 class ValidationError(ValueError):
     """Input violates a documented precondition."""

@@ -57,11 +57,8 @@ class Coloring:
     def __post_init__(self):
         for c in self.colors:
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValidationError(f"colors must be positive integers, got {c!r}")
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "Coloring":
-        return cls(tuple(values))
+                raise ValidationError(
+                    f"colors must be positive integers, got {_excerpt(c)}")
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -105,17 +102,19 @@ class Hypergraph:
         for raw in edges:
             e = tuple(raw)
             if len(e) != k:
-                raise EdgeArityError(f"edge {e!r} has {len(e)} vertices, expected {k}")
+                raise EdgeArityError(
+                    f"edge {_excerpt(e)} has {len(e)} vertices, expected {k}")
             for v in e:
                 if not isinstance(v, int) or isinstance(v, bool):
-                    raise VertexRangeError(f"vertex id {v!r} is not an integer")
+                    raise VertexRangeError(f"vertex id {_excerpt(v)} is not an integer")
                 if not 1 <= v <= n:
-                    raise VertexRangeError(f"vertex {v} outside 1..{n} in edge {e!r}")
+                    raise VertexRangeError(f"vertex {_excerpt(v)} outside "
+                                           f"1..{n} in edge {_excerpt(e)}")
             se = tuple(sorted(e))
             if len(set(se)) != k:
-                raise RepeatedVertexError(f"edge {e!r} repeats a vertex")
+                raise RepeatedVertexError(f"edge {_excerpt(e)} repeats a vertex")
             if se in seen:
-                raise DuplicateEdgeError(f"duplicate edge {se!r}")
+                raise DuplicateEdgeError(f"duplicate edge {_excerpt(se)}")
             seen.add(se)
             canon.append(se)
         canon.sort()
@@ -180,16 +179,22 @@ def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
+def _excerpt(value) -> str:
+    """repr(value) for an error message, cut to at most 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _check_shape(n: int, k: int) -> None:
     if not isinstance(n, int) or not isinstance(k, int):
         raise ValidationError("n and k must be integers")
     if k < 2:
-        raise ValidationError(f"uniformity k must be at least 2, got {k}")
+        raise ValidationError(f"uniformity k must be at least 2, got {_excerpt(k)}")
     if n < k:
-        raise ValidationError(f"need n >= k, got n={n}, k={k}")
+        raise ValidationError(f"need n >= k, got n={_excerpt(n)}, k={_excerpt(k)}")
     if n > _MAX_VERTICES:
         raise InstanceTooLargeError(
-            f"vertex count {n} is too large to materialize "
+            f"vertex count {_excerpt(n)} is too large to materialize "
             f"(limit {_MAX_VERTICES})")
 
 
@@ -362,19 +367,20 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         raise ValidationError("empty hypergraph text")
     head = lines[0].split()
     if len(head) != 3:
-        raise ValidationError(f"header must be 'n k m', got {lines[0]!r}")
+        raise ValidationError(f"header must be 'n k m', got {_excerpt(lines[0])}")
     try:
         n, k, m = map(int, head)
     except ValueError as exc:
-        raise ValidationError(f"non-integer header {lines[0]!r}") from exc
+        raise ValidationError(f"non-integer header {_excerpt(lines[0])}") from exc
     if len(lines) - 1 != m:
-        raise ValidationError(f"header promises {m} edges, found {len(lines) - 1}")
+        raise ValidationError(
+            f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         try:
             edges.append(tuple(map(int, ln.split())))
         except ValueError as exc:
-            raise ValidationError(f"bad edge line {ln!r}") from exc
+            raise ValidationError(f"bad edge line {_excerpt(ln)}") from exc
     return Hypergraph(n, k, edges)
 
 
@@ -409,9 +415,10 @@ def coloring_from_text(text: str) -> Coloring:
     if not parts:
         raise ValidationError("empty coloring text")
     try:
-        return Coloring(tuple(map(int, parts)))
+        colors = tuple(map(int, parts))
     except ValueError as exc:
-        raise ValidationError(f"bad coloring text {text!r}") from exc
+        raise ValidationError(f"bad coloring text {_excerpt(text)}") from exc
+    return Coloring(colors)
 
 
 def write_coloring(coloring: Coloring, path) -> None:

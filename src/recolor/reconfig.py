@@ -243,7 +243,7 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     return [(v, c) for _, v, c in moves]
 
 
-def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
+def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     """Walk ``chi`` restricted to ``active`` into greedy shape above ``floor``.
 
     Builds a maximally independent classes on colors floor+1..floor+a,
@@ -251,8 +251,9 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
     and stopping once nothing is left, then recolors the leftover onto at
     most beta colors along a peel order.
     Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
-    is ``active`` itself. Raises NotColorableEvidence with the class
-    sequence and core when the leftover cannot be peeled.
+    is ``active`` itself, and a caller that peeled it passes ``peel``.
+    Raises NotColorableEvidence with the class sequence and core when the
+    leftover cannot be peeled.
     """
     cur = chi[:]
     steps = []
@@ -276,7 +277,7 @@ def _inter_steps(H, active, chi, q, a, beta, floor, cap, stats):
     if len(steps) > cap:
         raise StepCapExceededError("class phase outgrew the step cap", cap=cap)
     W = frozenset(residual)
-    peel = beta_core(H, beta, W)
+    peel = beta_core(H, beta, W) if peel is None else peel
     if peel.core:
         raise NotColorableEvidence(ColorabilityWitness(
             MISequence(tuple(classes), W), frozenset(peel.core)))
@@ -309,8 +310,8 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
     Peels one class per level: park chi's copy of color floor+1 on an unused
     color, paint tau's class floor+1 into place, then freeze that class and
     recurse on the rest with one fewer greedy level. The base case hands the
-    (coreless, since tau is greedy-shaped) remainder to the region rewriter,
-    along ``peel`` when the caller already peeled ``active``.
+    (coreless, since tau is greedy-shaped) remainder, outside tau's classes,
+    to the region rewriter, along ``peel`` when the caller already peeled it.
     """
     if all(chi[v] == tau[v] for v in active):
         return []
@@ -353,12 +354,13 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
         raise StepCapExceededError("class swap outgrew the step cap", cap=cap)
     sub_active = frozenset(active) - frozenset(tau_class)
     try:
-        mid, shaped, peel = _inter_steps(H, sub_active, cur, q, a - 1, beta,
-                                         floor + 1, cap, stats)
+        mid, shaped, inner = _inter_steps(H, sub_active, cur, a - 1, beta,
+                                          floor + 1, cap, stats,
+                                          peel if a == 1 else None)
         out.extend(mid)
         out.extend(_final_steps(H, sub_active, shaped, tau, q, a - 1, beta,
                                 floor + 1, depth + 1, cap, stats,
-                                peel if a == 1 else None))
+                                peel if a > 1 else inner))
     except NotColorableEvidence as exc:
         w = exc.witness
         lifted = ColorabilityWitness(
@@ -438,8 +440,8 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
         raise ValidationError("start coloring is not proper")
     stats = PathStats()
     active = frozenset(range(1, H.n + 1))
-    steps, _, _ = _inter_steps(H, active, chi_l, q, alpha, beta, 0,
-                               step_cap, stats)
+    steps, _, _ = _inter_steps(H, active, chi_l, alpha, beta, 0, step_cap,
+                               stats)
     path = _assemble(H, chi, steps, stats)
     return path, path.end
 
@@ -493,13 +495,13 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     active = frozenset(range(1, H.n + 1))
     # stats in path order: the first walk and the middle share one, then p2's
     stats, stats2 = PathStats(), PathStats()
-    steps, shaped1, peel1 = _inter_steps(H, active, chi1_l, q, alpha, beta,
-                                         0, step_cap, stats)
-    steps2, shaped2, _ = _inter_steps(H, active, chi2_l, q, alpha, beta, 0,
-                                      step_cap, stats2)
-    # at alpha = 0 the first walk peeled all of ``active``
+    steps, shaped1, _ = _inter_steps(H, active, chi1_l, alpha, beta, 0,
+                                     step_cap, stats)
+    steps2, shaped2, peel2 = _inter_steps(H, active, chi2_l, alpha, beta, 0,
+                                          step_cap, stats2)
+    # the second walk's leftover is the middle's bottom-level remainder
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0, 1,
-                          step_cap, stats, peel1 if alpha == 0 else None)
+                          step_cap, stats, peel2)
     steps += _reversed_steps(chi2_l, steps2)
     if len(steps) > step_cap:
         raise StepCapExceededError("composed path outgrew the step cap",

@@ -5,6 +5,8 @@ are derived with a fixed 64-bit mix rather than by drawing from a shared
 stream whose state would depend on execution order.
 """
 
+__all__ = ["derive_seed"]
+
 _MASK = (1 << 64) - 1
 
 

@@ -20,6 +20,7 @@ from recolor.errors import (
     StepCapExceededError,
     ValidationError,
 )
+from recolor.hypergraph import _excerpt
 from recolor.independence import ColorabilityWitness, MISequence
 
 
@@ -520,14 +521,15 @@ def parse_trace_reference(path_file):
                 continue
             parts = line.replace(",", " ").split()
             if len(parts) != 4:
-                raise ValidationError(f"bad trace line {raw!r}")
+                raise ValidationError(f"bad trace line {_excerpt(raw)}")
             try:
                 idx, v, old, new = (int(x) for x in parts)
             except ValueError as exc:
-                raise ValidationError(f"bad trace line {raw!r}") from exc
+                raise ValidationError(f"bad trace line {_excerpt(raw)}") from exc
             if idx != len(steps):
                 raise ValidationError(
-                    f"trace index {idx} out of order (expected {len(steps)})")
+                    f"trace index {_excerpt(idx)} out of order "
+                    f"(expected {len(steps)})")
             steps.append((v, old, new))
     return steps
 

@@ -320,6 +320,39 @@ class TestMalformedText:
         assert captured.err == f"{prefix}: {case['message']}\n"
 
 
+class TestLongInputErrors:
+    """A reader error quotes a bounded excerpt of its input, however long
+    the input is: exit 2 and one short stderr line."""
+
+    def assert_short_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err) <= 200
+
+    def test_long_coloring_text(self, tmp_path, k2_file, capsys):
+        bad = tmp_path / "start.txt"
+        bad.write_text("1 " * (10 ** 6 - 1) + "0\n")
+        trace = tmp_path / "trace.txt"
+        trace.write_text("")
+        self.assert_short_error(
+            ["verify", k2_file, str(bad), str(trace), "--q", "2"], capsys)
+
+    def test_long_edge(self, tmp_path, capsys):
+        n = 10 ** 5
+        bad = tmp_path / "h.txt"
+        bad.write_text(f"{n} 2 1\n" + " ".join(map(str, range(1, n + 1))))
+        self.assert_short_error(["core", str(bad), "--beta", "1"], capsys)
+
+    def test_long_trace_line(self, tmp_path, k2_file, capsys):
+        start = coloring_file(tmp_path, "start.txt", (1, 2))
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 1 1 " + "9" * 10 ** 5 + "\n")
+        self.assert_short_error(
+            ["verify", k2_file, start, str(trace), "--q", "2"], capsys)
+
+
 class TestMisAndGreedy:
     def test_mis_ascending(self, k3_file, capsys):
         assert main(["mis", k3_file]) == 0

@@ -115,13 +115,15 @@ def test_malformed_inputs_raise_the_same_errors():
 
 def test_one_call_validates_once_and_assembles_once(monkeypatch):
     """Two properness checks (one per endpoint), no re-check of the shapes
-    it built, one assembled path, and no public builder on the way."""
+    it built, one assembled path, no public builder on the way, and at
+    alpha = 1 two peels: one per walk's leftover, the middle's bottom level
+    reusing the second walk's."""
     H, c1, c2, q, alpha, beta = next(
         call for call in CORPUS if call[1] != call[2]
         and outcome(connect, *call, None)[0] == "ok")
     counts = dict.fromkeys(["is_proper", "check_good_greedy", "_assemble",
                             "path_to_good_greedy",
-                            "path_between_good_greedy"], 0)
+                            "path_between_good_greedy", "beta_core"], 0)
     for name in counts:
         inner = getattr(reconfig, name)
 
@@ -134,7 +136,7 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
     assert path.steps
     assert counts == {"is_proper": 2, "check_good_greedy": 0,
                       "_assemble": 1, "path_to_good_greedy": 0,
-                      "path_between_good_greedy": 0}
+                      "path_between_good_greedy": 0, "beta_core": 2}
 
 
 def reversed_path(path):

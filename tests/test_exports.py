@@ -13,6 +13,8 @@ import recolor
 
 MODULES = ["recolor"] + [f"recolor.{m.name}"
                          for m in pkgutil.iter_modules(recolor.__path__)]
+LIBRARY = [name for name in MODULES[1:]
+           if name not in ("recolor.cli", "recolor.__main__")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,3 +30,13 @@ def test_package_exports_every_submodule_export():
     for name in MODULES[1:]:
         mod = importlib.import_module(name)
         assert set(getattr(mod, "__all__", [])) <= exported, name
+
+
+def test_package_exports_exactly_its_library_modules_exports():
+    # Every library module declares its surface, and the package adds none.
+    declared = [n for name in LIBRARY
+                for n in importlib.import_module(name).__all__]
+    assert sorted(recolor.__all__) == sorted(declared)
+    namespace = {}
+    exec("from recolor import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(recolor.__all__)
