@@ -3,28 +3,44 @@
 The recoloring graph on q colors has one node per proper coloring and an
 edge between colorings at Hamming distance exactly 1. Everything here is
 exhaustive and budgeted: enumeration refuses outright when q**n exceeds its
-budget, and the all-pairs diameter sweep refuses when the largest component
-is too big to BFS from every node.
+budget, and the diameter sweep refuses when the largest component is too
+big to BFS from every node.
 
 Colorings are encoded as mixed-radix integers: digit v-1 is the color of
 vertex v minus one. The enumerator builds each code digit by digit as it
 assigns vertices, so no coloring is materialised on the way.
 
-Components need no search. The colorings that differ only at vertex v share
-the code with digit v-1 erased, and any two of them are one recoloring
-apart, so each such group is a clique and the components are the union over
-v of these groupings. ``gamma_stats`` finds them with n grouping passes of
-union-find over the enumerated codes: per coloring and vertex, one dict
-lookup and at most one union, where a BFS would probe all n*(q-1) neighbors
-of every coloring. The diameter sweep and ``gamma_distance`` do need BFS.
-Both filter the neighbor list of ``_neighbors`` against their own set: the
-sweep once per node, into adjacency lists that every source then walks.
+The census works up to renaming the colors. A permutation of the q colors
+maps proper colorings to proper colorings and neighbors to neighbors, so
+S_q acts on the graph by automorphisms. Each orbit has one representative
+whose colors first appear in the order 1, 2, 3, ... along the vertices (a
+restricted growth string); the enumerator yields only these, and one that
+uses j colors stands for q!/(q-j)! colorings.
+
+Components need no search. The colorings that differ only at vertex v form
+a clique. Erasing digit v from each representative and renaming what is
+left canonically groups the representatives whose orbits meet one such
+clique, and the renamings give, per link, a color permutation that carries
+one representative into the other's component: union-find labelled with
+these permutations finds the components of the quotient by S_q. Each also
+has a stabilizer, the permutations that map one of its components to
+itself, generated by the closed cycles of links, by each representative's
+permutations of its unused colors, and, when some color is unused, by the
+swap of a color used at one vertex only with an unused one (a single
+recoloring). A quotient component of W colorings whose stabilizer has
+order s splits into q!/s components of W*s/q! colorings each.
+
+Eccentricity is invariant under S_q too, so the diameter sweep starts a BFS
+only from the representatives of the first largest quotient component,
+renamed into one of its components, over adjacency lists built once for
+that component. ``gamma_distance`` runs one BFS over all proper codes.
+Both filter the neighbor list of ``_neighbors`` against their own set.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, ValidationError
@@ -68,18 +84,23 @@ def _finishing_edges(H: Hypergraph) -> list[list[tuple[int, ...]]]:
     return fin
 
 
-def _proper_codes(H: Hypergraph, q: int) -> Iterator[int]:
+def _proper_codes(H: Hypergraph, q: int, canonical: bool = False) -> Iterator[int]:
     """Yield the codes of the proper colorings, in lexicographic order of
-    the colorings (vertex 1 first)."""
+    the colorings (vertex 1 first). With ``canonical``, only those whose
+    colors first appear in the order 1, 2, 3, ...: one per orbit of S_q."""
     n = H.n
     fin = _finishing_edges(H)
     pows = [q ** i for i in range(n)]
     assign = [0] * (n + 1)
     part = [0] * (n + 1)  # part[v]: code of the colors of vertices 1..v
+    # cap[v]: the largest color vertex v may take; canonically one more than
+    # the colors used before v, so it grows only when v opens a new color
+    cap = [q] * (n + 1)
+    cap[1] = 1 if canonical else q
     v = 1
     while v >= 1:
         c = assign[v] + 1
-        if c > q:
+        if c > cap[v]:
             assign[v] = 0
             v -= 1
             continue
@@ -101,6 +122,7 @@ def _proper_codes(H: Hypergraph, q: int) -> Iterator[int]:
             yield code
         else:
             part[v] = code
+            cap[v + 1] = cap[v] + (c == cap[v] < q)
             v += 1
 
 
@@ -128,31 +150,192 @@ def _neighbors(code: int, pows: list[int], q: int) -> list[int]:
     return out
 
 
-def _component_roots(codes: list[int], pows: list[int], q: int) -> list[int]:
-    """Union-find over the digit-erased groups: entry j is the least index
-    of the component holding codes[j]."""
-    parent = list(range(len(codes)))  # invariant: parent[j] <= j
-    for p in pows:
-        first: dict[int, int] = {}
-        for j, code in enumerate(codes):
-            a = first.setdefault(code - code // p % q * p, j)
-            if a == j:
+def _orbit_census(H: Hypergraph, q: int) -> list[tuple[int, int, list[int], list]]:
+    """The components of the recoloring graph up to color permutation.
+
+    One entry per component of the quotient by S_q, in order of its least
+    representative: (the size of the components its orbits hold, how many
+    there are, the codes of its representatives, and for each the color
+    permutation that maps it into one and the same of those components).
+    """
+    n = H.n
+    reps = list(_proper_codes(H, q, canonical=True))
+    fact = factorial(q)
+    weight = [fact // factorial(q - j) for j in range(min(n, q) + 1)]
+    pows = [q ** i for i in range(n)]
+    digits = [[code // p % q for p in pows] for code in reps]
+    ident = tuple(range(q))
+    if q > n:
+        # every coloring leaves a color free, and a vertex may always take
+        # one (it is then alone in its color): each coloring reaches an
+        # injective one, and the injective ones reach each other, so the
+        # graph is connected and its stabilizer is all of S_q
+        return [(sum(weight[max(d) + 1] for d in digits), 1, reps,
+                 [ident] * len(reps))]
+
+    def compose(a, b):  # a after b
+        if a is ident:
+            return b
+        if b is ident:
+            return a
+        return tuple(map(a.__getitem__, b))
+
+    def inverse(a):
+        if a is ident:
+            return a
+        inv = [0] * q
+        for i, x in enumerate(a):
+            inv[x] = i
+        return tuple(inv)
+
+    def closure(gens):
+        group = {ident}
+        frontier = [ident]
+        while frontier and len(group) < fact:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    b = compose(a, g)
+                    if b not in group:
+                        group.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return group
+
+    def swap(a, b):
+        t = list(range(q))
+        t[a], t[b] = b, a
+        return tuple(t)
+
+    # rot[c][t]: (sig, pi) for a color c that opens at the erased vertex
+    # and comes back after t newer colors opened (or never, t = colors
+    # after it). sig renames the erased string canonically: c+1..c+t move
+    # down one and c goes to c+t; pi = sig^-1 renames it back.
+    rot = [[None] * (q - c) for c in range(q)]
+    for c in range(q):
+        for t in range(1, q - c):
+            sig = list(range(q))
+            sig[c + 1:c + t + 1] = range(c, c + t)
+            sig[c] = c + t
+            rot[c][t] = (tuple(sig), inverse(tuple(sig)))
+
+    # Group-labelled union-find over the representatives. label[x] maps
+    # representative x into the component of its parent's representative
+    # (roots keep the identity); gens[root] generates the root's stabilizer,
+    # the permutations that map its component to itself, group[root] is
+    # its closure when taken, and both are None once it is all of S_q.
+    R = len(reps)
+    parent = list(range(R))
+    label = [ident] * R
+    members = [1] * R
+    gens: list = [None] * R
+    group: list = [None] * R
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        acc = ident
+        for y in reversed(path):  # compress, composing labels from the root
+            acc = compose(acc, label[y])
+            label[y] = acc
+            parent[y] = x
+        return x
+
+    def add(root, h):
+        # extend root's stabilizer by h, closing it anew only when h is new
+        T = gens[root]
+        if T is None or h is ident:
+            return
+        G = group[root]
+        if G is None:
+            G = closure(T)
+        if h not in G:
+            T.append(h)
+            G = closure(T)
+        if len(G) == fact:
+            gens[root] = group[root] = None
+        else:
+            group[root] = G
+
+    def union(x, rx, y, ry, g):
+        # g maps representative x into the component of representative y;
+        # rx and ry are their roots, found just before
+        link = compose(compose(label[y], g), inverse(label[x]))
+        if rx == ry:  # a closed cycle of links
+            add(rx, link)
+            return
+        if members[rx] > members[ry]:
+            rx, ry, link = ry, rx, inverse(link)
+        parent[rx] = ry
+        label[rx] = link
+        members[ry] += members[rx]
+        if gens[rx] is None:
+            gens[ry] = group[ry] = None
+        elif gens[ry] is not None:
+            back = inverse(link)
+            for h in gens[rx]:
+                add(ry, compose(compose(link, h), back))
+        gens[rx] = group[rx] = None
+
+    groups: list[dict] = [{} for _ in range(n)]
+    for b, code in enumerate(reps):
+        d = digits[b]
+        # per color: where it first appears, the sum of pows over its
+        # vertices, and how many newer colors open before it comes back
+        first = [n] * q
+        mass = [0] * (q + 1)
+        later = [-1] * q
+        top = 0
+        for i, c in enumerate(d):
+            mass[c + 1] += pows[i]
+            if c == top:
+                first[c] = i
+                top += 1
+            elif later[c] < 0:
+                later[c] = top - 1 - c
+        j = top
+        once = [c for c in range(j) if later[c] < 0]
+        for c in once:
+            later[c] = j - 1 - c
+        for c in range(j):
+            mass[c + 1] += mass[c]  # now mass[c]: the sum over colors below c
+        # Sym(unused colors) fixes the representative, and a color used at
+        # one vertex only swaps with an unused one by recoloring that vertex
+        free = once + list(range(j, q)) if j < q else []
+        gens[b] = [swap(u, w) for u, w in zip(free, free[1:])]
+        for i, c in enumerate(d):
+            key = code - c * pows[i]
+            t = later[c]
+            if first[c] == i and t > 0:
+                # c opens here: erased, its later vertices take color c+t
+                # and c+1..c+t move down one
+                sig, pi = rot[c][t]
+                key += t * (mass[c + 1] - mass[c] - pows[i]) \
+                    - (mass[c + t + 1] - mass[c + 1])
+            else:
+                sig = pi = ident
+            hit = groups[i].get(key)
+            if hit is None:
+                groups[i][key] = (b, pi)
                 continue
-            while parent[a] != a:  # find with path halving
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = j
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    # parents point to smaller indices, so one ascending sweep finds roots
-    for j in range(len(parent)):
-        parent[j] = parent[parent[j]]
-    return parent
+            a, pa = hit
+            rb, ra = find(b), find(a)
+            if ra != rb or gens[ra] is not None:
+                union(b, rb, a, ra, compose(pa, sig))
+
+    classes: dict[int, list] = {}
+    for b in range(R):
+        entry = classes.setdefault(find(b), [0, [], []])
+        entry[0] += weight[max(digits[b]) + 1]
+        entry[1].append(reps[b])
+        entry[2].append(label[b])
+    census = []
+    for r, (w, codes, perms) in classes.items():
+        order = fact if gens[r] is None else len(group[r] or closure(gens[r]))
+        census.append((w * order // fact, fact // order, codes, perms))
+    return census
 
 
 def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
@@ -161,49 +344,61 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
     """Count proper colorings, split them into components, optionally sweep
     the largest component for its diameter.
 
-    The diameter sweep runs BFS from every node of the largest component and
-    refuses (InstanceTooLargeError) when |C|**2 * n * (q-1) would exceed
-    diameter_budget. Pass compute_diameter=False to skip it; a negative
-    diameter_budget is refused even then.
+    The diameter sweep is budgeted as a BFS from every node of the largest
+    component and refuses (InstanceTooLargeError) when |C|**2 * n * (q-1)
+    would exceed diameter_budget. Pass compute_diameter=False to skip it; a
+    negative diameter_budget is refused even then.
     """
     if diameter_budget < 0:
         raise ValidationError(
             f"diameter budget must be nonnegative, got {diameter_budget}")
     _check_budget(H, q, budget)
     n = H.n
-    pows = [q ** i for i in range(n)]
-    codes = list(_proper_codes(H, q))
-    roots = _component_roots(codes, pows, q)
-    size = Counter(roots)  # keyed by least index, inserted in ascending order
+    census = _orbit_census(H, q)
+    sizes = [size for size, count, _, _ in census for _ in range(count)]
     diameter: Optional[int] = None
-    if compute_diameter and codes:
-        largest = max(size, key=size.__getitem__)  # the first of the largest
-        work = size[largest] * size[largest] * n * (q - 1)
+    if compute_diameter and census:
+        # the first of the largest, as census runs in order of least code
+        size, _, codes, perms = max(census, key=lambda e: e[0])
+        work = size * size * n * (q - 1)
         if work > diameter_budget:
             raise InstanceTooLargeError(
                 f"diameter sweep needs ~{work} probes, over the budget {diameter_budget}")
-        diameter = _diameter_of(
-            [code for code, r in zip(codes, roots) if r == largest], pows, q)
+        # eccentricity is invariant under S_q, so the representatives,
+        # renamed into one component, are the only sources needed
+        pows = [q ** i for i in range(n)]
+        sources = [sum(perm[code // p % q] * p for p in pows)
+                   for code, perm in zip(codes, perms)]
+        diameter = _diameter_of(sources, set(_proper_codes(H, q)), pows, q)
     return GammaStats(
-        num_colorings=len(codes),
-        num_components=len(size),
-        component_sizes=tuple(sorted(size.values())),
+        num_colorings=sum(sizes),
+        num_components=len(sizes),
+        component_sizes=tuple(sorted(sizes)),
         diameter=diameter,
-        connected=len(size) <= 1,
+        connected=len(sizes) <= 1,
     )
 
 
-def _diameter_of(comp: list[int], pows: list[int], q: int) -> int:
-    """Largest eccentricity over the codes of one component, by BFS from
-    each over adjacency lists built once."""
-    local = {code: i for i, code in enumerate(comp)}
-    adj = [[local[nb] for nb in _neighbors(code, pows, q) if nb in local]
-           for code in comp]
+def _diameter_of(sources: list[int], proper: set[int], pows: list[int], q: int) -> int:
+    """Largest eccentricity over sources that share one component, by BFS
+    from each over the component's adjacency lists, built once."""
+    comp = [sources[0]]
+    local = {sources[0]: 0}
+    adj = []
+    for code in comp:  # grows as the component is found
+        row = []
+        for nb in _neighbors(code, pows, q):
+            if nb in proper:
+                if nb not in local:
+                    local[nb] = len(comp)
+                    comp.append(nb)
+                row.append(local[nb])
+        adj.append(row)
     diameter = 0
-    for src in range(len(comp)):
+    for src in sources:
         seen = bytearray(len(comp))
-        seen[src] = 1
-        frontier = [src]
+        seen[local[src]] = 1
+        frontier = [local[src]]
         far = -1
         while frontier:
             far += 1

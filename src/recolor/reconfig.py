@@ -495,10 +495,12 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     active = frozenset(range(1, H.n + 1))
     # stats in path order: the first walk and the middle share one, then p2's
     stats, stats2 = PathStats(), PathStats()
-    steps, shaped1, _ = _inter_steps(H, active, chi1_l, alpha, beta, 0,
-                                     step_cap, stats)
+    steps, shaped1, peel1 = _inter_steps(H, active, chi1_l, alpha, beta, 0,
+                                         step_cap, stats)
+    # at alpha = 0 both walks leave all of active, so they share one peel
     steps2, shaped2, peel2 = _inter_steps(H, active, chi2_l, alpha, beta, 0,
-                                          step_cap, stats2)
+                                          step_cap, stats2,
+                                          peel1 if alpha == 0 else None)
     # the second walk's leftover is the middle's bottom-level remainder
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0, 1,
                           step_cap, stats, peel2)

@@ -7,13 +7,14 @@ checks that cannot share a bug with the library's incremental algorithms.
 import heapq
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
 from recolor import reconfig
 from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.experiments import ProbeVerdict
+from recolor.gamma_oracle import _neighbors, _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
     SpareColorError,
@@ -335,6 +336,77 @@ def gamma_distance_reference(H, q, sigma, tau):
                     dist[nxt] = dcode + 1
                     queue.append(nxt)
     return None
+
+
+# The census kernel of recolor.gamma_oracle as it stood before it worked up
+# to color permutation: union-find over every proper code, n grouping passes
+# of digit-erased codes, and a diameter BFS from every node of the first
+# largest component. Kept verbatim as the differential oracle for
+# gamma_stats; the enumerator and neighbor list are the library's own.
+def _component_roots(codes, pows, q):
+    """Union-find over the digit-erased groups: entry j is the least index
+    of the component holding codes[j]."""
+    parent = list(range(len(codes)))  # invariant: parent[j] <= j
+    for p in pows:
+        first = {}
+        for j, code in enumerate(codes):
+            a = first.setdefault(code - code // p % q * p, j)
+            if a == j:
+                continue
+            while parent[a] != a:  # find with path halving
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = j
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # parents point to smaller indices, so one ascending sweep finds roots
+    for j in range(len(parent)):
+        parent[j] = parent[parent[j]]
+    return parent
+
+
+def _every_source_diameter(comp, pows, q):
+    local = {code: i for i, code in enumerate(comp)}
+    adj = [[local[nb] for nb in _neighbors(code, pows, q) if nb in local]
+           for code in comp]
+    diameter = 0
+    for src in range(len(comp)):
+        seen = bytearray(len(comp))
+        seen[src] = 1
+        frontier = [src]
+        far = -1
+        while frontier:
+            far += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        nxt.append(w)
+            frontier = nxt
+        diameter = max(diameter, far)
+    return diameter
+
+
+def gamma_stats_union_find(H, q, compute_diameter=True):
+    """(num_colorings, num_components, component_sizes, diameter, connected)
+    by union-find over every proper coloring."""
+    pows = [q ** i for i in range(H.n)]
+    codes = list(_proper_codes(H, q))
+    roots = _component_roots(codes, pows, q)
+    size = Counter(roots)  # keyed by least index, inserted in ascending order
+    diameter = None
+    if compute_diameter and codes:
+        largest = max(size, key=size.__getitem__)  # the first of the largest
+        diameter = _every_source_diameter(
+            [code for code, r in zip(codes, roots) if r == largest], pows, q)
+    return (len(codes), len(size), tuple(sorted(size.values())), diameter,
+            len(size) <= 1)
 
 
 # recolor.reconfig.connect as it stood before it composed the phase builders

@@ -115,12 +115,11 @@ def test_malformed_inputs_raise_the_same_errors():
 
 def test_one_call_validates_once_and_assembles_once(monkeypatch):
     """Two properness checks (one per endpoint), no re-check of the shapes
-    it built, one assembled path, no public builder on the way, and at
-    alpha = 1 two peels: one per walk's leftover, the middle's bottom level
-    reusing the second walk's."""
-    H, c1, c2, q, alpha, beta = next(
-        call for call in CORPUS if call[1] != call[2]
-        and outcome(connect, *call, None)[0] == "ok")
+    it built, one assembled path, no public builder on the way, and the
+    reference's steps. At alpha = 1 two peels: one per walk's leftover, the
+    middle's bottom level reusing the second walk's. At alpha = 0 one: both
+    walks leave every vertex, so the second walk and the middle reuse the
+    first walk's peel."""
     counts = dict.fromkeys(["is_proper", "check_good_greedy", "_assemble",
                             "path_to_good_greedy",
                             "path_between_good_greedy", "beta_core"], 0)
@@ -132,11 +131,21 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(reconfig, name, counting)
-    path = connect(H, c1, c2, q, alpha, beta)
-    assert path.steps
-    assert counts == {"is_proper": 2, "check_good_greedy": 0,
-                      "_assemble": 1, "path_to_good_greedy": 0,
-                      "path_between_good_greedy": 0, "beta_core": 2}
+    # the corpus has no colorable call at alpha = 0; a path has no 2-core
+    line = build(30, 2, [(v, v + 1) for v in range(1, 30)])
+    rng = random.Random(3)
+    ends = [random_proper_coloring(line, 3, rng) for _ in range(2)]
+    calls = [(next(call for call in CORPUS if call[1] != call[2]
+                   and outcome(connect, *call, None)[0] == "ok"), 2),
+             ((line, *ends, 3, 0, 2), 1)]
+    for (H, c1, c2, q, alpha, beta), peels in calls:
+        want = connect_reference(H, c1, c2, q, alpha, beta)
+        counts.update(dict.fromkeys(counts, 0))
+        path = connect(H, c1, c2, q, alpha, beta)
+        assert path.steps and path.steps == want.steps
+        assert counts == {"is_proper": 2, "check_good_greedy": 0,
+                          "_assemble": 1, "path_to_good_greedy": 0,
+                          "path_between_good_greedy": 0, "beta_core": peels}
 
 
 def reversed_path(path):

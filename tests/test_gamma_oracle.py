@@ -1,13 +1,15 @@
 import random
-from itertools import product
+from dataclasses import astuple
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recolor import (
     Coloring,
+    GammaStats,
     InstanceTooLargeError,
     ValidationError,
     beta_core,
@@ -21,7 +23,13 @@ from recolor import (
     read_hypergraph,
 )
 from recolor.cli import main
-from helpers import gamma_distance_reference, gamma_stats_reference, random_instance
+from recolor.gamma_oracle import _proper_codes
+from helpers import (
+    gamma_distance_reference,
+    gamma_stats_reference,
+    gamma_stats_union_find,
+    random_instance,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -268,6 +276,93 @@ class TestAgainstBfsReference:
         a, b = Coloring((1, 2, 3)), Coloring((2, 1, 3))
         assert gamma_distance_reference(K3, 3, a, b) is None
         assert gamma_distance(K3, 3, a, b) is None
+
+
+def union_find_sample():
+    """One seeded instance per (n, k, q) with n 2-8, k 2-3 and q 1-5: every
+    size the union-find census clears in about 2 s all told."""
+    rng = random.Random(1618)
+    cases = []
+    for n in range(2, 9):
+        for k in range(2, min(3, n) + 1):
+            for q in range(1, 6):
+                m = rng.randint(0, min(3 * n, comb(n, k)))
+                H = generate_hnm(n, m, k, rng.getrandbits(32))
+                cases.append(pytest.param(H, q, id=f"n{n}-k{k}-q{q}-m{m}"))
+    return cases
+
+
+class TestAgainstUnionFind:
+    """gamma_stats against the census kernel it replaced, union-find over
+    every proper coloring (tests/helpers.py), on every GammaStats field."""
+
+    DIAMETER_BUDGET = 3 * 10 ** 6
+
+    @pytest.mark.parametrize("H,q", union_find_sample())
+    def test_every_field(self, H, q):
+        try:
+            got = gamma_stats(H, q, diameter_budget=self.DIAMETER_BUDGET)
+            with_diameter = True
+        except InstanceTooLargeError:
+            got = gamma_stats(H, q, compute_diameter=False)
+            with_diameter = False
+        assert astuple(got) == \
+            gamma_stats_union_find(H, q, compute_diameter=with_diameter)
+
+
+@st.composite
+def small_censuses(draw):
+    """An instance with n <= 6 and a palette q <= 6 small enough for the
+    BFS reference's all-pairs diameter."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, min(3, n)))
+    q = draw(st.integers(1, 6).filter(lambda q: q ** n <= 250))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), k))),
+                          unique=True, max_size=2 * n))
+    return build(n, k, edges), q
+
+
+class TestOrbitCensus:
+    """The census counts orbits of S_q, so its exact answers pin each part
+    of the stabilizer: with q > n every coloring has a free color and Γ_q
+    is connected; below that, one cycle of links and the swap of a color
+    used once with an unused one each decide a case."""
+
+    @pytest.mark.parametrize("H,q,want", [
+        # q > n: edgeless, 4**2 colorings
+        (build(2, 2, []), 4, GammaStats(16, 1, (16,), 2, True)),
+        # q > n: one edge, the six injective colorings
+        (K2, 3, GammaStats(6, 1, (6,), 3, True)),
+        # q = n: the quotient is connected, but the stabilizer is trivial
+        (K3, 3, GammaStats(6, 6, (1,) * 6, 0, False)),
+        # needs a cycle: erasing vertex 2, then vertex 1, links 12 to 11
+        # twice, and the two links differ by the swap of the colors
+        (build(2, 2, []), 2, GammaStats(4, 1, (4,), 2, True)),
+        # needs 122's swap of color 1 (used at vertex 1 only) with color 3
+        (build(3, 2, [(1, 2), (1, 3)]), 3, GammaStats(12, 1, (12,), 4, True)),
+    ], ids=["edgeless-q4", "k2-q3", "k3-q3", "edgeless-q2", "star-q3"])
+    def test_exact(self, H, q, want):
+        assert gamma_stats(H, q) == want
+        assert astuple(want) == gamma_stats_reference(H, q)
+
+    def test_one_representative_per_orbit(self):
+        # a restricted growth string of length 8 with j <= 5 blocks per
+        # set partition: sum of S(8, j) over j <= 5 codes, not 5**8
+        H = build(8, 2, [])
+        reps = list(_proper_codes(H, 5, canonical=True))
+        assert len(reps) == 1 + 127 + 966 + 1701 + 1050 == 3845
+        assert reps == sorted(reps, key=lambda c: [c // 5 ** i % 5
+                                                   for i in range(8)])
+        # weighed by q!/(q-j)!, they give back all 5**8 colorings
+        assert gamma_stats(H, 5, compute_diameter=False).num_colorings == 5 ** 8
+
+    @given(small_censuses())
+    @example((K3, 3))  # disconnected, all components tied
+    @example((read_hypergraph(GOLDEN / "gamma_k3.h.txt"), 2))  # tied largest
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_bfs_reference(self, case):
+        H, q = case
+        assert astuple(gamma_stats(H, q)) == gamma_stats_reference(H, q)
 
 
 def shuffled(n, rng):
