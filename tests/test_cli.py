@@ -276,7 +276,11 @@ MALFORMED = json.loads((GOLDEN / "malformed_text.json").read_text())
 class TestMalformedText:
     """Each malformed hypergraph, coloring and trace text in the golden
     table, with its error class and message; texts with several faults pin
-    the order of the checks."""
+    the order of the checks. A trace entry with a ``verdict`` instead parses
+    to its ``rows`` (vertex, old color, new color), and ``recolor verify``
+    on K2 from (1, 2) at q=2 prints that verdict: values far outside the
+    vertex and color ranges, and separators inside a line, which must not
+    split it."""
 
     @staticmethod
     def _read(reader, text, tmp_path):
@@ -285,12 +289,16 @@ class TestMalformedText:
         if reader == "coloring":
             return coloring_from_text(text)
         f = tmp_path / "trace.txt"
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         return _parse_trace(str(f))
 
     @pytest.mark.parametrize("case", MALFORMED,
                              ids=lambda c: f"{c['reader']}:{c['text']!r}")
     def test_reader(self, case, tmp_path):
+        if "verdict" in case:
+            rows = self._read(case["reader"], case["text"], tmp_path)
+            assert [list(r) for r in rows] == case["rows"]
+            return
         with pytest.raises(Exception) as info:
             self._read(case["reader"], case["text"], tmp_path)
         assert type(info.value).__name__ == case["error"]
@@ -300,7 +308,7 @@ class TestMalformedText:
                              ids=lambda c: f"{c['reader']}:{c['text']!r}")
     def test_cli(self, case, tmp_path, k2_file, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text(case["text"])
+        bad.write_text(case["text"], encoding="utf-8")
         start = coloring_file(tmp_path, "start.txt", (1, 2))
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -309,6 +317,10 @@ class TestMalformedText:
             "coloring": ["verify", k2_file, str(bad), str(empty), "--q", "2"],
             "trace": ["verify", k2_file, start, str(bad), "--q", "2"],
         }[case["reader"]]
+        if "verdict" in case:
+            assert main(argv) == 1
+            assert capsys.readouterr() == (case["verdict"], "")
+            return
         if case["error"] == "InstanceTooLargeError":
             code, prefix = 3, "refused"
         else:
