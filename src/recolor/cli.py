@@ -10,7 +10,9 @@ with the same seed reproduces the output byte for byte. Logarithms in
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from array import array
 from collections import Counter
 from dataclasses import fields
 
@@ -25,6 +27,7 @@ from .errors import (
 from .hypergraph import (
     Coloring,
     _excerpt,
+    _int_rows,
     _open_utf8,
     generate_hnm,
     generate_hnp,
@@ -43,6 +46,8 @@ from .independence import (
 # verification), 2 bad input, 3 refused (budget, cap, inconclusive)
 
 _TRACE_HEADER = "index,vertex,old_color,new_color"
+# characters of trace text _parse_trace reads at a time (whole lines)
+_TRACE_CHUNK = 1 << 16
 
 
 def _emit(args, text: str) -> None:
@@ -169,22 +174,66 @@ def _cmd_connect(args) -> int:
 
 
 def _parse_trace(path_file: str):
-    steps = []
+    """The vertex, old color and new color columns of a trace file.
+
+    Each chunk of lines is read in bulk into ``array('i')`` columns when it
+    is canonical text: four plain numerals a line, split by single spaces
+    or commas, indices in sequence, header lines only as the whole line.
+    From the first chunk that is not (a fault, other spacing, an int beyond
+    32 bits), the rest goes through the per-line checker into lists, which
+    is the one place that words a trace error.
+    """
+    cols = (array("i"), array("i"), array("i"))
+    header = _TRACE_HEADER + "\n"
     with _open_utf8(path_file) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line == _TRACE_HEADER:
-                continue
-            try:
-                # a line of other than four fields fails the unpacking
-                idx, v, old, new = map(int, line.replace(",", " ").split())
-            except ValueError as exc:
-                raise ValidationError(f"bad trace line {_excerpt(raw)}") from exc
-            if idx != len(steps):
-                raise ValidationError(
-                    f"trace index {_excerpt(idx)} out of order (expected {len(steps)})")
-            steps.append((v, old, new))
-    return steps
+        # readlines splits on "\n" only, as iterating over the file does
+        for lines in iter(lambda: fh.readlines(_TRACE_CHUNK), []):
+            while header in lines:
+                lines.remove(header)
+            if lines and not _bulk_trace_rows(lines, cols):
+                cols = tuple(map(list, cols))
+                _trace_rows(itertools.chain(lines, fh), *cols)
+                break
+    return cols
+
+
+def _bulk_trace_rows(lines: list, cols: tuple) -> bool:
+    """Append a chunk of canonical trace lines to the array columns; False,
+    with the columns untouched, when the chunk is anything else."""
+    rows = _int_rows("".join(lines).replace(",", " "))
+    if rows is None or set(map(len, rows)) != {4}:
+        return False
+    idx, *data = zip(*rows)
+    done = len(cols[0])
+    if idx != tuple(range(done, done + len(idx))):
+        return False
+    try:
+        data = [array("i", col) for col in data]
+    except OverflowError:
+        return False
+    for col, chunk in zip(cols, data):
+        col += chunk
+    return True
+
+
+def _trace_rows(lines, vs, olds, news) -> None:
+    """The per-line checker: append each data line's columns, or raise the
+    error that names the first bad line."""
+    for raw in lines:
+        line = raw.strip()
+        if not line or line == _TRACE_HEADER:
+            continue
+        try:
+            # a line of other than four fields fails the unpacking
+            idx, v, old, new = map(int, line.replace(",", " ").split())
+        except ValueError as exc:
+            raise ValidationError(f"bad trace line {_excerpt(raw)}") from exc
+        if idx != len(vs):
+            raise ValidationError(
+                f"trace index {_excerpt(idx)} out of order (expected {len(vs)})")
+        vs.append(v)
+        olds.append(old)
+        news.append(new)
 
 
 def _cmd_verify(args) -> int:
@@ -192,30 +241,31 @@ def _cmd_verify(args) -> int:
         raise ValidationError(f"q must be positive, got {args.q}")
     H = read_hypergraph(args.hypergraph)
     start = read_coloring(args.start)
-    steps = _parse_trace(args.trace)
+    vs, olds, news = _parse_trace(args.trace)
 
     def failed(where, reason) -> int:
         _emit(args, f"failed index {where} reason {reason}\n")
         return 1
 
-    for i, (v, old, new) in enumerate(steps):
-        if not 1 <= v <= H.n:
-            return failed(i, "vertex-out-of-range")
-        if new < 1:
-            return failed(i, "color-out-of-range")
+    if vs and (min(vs) < 1 or max(vs) > H.n or min(news) < 1):
+        for i, (v, new) in enumerate(zip(vs, news)):
+            if not 1 <= v <= H.n:
+                return failed(i, "vertex-out-of-range")
+            if new < 1:
+                return failed(i, "color-out-of-range")
     if len(start) != H.n:
         return failed("start", "start-length-mismatch")
-    cur = [0] + list(start.colors)
-    for i, (v, old, new) in enumerate(steps):
+    cur = [0, *start.colors]
+    for i, (v, old, new) in enumerate(zip(vs, olds, news)):
         if cur[v] != old:
             return failed(i, "old-color-mismatch")
         cur[v] = new
     path = reconfig.RecolorPath(
-        start=start, steps=tuple((v, new) for v, _, new in steps),
+        start=start, steps=tuple(zip(vs, news)),
         end=Coloring(tuple(cur[1:])), stats=reconfig.PathStats())
     verdict = reconfig.verify_path(H, path, args.q)
     if verdict.ok:
-        _emit(args, (f"ok length {len(steps)} "
+        _emit(args, (f"ok length {len(vs)} "
                      f"end {' '.join(map(str, verdict.end.colors))}\n"))
         return 0
     return failed("start" if verdict.failure_index is None

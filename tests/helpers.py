@@ -606,6 +606,32 @@ def parse_trace_reference(path_file):
     return steps
 
 
+# recolor.hypergraph.hypergraph_from_text as it stood before canonical edge
+# lines were read in bulk: one int parse per line, then the checking
+# constructor. Kept verbatim, but for its name, as the differential oracle.
+def hypergraph_from_text_reference(text: str) -> Hypergraph:
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ValidationError("empty hypergraph text")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise ValidationError(f"header must be 'n k m', got {_excerpt(lines[0])}")
+    try:
+        n, k, m = map(int, head)
+    except ValueError as exc:
+        raise ValidationError(f"non-integer header {_excerpt(lines[0])}") from exc
+    if len(lines) - 1 != m:
+        raise ValidationError(
+            f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        try:
+            edges.append(tuple(map(int, ln.split())))
+        except ValueError as exc:
+            raise ValidationError(f"bad edge line {_excerpt(ln)}") from exc
+    return Hypergraph(n, k, edges)
+
+
 def edge_flags_reference(H, active):
     """Per-edge booleans: does the edge sit entirely inside ``active``?"""
     act = [False] * (H.n + 1)

@@ -296,8 +296,8 @@ class TestMalformedText:
                              ids=lambda c: f"{c['reader']}:{c['text']!r}")
     def test_reader(self, case, tmp_path):
         if "verdict" in case:
-            rows = self._read(case["reader"], case["text"], tmp_path)
-            assert [list(r) for r in rows] == case["rows"]
+            cols = self._read(case["reader"], case["text"], tmp_path)
+            assert [list(r) for r in zip(*cols)] == case["rows"]
             return
         with pytest.raises(Exception) as info:
             self._read(case["reader"], case["text"], tmp_path)

@@ -26,7 +26,11 @@ from recolor import (
     write_hypergraph,
 )
 from recolor import hypergraph
-from helpers import distinct_k_sets_reference, random_instance
+from helpers import (
+    distinct_k_sets_reference,
+    hypergraph_from_text_reference,
+    random_instance,
+)
 
 
 class TestBuild:
@@ -411,3 +415,100 @@ class TestTextFormat:
     def test_round_trip_random(self, seed):
         H = random_instance(random.Random(seed))
         assert hypergraph_from_text(hypergraph_to_text(H)) == H
+
+
+def read_outcome(read, text):
+    """What a reader makes of a text: the result, or the error's class and
+    message."""
+    try:
+        return read(text)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Hypergraph texts near the canonical form: a generated instance, then
+    a few faults, reorderings and other spellings of its ints, spacing and
+    line ends that ``int`` and ``str.split`` still accept or reject."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    m = draw(st.integers(0, min(7, math.comb(n, k))))
+    edges = [list(e) for e in
+             generate_hnm(n, m, k, draw(st.integers(0, 2 ** 16))).edges]
+    for _ in range(draw(st.integers(0, 2))):
+        if not edges:
+            break
+        i = draw(st.integers(0, len(edges) - 1))
+        j = draw(st.integers(0, len(edges[i]) - 1))
+        fault = draw(st.sampled_from(
+            ["swap edges", "swap vertices", "duplicate", "vertex", "arity"]))
+        if fault == "swap edges":
+            other = draw(st.integers(0, len(edges) - 1))
+            edges[i], edges[other] = edges[other], edges[i]
+        elif fault == "swap vertices":
+            edges[i].reverse()
+        elif fault == "duplicate":
+            edges.insert(draw(st.integers(0, len(edges))), edges[i][::-1])
+        elif fault == "vertex":
+            edges[i][j] = draw(st.sampled_from([0, n + 1, edges[i][j - 1]]))
+        elif draw(st.booleans()):
+            edges[i].pop()
+        else:
+            edges[i].append(n)
+    tokens = [[str(v) for v in e] for e in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        if not tokens:
+            break
+        line = tokens[draw(st.integers(0, len(tokens) - 1))]
+        j = draw(st.integers(0, len(line) - 1))
+        v = line[j]
+        line[j] = draw(st.sampled_from([
+            f"+{v}", f"0{v}", v.translate(ARABIC_INDIC), f"{v[:1]}_{v[1:]}",
+            f"{v}_", f"-{v}", f"{v}.0", "x", "1e1", "true", str(10 ** 30)]))
+    sep = draw(st.sampled_from([" ", " ", " ", "  ", "\t", ",", " \x0c"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\n\n", "\n \n",
+                                "\u2028"]))
+    count = len(edges) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    lines = [f"{n} {k} {count}"] + [sep.join(t) for t in tokens]
+    return eol.join(lines) + draw(st.sampled_from(["", "\n", "\n\n", " "]))
+
+
+class TestTextReaderDifferential:
+    """hypergraph_from_text against the per-line reader it replaced: the
+    same Hypergraph, or the same error class and message."""
+
+    @given(edge_list_texts())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_reference(self, text):
+        assert read_outcome(hypergraph_from_text, text) == \
+            read_outcome(hypergraph_from_text_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "3 2 0", "3 2 1\n1 2", "3 2 1\n+1 2", "3 2 1\n1 1_0",
+        "12 2 1\n1 1_0", "4 2 1\n٣ 4", "4 2 2\n1\t2\r\n\n3 4\n",
+        "4 2 2\n3 4\n1 2", "4 2 1\n2 1", "4 2 1\n01 2",
+        "6000000 2 1\n1 2", "3 2 1\n" + "9" * 5000 + " 1",
+    ])
+    def test_matches_the_reference_on_spellings(self, text):
+        assert read_outcome(hypergraph_from_text, text) == \
+            read_outcome(hypergraph_from_text_reference, text)
+
+    def test_peak_at_n_1e5_stays_near_what_the_instance_keeps(self):
+        # the per-line reader peaked at 2.26 times what the instance keeps:
+        # it holds its tuples, their canonical copies and a seen-set while
+        # the incidence index is built
+        n = 10 ** 5
+        text = f"{n} 3 {n - 2}\n" + "".join(
+            f"{v} {v + 1} {v + 2}\n" for v in range(1, n - 1))
+        tracemalloc.start()
+        try:
+            H = hypergraph_from_text(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert H.m == n - 2 and H.edges[-1] == (n - 2, n - 1, n)
+        assert peak <= 1.8 * kept

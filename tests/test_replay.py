@@ -8,6 +8,7 @@ seeded inputs, faulty ones above all, and asks for the same answer: the same
 """
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -21,7 +22,7 @@ from recolor import (
     generate_hnm,
     verify_path,
 )
-from recolor import reconfig
+from recolor import cli, reconfig
 from recolor.cli import _parse_trace
 from helpers import (
     parse_trace_reference,
@@ -179,11 +180,16 @@ def parse_outcome(parse, path):
         return "error", str(exc)
 
 
+def parse_rows(path):
+    """_parse_trace's columns as the reference's (vertex, old, new) rows."""
+    return list(zip(*_parse_trace(path)))
+
+
 @pytest.mark.parametrize("text", TRACE_TEXTS)
 def test_parse_trace_matches_the_reference(text, tmp_path):
     f = tmp_path / "trace.txt"
     f.write_text(text, encoding="utf-8")
-    assert parse_outcome(_parse_trace, f) == \
+    assert parse_outcome(parse_rows, f) == \
         parse_outcome(parse_trace_reference, f)
 
 
@@ -204,5 +210,81 @@ def test_parse_trace_matches_the_reference_on_random_lines(tmp_path):
                 lines.append("".join(rng.choice(tokens)
                                      for _ in range(rng.randrange(0, 8))))
         f.write_text("\n".join(lines), encoding="utf-8")
-        assert parse_outcome(_parse_trace, f) == \
+        assert parse_outcome(parse_rows, f) == \
             parse_outcome(parse_trace_reference, f)
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """_parse_trace reads a few lines at a time, so every text spans chunks."""
+    monkeypatch.setattr(cli, "_TRACE_CHUNK", 20)
+
+
+@pytest.mark.parametrize("text", TRACE_TEXTS)
+def test_parse_trace_in_tiny_chunks_matches_the_reference(text, tmp_path,
+                                                          tiny_chunks):
+    f = tmp_path / "trace.txt"
+    f.write_text("0 1 1 3\n1 2 2 1\n2 1 3 2\n3 2 1 2\n" + text,
+                 encoding="utf-8")
+    assert parse_outcome(parse_rows, f) == \
+        parse_outcome(parse_trace_reference, f)
+
+
+def canonical_trace(moves, rng, sep=" "):
+    return [sep.join(map(str, (i, rng.randrange(1, 5000), rng.randrange(1, 7),
+                                rng.randrange(1, 7)))) + "\n"
+            for i in range(moves)]
+
+
+@pytest.mark.parametrize("fault", [
+    None, "csv", "header", "header mid-file", "blank line", "bad line",
+    "index", "32-bit vertex", "negative color", "tab", "form feed",
+    "no final newline",
+])
+def test_parse_trace_across_chunks_matches_the_reference(fault, tmp_path):
+    """A trace of several real-size chunks, with the fault (or the header
+    line, or other spacing) in a later chunk than the first."""
+    rng = random.Random(str(fault))
+    lines = canonical_trace(12_000, rng, "," if fault == "csv" else " ")
+    assert sum(map(len, lines)) > 2 * cli._TRACE_CHUNK
+    at = rng.randrange(9_000, 12_000)
+    i, v, old, new = lines[at].replace(",", " ").split()
+    edit = {
+        "csv": ["index,vertex,old_color,new_color\n"] + lines,
+        "header": ["index,vertex,old_color,new_color\n"] + lines,
+        "header mid-file": lines[:at] + ["index,vertex,old_color,new_color\n"]
+        + lines[at:],
+        "blank line": lines[:at] + ["\n"] + lines[at:],
+        "bad line": lines[:at] + [f"{i} {v} x {new}\n"] + lines[at + 1:],
+        "index": lines[:at] + [f"{int(i) + 1} {v} {old} {new}\n"]
+        + lines[at + 1:],
+        "32-bit vertex": lines[:at] + [f"{i} {2 ** 31} {old} {new}\n"]
+        + lines[at + 1:],
+        "negative color": lines[:at] + [f"{i} {v} {old} -{new}\n"]
+        + lines[at + 1:],
+        "tab": lines[:at] + [f"{i}\t{v} {old} {new}\n"] + lines[at + 1:],
+        "form feed": lines[:at] + [f"{i} {v}\x0c{old} {new}\n"]
+        + lines[at + 1:],
+        "no final newline": lines[:-1] + [lines[-1].rstrip("\n")],
+    }.get(fault, lines)
+    f = tmp_path / "trace.txt"
+    f.write_text("".join(edit), encoding="utf-8")
+    got = parse_outcome(parse_rows, f)
+    assert got == parse_outcome(parse_trace_reference, f)
+    assert (got[0] == "ok") == (fault not in ("bad line", "index"))
+
+
+def test_parse_trace_keeps_at_most_40_bytes_a_move(tmp_path):
+    # the parser it replaced kept a 3-tuple a move: about 100 bytes
+    moves = 100_000
+    f = tmp_path / "trace.txt"
+    f.write_text("".join(canonical_trace(moves, random.Random(3))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cols = _parse_trace(str(f))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 40 * moves
+    assert list(map(len, cols)) == [moves] * 3
