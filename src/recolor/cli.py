@@ -27,6 +27,7 @@ from .errors import (
 from .hypergraph import (
     Coloring,
     _excerpt,
+    _gc_paused,
     _int_rows,
     _open_utf8,
     generate_hnm,
@@ -185,7 +186,7 @@ def _parse_trace(path_file: str):
     """
     cols = (array("i"), array("i"), array("i"))
     header = _TRACE_HEADER + "\n"
-    with _open_utf8(path_file) as fh:
+    with _open_utf8(path_file) as fh, _gc_paused():
         # readlines splits on "\n" only, as iterating over the file does
         for lines in iter(lambda: fh.readlines(_TRACE_CHUNK), []):
             while header in lines:
@@ -260,9 +261,11 @@ def _cmd_verify(args) -> int:
         if cur[v] != old:
             return failed(i, "old-color-mismatch")
         cur[v] = new
-    path = reconfig.RecolorPath(
-        start=start, steps=tuple(zip(vs, news)),
-        end=Coloring(tuple(cur[1:])), stats=reconfig.PathStats())
+    with _gc_paused():
+        steps = tuple(zip(vs, news))
+    path = reconfig.RecolorPath(start=start, steps=steps,
+                                end=Coloring(tuple(cur[1:])),
+                                stats=reconfig.PathStats())
     verdict = reconfig.verify_path(H, path, args.q)
     if verdict.ok:
         _emit(args, (f"ok length {len(vs)} "

@@ -139,12 +139,8 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges = tuple(canon)
-        # edgeless vertices share (); the lists and tuples made here form
-        # no cycles, so the cyclic collector pauses while they are built
-        inc = [()] * (n + 1)  # slot 0 is never filled
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        inc = [()] * (n + 1)  # slot 0 is never filled; edgeless vertices share ()
+        with _gc_paused():
             for idx, e in enumerate(self.edges):
                 for v in e:
                     if inc[v]:
@@ -153,9 +149,6 @@ class Hypergraph:
                         inc[v] = [idx]
             del inc[0]
             self.incidence = tuple(map(tuple, inc))
-        finally:
-            if collecting:
-                gc.enable()
 
     @property
     def m(self) -> int:
@@ -184,6 +177,21 @@ class Hypergraph:
 def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     """Validate and canonicalize an explicit edge list."""
     return Hypergraph(n, k, edges)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while a block builds many containers that
+    form no cycles, such as edge tuples or incidence lists. Its passes over
+    them would find nothing, and at 10⁶ edges they cost more than building
+    them does."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _excerpt(value) -> str:
@@ -382,14 +390,15 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     if len(lines) - 1 != m:
         raise ValidationError(
             f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
-    rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
-    if rows is not None:
-        # every edge line is ints, so the shape is the next check due
-        _check_shape(n, k)
-        edges = _canonical_edges(rows, n, k)
-        if edges is not None:
-            del lines, rows  # not kept while the incidence index is built
-            return Hypergraph._trusted(n, k, edges)
+    with _gc_paused():
+        rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
+        if rows is not None:
+            # every edge line is ints, so the shape is the next check due
+            _check_shape(n, k)
+            edges = _canonical_edges(rows, n, k)
+            if edges is not None:
+                del lines, rows  # not kept while the index is built
+                return Hypergraph._trusted(n, k, edges)
     # the per-line checker: it words the first fault in input order, and
     # builds valid texts whose edges are not canonical
     edges = []

@@ -319,6 +319,22 @@ class TestColoring:
         with pytest.raises(ValidationError):
             Coloring((1, 2.0))
 
+    @pytest.mark.parametrize("colors,bad", [
+        ((1, True, 0), True), ((2, 0, 1.5), 0), ((1, 2.0, -1), 2.0),
+        ((3, -1, 0), -1), ((1, "2"), "2"),
+    ])
+    def test_message_names_the_first_bad_color(self, colors, bad):
+        with pytest.raises(ValidationError) as caught:
+            Coloring(colors)
+        assert str(caught.value) == \
+            f"colors must be positive integers, got {bad!r}"
+
+    def test_int_subclasses_are_colors(self):
+        class Color(int):
+            pass
+
+        assert Coloring((Color(2), 1)).colors == (2, 1)
+
     def test_vertex_indexing(self):
         c = Coloring((4, 5, 6))
         assert c[1] == 4 and c[3] == 6
