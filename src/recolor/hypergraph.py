@@ -139,8 +139,12 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges = tuple(canon)
-        inc = [()] * (n + 1)  # slot 0 is never filled; edgeless vertices share ()
-        with _gc_paused():
+        # edgeless vertices share (); the lists and tuples made here form
+        # no cycles, so the cyclic collector pauses while they are built
+        inc = [()] * (n + 1)  # slot 0 is never filled
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
             for idx, e in enumerate(self.edges):
                 for v in e:
                     if inc[v]:
@@ -149,6 +153,9 @@ class Hypergraph:
                         inc[v] = [idx]
             del inc[0]
             self.incidence = tuple(map(tuple, inc))
+        finally:
+            if collecting:
+                gc.enable()
 
     @property
     def m(self) -> int:
@@ -421,7 +428,7 @@ def _int_rows(text: str):
     Trailing newlines end the text; an empty line is an empty row.
     """
     text = text.rstrip("\n")
-    if text.encode().translate(None, b"0123456789 \n"):
+    if not text.isascii() or text.encode().translate(None, b"0123456789 \n"):
         return None
     try:
         return json.loads(
