@@ -189,9 +189,9 @@ def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
 @contextmanager
 def _gc_paused():
     """Pause the cyclic collector while a block builds many containers that
-    form no cycles, such as edge tuples or incidence lists. Its passes over
-    them would find nothing, and at 10⁶ edges they cost more than building
-    them does."""
+    form no cycles, such as parsed rows, edge tuples or move pairs. Its
+    passes over them would find nothing, and at 10⁶ edges they cost more
+    than building them does."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -417,7 +417,7 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
-def _int_rows(text: str):
+def _int_rows(text: str) -> list | None:
     """The ints on each line of ``text``, or None unless every line is
     plain decimal numerals separated by single spaces.
 
@@ -437,7 +437,7 @@ def _int_rows(text: str):
         return None
 
 
-def _canonical_edges(rows: list, n: int, k: int):
+def _canonical_edges(rows: list, n: int, k: int) -> list | None:
     """The rows as edge tuples if they already are a canonical edge list on
     1..n (k vertices each, each edge and the list strictly increasing),
     else None. Every check is one C-level pass."""
