@@ -10,6 +10,7 @@ with the same seed reproduces the output byte for byte. Logarithms in
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import sys
 from array import array
@@ -27,7 +28,6 @@ from .errors import (
 from .hypergraph import (
     Coloring,
     _excerpt,
-    _gc_paused,
     _int_rows,
     _open_utf8,
     generate_hnm,
@@ -186,7 +186,7 @@ def _parse_trace(path_file: str):
     """
     cols = (array("i"), array("i"), array("i"))
     header = _TRACE_HEADER + "\n"
-    with _open_utf8(path_file) as fh, _gc_paused():
+    with _open_utf8(path_file) as fh:
         # readlines splits on "\n" only, as iterating over the file does
         for lines in iter(lambda: fh.readlines(_TRACE_CHUNK), []):
             while header in lines:
@@ -261,9 +261,7 @@ def _cmd_verify(args) -> int:
         if cur[v] != old:
             return failed(i, "old-color-mismatch")
         cur[v] = new
-    with _gc_paused():
-        steps = tuple(zip(vs, news))
-    path = reconfig.RecolorPath(start=start, steps=steps,
+    path = reconfig.RecolorPath(start=start, steps=tuple(zip(vs, news)),
                                 end=Coloring(tuple(cur[1:])),
                                 stats=reconfig.PathStats())
     verdict = reconfig.verify_path(H, path, args.q)
@@ -424,7 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A subcommand builds containers that form no cycles (parsed rows, edge
+    # tuples, one pair per move), so the cyclic collector pauses for the
+    # whole of it; the few cycles a call makes wait until it returns.
+    collecting = gc.isenabled()
     try:
+        gc.disable()
         return args.func(args)
     except NotColorableEvidence as exc:
         sys.stderr.write(_witness_text(exc.witness))
@@ -435,6 +438,9 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

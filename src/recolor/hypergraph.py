@@ -186,21 +186,6 @@ def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic collector while a block builds many containers that
-    form no cycles, such as parsed rows, edge tuples or move pairs. Its
-    passes over them would find nothing, and at 10⁶ edges they cost more
-    than building them does."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def _excerpt(value) -> str:
     """repr(value) for an error message, cut to at most 60 characters."""
     text = repr(value)
@@ -397,15 +382,14 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     if len(lines) - 1 != m:
         raise ValidationError(
             f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
-    with _gc_paused():
-        rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
-        if rows is not None:
-            # every edge line is ints, so the shape is the next check due
-            _check_shape(n, k)
-            edges = _canonical_edges(rows, n, k)
-            if edges is not None:
-                del lines, rows  # not kept while the index is built
-                return Hypergraph._trusted(n, k, edges)
+    rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
+    if rows is not None:
+        # every edge line is ints, so the shape is the next check due
+        _check_shape(n, k)
+        edges = _canonical_edges(rows, n, k)
+        if edges is not None:
+            del lines, rows  # not kept while the index is built
+            return Hypergraph._trusted(n, k, edges)
     # the per-line checker: it words the first fault in input order, and
     # builds valid texts whose edges are not canonical
     edges = []

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from .core_peel import _active_set, beta_core
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import Coloring, Hypergraph, is_proper
+from .hypergraph import _MAX_VERTICES, Coloring, Hypergraph, is_proper
 from .seeding import derive_seed
 
 __all__ = [
@@ -109,10 +109,15 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     """Draw t successive maximal independent sets, each from the residual.
 
     Per-level seeds are derived from rng_seed so the whole sequence is
-    reproducible. Trailing sets are empty once the residual runs out.
+    reproducible. Trailing sets are empty once the residual runs out, so
+    no instance needs more than n levels, and t past the vertex limit is
+    refused.
     """
     if t < 0:
         raise ValidationError(f"sequence length must be nonnegative, got {t}")
+    if t > _MAX_VERTICES:
+        raise InstanceTooLargeError(
+            f"sequence length {t} exceeds the limit of {_MAX_VERTICES}")
     if strategy not in _STRATEGIES:
         raise ValidationError(
             f"unknown strategy {strategy!r}; use 'ascending' or 'random'")

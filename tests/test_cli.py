@@ -383,6 +383,13 @@ class TestMisAndGreedy:
         out = capsys.readouterr().out
         assert out == "level 1: 1\nlevel 2: 2\nresidual: 3\n"
 
+    def test_greedy_levels_beyond_the_vertex_limit_refused(self, k3_file,
+                                                           capsys):
+        assert main(["greedy", k3_file, "--levels", str(10 ** 20)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"refused: sequence length {10 ** 20} exceeds the "
+                       f"limit of {hypergraph._MAX_VERTICES}\n")
+
     def test_greedy_csv(self, k3_file, capsys):
         assert main(["greedy", k3_file, "--levels", "1",
                      "--format", "csv"]) == 0

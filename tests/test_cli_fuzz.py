@@ -1,17 +1,32 @@
 """Drawn hypergraph, coloring and trace texts through ``recolor verify`` and
-``recolor core``.
+``recolor core``, and drawn values for every numeric flag of every
+subcommand.
 
-Whatever the files hold, the CLI ends in a documented exit code (0 ok,
-1 negative verdict, 2 bad input, 3 refused) with no uncaught exception, and
-a malformed input or a refusal is one stderr line.
+Whatever the files or flags hold, the CLI ends in a documented exit code
+(0 ok, 1 negative verdict, 2 bad input, 3 refused) with no uncaught
+exception, and a malformed input or a refusal is one stderr line. A
+negative verdict re-checks: a printed witness through ``verify_witness``,
+a failed trace through ``verify_path``.
 """
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from recolor.cli import main
+from recolor import (
+    Coloring,
+    ColorabilityWitness,
+    MISequence,
+    build,
+    generate_hnm,
+    hypergraph_to_text,
+    reconfig,
+    verify_witness,
+    write_coloring,
+)
+from recolor.cli import _trace_text, main
 
 # digits, signs, letters, spaces, commas and newlines
 ALPHABET = "0123456789+-abx ,\n"
@@ -59,7 +74,7 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @given(case())
@@ -74,8 +89,133 @@ def test_verify_and_core_end_in_a_documented_exit(tmp_path_factory, drawn):
         files.append(str(f))
     for argv in (["verify", *files, "--q", str(q)],
                  ["core", files[0], "--beta", str(beta)]):
-        code, err = run(argv)
+        code, _, err = run(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
         if code in (2, 3):
             assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# --- numeric flags ---------------------------------------------------------
+
+# int flags draw these besides their small valid values; float flags draw
+# the float texts too. A work count is what the caller asks for, so it is
+# drawn only small, zero or negative.
+INTS = ("0", "-1", "100000000000000000000", "-100000000000000000000")
+FLOATS = ("nan", "inf", "-inf", "1e400", "5e-324", "-0.0", *INTS)
+COUNTS = ("0", "-1")
+
+# an 8-vertex instance with two proper colorings; alpha = 0 exposes a witness
+CONNECT_H = generate_hnm(8, 10, 3, 0)
+C1 = Coloring((2, 3, 1, 2, 3, 1, 2, 3))
+C2 = Coloring((4, 3, 2, 1, 4, 3, 2, 1))
+TRACE = reconfig.connect(CONNECT_H, C1, C2, 4, 1, 2)
+# small enough for a census with diameter at q = 6
+GAMMA_H = build(4, 3, [(1, 2, 3), (2, 3, 4)])
+
+
+def flag(name, drawn, valid, required=True):
+    return name, drawn + valid, required
+
+
+N, K = flag("--n", INTS, ("4", "8")), flag("--k", INTS, ("2", "3"))
+ALPHA = flag("--alpha", INTS, ("0", "1", "2"))
+BETA = flag("--beta", INTS, ("1", "2"))
+# subcommand, its file arguments, its numeric flags; "--seed" is common to
+# all, and a name without dashes is positional
+COMMANDS = {
+    "params": ((), [flag("d", FLOATS, ("2.5", "1e6")),
+                    flag("k", INTS, ("2", "3")),
+                    flag("n", INTS, ("10", "1000"))]),
+    "gen-m": ((), [N, K, flag("--m", INTS, ("0", "3"))]),
+    "gen-p": ((), [N, K, flag("--p", FLOATS, ("0.5", "1"))]),
+    "core": (("h",), [BETA]),
+    "mis": (("h",), []),
+    "greedy": (("h",), [flag("--levels", INTS, ("1", "3"))]),
+    "certify": (("h",), [ALPHA, BETA,
+                         flag("--trials", COUNTS, ("1", "3"), False),
+                         flag("--exact-limit", INTS, ("0", "8"), False)]),
+    "connect": (("h", "c1", "c2"),
+                [flag("--q", INTS, ("4", "6")), ALPHA, BETA,
+                 flag("--step-cap", INTS, ("10", "1000"), False)]),
+    "verify": (("h", "c1", "trace"), [flag("--q", INTS, ("3", "4"))]),
+    "gamma": (("g",), [flag("--q", INTS, ("2", "3", "6")),
+                       flag("--budget", INTS, ("100", "5000"), False),
+                       flag("--diameter-budget", INTS, ("100", "100000"), False)]),
+    "montecarlo": ((), [flag("--n", INTS, ("6", "30")), K,
+                        flag("--trials", COUNTS, ("1", "2")),
+                        flag("--d", FLOATS, ("2.5", "20"), False),
+                        flag("--alpha", INTS, ("1", "2"), False),
+                        flag("--beta", INTS, ("1", "2"), False),
+                        flag("--m", INTS, ("5", "20"), False)]),
+}
+SEED = flag("--seed", INTS, ("1", "7"), False)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("flags")
+    paths = {name: tmp / f"{name}.txt"
+             for name in ("h", "g", "c1", "c2", "trace")}
+    paths["h"].write_text(hypergraph_to_text(CONNECT_H))
+    paths["g"].write_text(hypergraph_to_text(GAMMA_H))
+    write_coloring(C1, paths["c1"])
+    write_coloring(C2, paths["c2"])
+    paths["trace"].write_text(_trace_text(TRACE, "text"))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@st.composite
+def invocation(draw):
+    """A subcommand with a drawn value for each required numeric flag and
+    for a drawn subset of the optional ones: (command, {flag: text})."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {}
+    for name, choices, required in COMMANDS[command][1] + [SEED]:
+        if required or draw(st.booleans()):
+            values[name] = draw(st.sampled_from(choices))
+    return command, values
+
+
+def witness_from_text(text):
+    """The ColorabilityWitness that ``_witness_text`` printed."""
+    rows = [line.split(":")[1].split() for line in text.splitlines()[1:]]
+    *sets, residual, core = (frozenset(map(int, row)) for row in rows)
+    return ColorabilityWitness(MISequence(tuple(sets), residual), core)
+
+
+def rechecks(command, values, out, err):
+    """Does the negative verdict behind an exit 1 check out cold?"""
+    if command in ("certify", "connect"):
+        witness = witness_from_text(out if command == "certify" else err)
+        return verify_witness(CONNECT_H, witness, int(values["--alpha"]),
+                              int(values["--beta"]))
+    if command == "verify":
+        q = int(values["--q"])
+        return not reconfig.verify_path(CONNECT_H, TRACE, q).ok
+    return False
+
+
+@given(invocation())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_numeric_flags_end_in_a_documented_exit(files, drawn):
+    command, values = drawn
+    file_names, _ = COMMANDS[command]
+    options = [f"{name}={text}" for name, text in values.items()
+               if name.startswith("--")]
+    # after "--", a value such as "-inf" is not taken for an option
+    positional = [text for name, text in values.items()
+                  if not name.startswith("--")]
+    argv = [command.split("-")[0], *options,
+            *(files[name] for name in file_names),
+            *(["--", *positional] if positional else [])]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    if code == 3 and out.startswith("inconclusive"):
+        # a witness hunt that found nothing is output, not a refusal
+        assert command == "certify" and err == "" and out.count("\n") == 1
+    elif code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    if code == 1:
+        assert rechecks(command, values, out, err), argv

@@ -122,6 +122,11 @@ class TestGreedySequence:
         with pytest.raises(ValidationError):
             greedy_sequence(TRIANGLE, 2, strategy="random")
 
+    def test_length_beyond_the_vertex_limit_refused(self):
+        # no instance needs more levels than vertices; refused, not padded
+        with pytest.raises(InstanceTooLargeError, match="10+ exceeds"):
+            greedy_sequence(TRIANGLE, 10 ** 20)
+
     def test_pads_with_empty_sets_once_the_residual_runs_out(self):
         seq = greedy_sequence(PATH4, 10 ** 6, "random", rng_seed=3)
         assert len(seq.sets) == 10 ** 6
