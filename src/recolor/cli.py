@@ -310,6 +310,22 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as one ValidationError line (exit
+    2 in ``main``), and any text that ``float`` reads, such as -inf or
+    -1e5, taken as a value rather than as an option."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}".replace("\n", "\\n"))
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -319,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recolor",
         description="Hypergraph coloring reconfiguration toolkit. "
                     "All logarithms are natural.")
@@ -421,12 +437,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     # A subcommand builds containers that form no cycles (parsed rows, edge
     # tuples, one pair per move), so the cyclic collector pauses for the
     # whole of it; the few cycles a call makes wait until it returns.
     collecting = gc.isenabled()
     try:
+        args = _build_parser().parse_args(argv)
         gc.disable()
         return args.func(args)
     except NotColorableEvidence as exc:

@@ -33,8 +33,12 @@ order s splits into q!/s components of W*s/q! colorings each.
 Eccentricity is invariant under S_q too, so the diameter sweep starts a BFS
 only from the representatives of the first largest quotient component,
 renamed into one of its components, over adjacency lists built once for
-that component. ``gamma_distance`` runs one BFS over all proper codes.
-Both filter the neighbor list of ``_neighbors`` against their own set.
+that component. ``gamma_distance`` meets in the middle: it grows one BFS
+from each end over the proper codes, one whole level of the smaller
+frontier at a time, and stops at the first neighbor the other side has
+seen. Its balls stay disjoint until then, so that first meeting is at the
+exact distance. Both filter the neighbor list of ``_neighbors`` against
+their own sets.
 """
 
 from __future__ import annotations
@@ -416,7 +420,17 @@ def _diameter_of(sources: list[int], proper: set[int], pows: list[int], q: int) 
 def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
                    budget: int = DEFAULT_BUDGET) -> Optional[int]:
     """Exact recoloring distance between two proper colorings, or None if
-    they sit in different components."""
+    they sit in different components.
+
+    A meet-in-the-middle BFS: one search grows from sigma and one from tau,
+    and each round expands one whole level of the smaller frontier. After a
+    levels from sigma and b from tau without a meeting, the two visited
+    balls are disjoint, so no path of length at most a + b exists; a
+    neighbor of the expanded level that lies in the other ball closes a
+    path of length a + b + 1, which is therefore the distance. When either
+    frontier runs dry, that side's component is exhausted without meeting
+    the other, and the answer is None.
+    """
     _check_budget(H, q, budget)
     for name, col in (("sigma", sigma), ("tau", tau)):
         if len(col) != H.n:
@@ -426,22 +440,27 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
         if not is_proper(H, col):
             raise ValidationError(f"{name} is not proper")
     pows = [q ** i for i in range(H.n)]
-    unseen = set(_proper_codes(H, q))
     src, dst = (sum((c - 1) * p for c, p in zip(col.colors, pows))
                 for col in (sigma, tau))
     if src == dst:
         return 0
-    unseen.discard(src)
-    frontier = [src]
+    unseen = set(_proper_codes(H, q))
+    unseen -= {src, dst}
+    seen = [{src}, {dst}]
+    frontiers = [[src], [dst]]
     d = 0
-    while frontier:
+    while frontiers[0] and frontiers[1]:
         d += 1
+        side = len(frontiers[1]) < len(frontiers[0])
+        near, far = seen[side], seen[not side]
         nxt: list[int] = []
-        for code in frontier:
-            hits = unseen.intersection(_neighbors(code, pows, q))
-            if dst in hits:
+        for code in frontiers[side]:
+            nbrs = _neighbors(code, pows, q)
+            if not far.isdisjoint(nbrs):
                 return d
+            hits = unseen.intersection(nbrs)
             unseen -= hits
+            near |= hits
             nxt.extend(hits)
-        frontier = nxt
+        frontiers[side] = nxt
     return None

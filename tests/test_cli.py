@@ -148,8 +148,12 @@ class TestGen:
         assert out.splitlines()[0] == "6 3 20"
 
     def test_m_and_p_conflict(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["gen", "--n", "6", "--k", "2", "--m", "3", "--p", "0.5"])
+        assert main(["gen", "--n", "6", "--k", "2", "--m", "3",
+                     "--p", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: recolor gen: argument --p: "
+                                "not allowed with argument --m\n")
 
     def test_bad_m(self, capsys):
         assert main(["gen", "--n", "4", "--k", "2", "--m", "99"]) == 2

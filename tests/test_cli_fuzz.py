@@ -1,10 +1,12 @@
 """Drawn hypergraph, coloring and trace texts through ``recolor verify`` and
 ``recolor core``, and drawn values for every numeric flag of every
-subcommand.
+subcommand, spelt ``--flag=value`` or ``--flag value``, with positionals
+bare or after ``--``.
 
 Whatever the files or flags hold, the CLI ends in a documented exit code
 (0 ok, 1 negative verdict, 2 bad input, 3 refused) with no uncaught
-exception, and a malformed input or a refusal is one stderr line. A
+exception, and a malformed input, a command line the parser rejects or a
+refusal is one stderr line. A
 negative verdict re-checks: a printed witness through ``verify_witness``,
 a failed trace through ``verify_path``.
 """
@@ -98,11 +100,12 @@ def test_verify_and_core_end_in_a_documented_exit(tmp_path_factory, drawn):
 
 # --- numeric flags ---------------------------------------------------------
 
-# int flags draw these besides their small valid values; float flags draw
+# int flags draw these besides their small valid values, -inf among them as
+# a text that is no int but looks like a negative number; float flags draw
 # the float texts too. A work count is what the caller asks for, so it is
 # drawn only small, zero or negative.
-INTS = ("0", "-1", "100000000000000000000", "-100000000000000000000")
-FLOATS = ("nan", "inf", "-inf", "1e400", "5e-324", "-0.0", *INTS)
+INTS = ("0", "-1", "100000000000000000000", "-100000000000000000000", "-inf")
+FLOATS = ("nan", "inf", "1e400", "5e-324", "-0.0", *INTS)
 COUNTS = ("0", "-1")
 
 # an 8-vertex instance with two proper colorings; alpha = 0 exposes a witness
@@ -168,13 +171,23 @@ def files(tmp_path_factory):
 @st.composite
 def invocation(draw):
     """A subcommand with a drawn value for each required numeric flag and
-    for a drawn subset of the optional ones: (command, {flag: text})."""
+    for a drawn subset of the optional ones, each option spelt
+    ``--flag=value`` or ``--flag value``, and the positionals given bare or
+    after ``--``: (command, {flag: text}, option words, positional words)."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    values = {}
+    values, options, positional = {}, [], []
     for name, choices, required in COMMANDS[command][1] + [SEED]:
         if required or draw(st.booleans()):
-            values[name] = draw(st.sampled_from(choices))
-    return command, values
+            text = values[name] = draw(st.sampled_from(choices))
+            if not name.startswith("--"):
+                positional.append(text)
+            elif draw(st.booleans()):
+                options.append(f"{name}={text}")
+            else:
+                options += [name, text]
+    if positional and draw(st.booleans()):
+        positional.insert(0, "--")
+    return command, values, options, positional
 
 
 def witness_from_text(text):
@@ -199,16 +212,10 @@ def rechecks(command, values, out, err):
 @given(invocation())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_numeric_flags_end_in_a_documented_exit(files, drawn):
-    command, values = drawn
+    command, values, options, positional = drawn
     file_names, _ = COMMANDS[command]
-    options = [f"{name}={text}" for name, text in values.items()
-               if name.startswith("--")]
-    # after "--", a value such as "-inf" is not taken for an option
-    positional = [text for name, text in values.items()
-                  if not name.startswith("--")]
     argv = [command.split("-")[0], *options,
-            *(files[name] for name in file_names),
-            *(["--", *positional] if positional else [])]
+            *(files[name] for name in file_names), *positional]
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err
@@ -219,3 +226,46 @@ def test_numeric_flags_end_in_a_documented_exit(files, drawn):
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     if code == 1:
         assert rechecks(command, values, out, err), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["greedy", "h", "--levels", "nan"],
+     "recolor greedy: argument --levels: invalid int value: 'nan'"),
+    (["greedy", "h", "--levels=1.5"],
+     "recolor greedy: argument --levels: invalid int value: '1.5'"),
+    (["greedy", "h"],
+     "recolor greedy: the following arguments are required: --levels"),
+    (["greedy", "h", "--levels", "1", "extra"],
+     "recolor: unrecognized arguments: extra"),
+    (["greedy", "h", "--levels", "1", "a\nb"],
+     "recolor: unrecognized arguments: a\\nb"),
+    # the list of choices that follows is worded differently across versions
+    (["bogus"], "recolor: argument command: invalid choice: 'bogus'"),
+    ([], "recolor: the following arguments are required: command"),
+], ids=["bad-int", "float-for-int", "missing-flag", "extra-word",
+        "newline-in-word", "unknown-command", "no-command"])
+def test_a_usage_error_is_one_line_and_exit_2(files, argv, message):
+    code, out, err = run([files.get(word, word) for word in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "-inf", "2", "10"],
+    ["params", "-1e5", "2", "10"],
+    ["montecarlo", "--n", "6", "--k", "2", "--trials", "1", "--d", "-inf"],
+], ids=["positional-inf", "positional-exponent", "flag-inf"])
+def test_a_negative_looking_value_is_read_as_a_value(argv):
+    # d = -inf or -1e5 reaches the formulas, which refuse it as d <= 1
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need d > 1 for the log formulas, got -")
+    assert err.count("\n") == 1
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["greedy", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: recolor greedy")

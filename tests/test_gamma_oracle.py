@@ -16,6 +16,7 @@ from recolor import (
     build,
     enumerate_proper,
     gamma_distance,
+    gamma_oracle,
     gamma_stats,
     generate_hnm,
     hamming,
@@ -276,6 +277,92 @@ class TestAgainstBfsReference:
         a, b = Coloring((1, 2, 3)), Coloring((2, 1, 3))
         assert gamma_distance_reference(K3, 3, a, b) is None
         assert gamma_distance(K3, 3, a, b) is None
+
+
+def far_pairs(seed, pairs):
+    """A bench-shaped instance (n=7, k=3, m=10, q=4) and seeded pairs of its
+    proper colorings that differ at every vertex."""
+    H = generate_hnm(7, 10, 3, seed)
+    colorings = list(enumerate_proper(H, 4))
+    rng = random.Random(seed)
+    out = []
+    while len(out) < pairs:
+        a = rng.choice(colorings)
+        far = [b for b in colorings if hamming(a, b) == H.n]
+        if far:
+            out.append((a, rng.choice(far)))
+    return H, colorings, out
+
+
+class TestMeetInTheMiddle:
+    """The two-sided search against the one-sided reference BFS, and the
+    work it saves on far pairs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_far_pairs_match_the_reference(self, seed):
+        H, _, pairs = far_pairs(seed, 2)
+        for a, b in pairs:
+            assert gamma_distance(H, 4, a, b) == \
+                gamma_distance_reference(H, 4, a, b)
+
+    def test_small_and_large_components_never_meet(self):
+        # Γ_3 of this instance: six frozen colorings and one component of
+        # 162 colorings
+        H, q = generate_hnm(6, 16, 3, 42), 3
+        assert gamma_stats(H, q, compute_diameter=False).component_sizes == \
+            (1,) * 6 + (162,)
+        colorings = list(enumerate_proper(H, q))
+
+        def frozen(c):  # no single recoloring keeps it proper
+            cs = c.colors
+            return not any(is_proper(H, Coloring(cs[:i] + (x,) + cs[i + 1:]))
+                           for i in range(H.n) for x in range(1, q + 1)
+                           if x != cs[i])
+
+        # so a frozen coloring is a singleton, and any other lies in the 162
+        small = next(c for c in colorings if frozen(c))
+        large = next(c for c in colorings if not frozen(c))
+        assert gamma_distance_reference(H, q, small, large) is None
+        assert gamma_distance(H, q, small, large) is None
+        assert gamma_distance(H, q, large, small) is None
+
+    @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_reference_symmetric_and_at_least_hamming(
+            self, seed, i, j):
+        rng = random.Random(seed)
+        H = random_instance(rng, n_range=(2, 6), m_max=8)
+        q = rng.randint(1, 4)
+        colorings = list(enumerate_proper(H, q))
+        if not colorings:
+            return
+        a, b = colorings[i % len(colorings)], colorings[j % len(colorings)]
+        d = gamma_distance(H, q, a, b)
+        assert d == gamma_distance_reference(H, q, a, b)
+        assert d == gamma_distance(H, q, b, a)
+        if d is not None:
+            assert d >= hamming(a, b)
+
+    def test_equal_ends_enumerate_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gamma_oracle, "_proper_codes", refuse)
+        assert gamma_distance(K2, 3, Coloring((1, 2)), Coloring((1, 2))) == 0
+
+    def test_a_far_pair_expands_under_a_quarter_of_the_codes(self, monkeypatch):
+        H, colorings, [(a, b)] = far_pairs(0, 1)
+        calls = []
+        kernel = gamma_oracle._neighbors
+
+        def counted(code, pows, q):
+            calls.append(code)
+            return kernel(code, pows, q)
+
+        monkeypatch.setattr(gamma_oracle, "_neighbors", counted)
+        assert gamma_distance(H, 4, a, b) == gamma_distance_reference(H, 4, a, b)
+        assert 0 < 4 * len(calls) < len(colorings)
 
 
 def union_find_sample():
