@@ -34,11 +34,13 @@ Eccentricity is invariant under S_q too, so the diameter sweep starts a BFS
 only from the representatives of the first largest quotient component,
 renamed into one of its components, over adjacency lists built once for
 that component. ``gamma_distance`` meets in the middle: it grows one BFS
-from each end over the proper codes, one whole level of the smaller
-frontier at a time, and stops at the first neighbor the other side has
-seen. Its balls stay disjoint until then, so that first meeting is at the
-exact distance. Both filter the neighbor list of ``_neighbors`` against
-their own sets.
+from each end, one whole level of the smaller frontier at a time, and
+stops at the first neighbor the other side has seen. Its balls stay
+disjoint until then, so that first meeting is at the exact distance. It
+enumerates nothing: both searches take their neighbors from
+``_proper_neighbors``, which generates only proper ones by checking the
+edges through the recolored vertex. The q**n budget still gates both
+calls, as a bound on the codes a search may reach.
 """
 
 from __future__ import annotations
@@ -144,13 +146,39 @@ def enumerate_proper(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET) -> Ite
             for code in _proper_codes(H, q))
 
 
-def _neighbors(code: int, pows: list[int], q: int) -> list[int]:
-    """The n*(q-1) codes one recoloring away from ``code``."""
+def _edges_through(H: Hypergraph) -> list[list[tuple[int, ...]]]:
+    """For each digit position i, the digit positions of the other members
+    of every edge through vertex i + 1."""
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(H.n)]
+    for e in H.edges:
+        for v in e:
+            through[v - 1].append(tuple(u - 1 for u in e if u != v))
+    return through
+
+
+def _proper_neighbors(code: int, through: list[list[tuple[int, ...]]],
+                      pows: list[int], q: int) -> list[int]:
+    """The proper codes one recoloring away from the proper ``code``.
+
+    Recoloring vertex i + 1 to x makes an edge through it monochromatic
+    exactly when the edge's other members all have color x, so only the
+    edges through the recolored vertex are checked.
+    """
+    digits = [code // p % q for p in pows]
     out: list[int] = []
-    for p in pows:
-        base = code - code // p % q * p
-        out.extend(range(base, code, p))
-        out.extend(range(code + p, base + q * p, p))
+    for p, c, rests in zip(pows, digits, through):
+        blocked = 1 << c
+        for rest in rests:
+            x = digits[rest[0]]
+            for u in rest:
+                if digits[u] != x:
+                    break
+            else:
+                blocked |= 1 << x
+        base = code - c * p
+        for x in range(q):
+            if not blocked >> x & 1:
+                out.append(base + x * p)
     return out
 
 
@@ -373,7 +401,7 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
         pows = [q ** i for i in range(n)]
         sources = [sum(perm[code // p % q] * p for p in pows)
                    for code, perm in zip(codes, perms)]
-        diameter = _diameter_of(sources, set(_proper_codes(H, q)), pows, q)
+        diameter = _diameter_of(sources, _edges_through(H), pows, q)
     return GammaStats(
         num_colorings=sum(sizes),
         num_components=len(sizes),
@@ -383,7 +411,8 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
     )
 
 
-def _diameter_of(sources: list[int], proper: set[int], pows: list[int], q: int) -> int:
+def _diameter_of(sources: list[int], through: list[list[tuple[int, ...]]],
+                 pows: list[int], q: int) -> int:
     """Largest eccentricity over sources that share one component, by BFS
     from each over the component's adjacency lists, built once."""
     comp = [sources[0]]
@@ -391,12 +420,11 @@ def _diameter_of(sources: list[int], proper: set[int], pows: list[int], q: int) 
     adj = []
     for code in comp:  # grows as the component is found
         row = []
-        for nb in _neighbors(code, pows, q):
-            if nb in proper:
-                if nb not in local:
-                    local[nb] = len(comp)
-                    comp.append(nb)
-                row.append(local[nb])
+        for nb in _proper_neighbors(code, through, pows, q):
+            if nb not in local:
+                local[nb] = len(comp)
+                comp.append(nb)
+            row.append(local[nb])
         adj.append(row)
     diameter = 0
     for src in sources:
@@ -430,6 +458,11 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
     path of length a + b + 1, which is therefore the distance. When either
     frontier runs dry, that side's component is exhausted without meeting
     the other, and the answer is None.
+
+    Nothing is enumerated: each expanded coloring's proper neighbors are
+    generated directly, by checking the edges through the recolored
+    vertex, and the search keeps only its two visited balls. The q**n
+    budget is checked first all the same, as it bounds what they may hold.
     """
     _check_budget(H, q, budget)
     for name, col in (("sigma", sigma), ("tau", tau)):
@@ -444,8 +477,7 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
                 for col in (sigma, tau))
     if src == dst:
         return 0
-    unseen = set(_proper_codes(H, q))
-    unseen -= {src, dst}
+    through = _edges_through(H)
     seen = [{src}, {dst}]
     frontiers = [[src], [dst]]
     d = 0
@@ -455,11 +487,11 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
         near, far = seen[side], seen[not side]
         nxt: list[int] = []
         for code in frontiers[side]:
-            nbrs = _neighbors(code, pows, q)
+            nbrs = _proper_neighbors(code, through, pows, q)
             if not far.isdisjoint(nbrs):
                 return d
-            hits = unseen.intersection(nbrs)
-            unseen -= hits
+            hits = set(nbrs)
+            hits -= near
             near |= hits
             nxt.extend(hits)
         frontiers[side] = nxt

@@ -14,7 +14,7 @@ from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_prope
 from recolor import reconfig
 from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.experiments import ProbeVerdict
-from recolor.gamma_oracle import _neighbors, _proper_codes
+from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
     SpareColorError,
@@ -338,11 +338,31 @@ def gamma_distance_reference(H, q, sigma, tau):
     return None
 
 
+# The neighbor list recolor.gamma_oracle filtered against the set of every
+# proper code before it generated proper neighbors directly. Kept verbatim as
+# the differential oracle for recolor.gamma_oracle._proper_neighbors.
+def _neighbors(code: int, pows: list[int], q: int) -> list[int]:
+    """The n*(q-1) codes one recoloring away from ``code``."""
+    out: list[int] = []
+    for p in pows:
+        base = code - code // p % q * p
+        out.extend(range(base, code, p))
+        out.extend(range(code + p, base + q * p, p))
+    return out
+
+
+def proper_neighbors_reference(proper, code, pows, q):
+    """The codes one recoloring away from ``code`` that lie in ``proper``,
+    sorted."""
+    return sorted(nb for nb in _neighbors(code, pows, q) if nb in proper)
+
+
 # The census kernel of recolor.gamma_oracle as it stood before it worked up
 # to color permutation: union-find over every proper code, n grouping passes
 # of digit-erased codes, and a diameter BFS from every node of the first
 # largest component. Kept verbatim as the differential oracle for
-# gamma_stats; the enumerator and neighbor list are the library's own.
+# gamma_stats; the enumerator is the library's own, and the neighbor list is
+# the one above.
 def _component_roots(codes, pows, q):
     """Union-find over the digit-erased groups: entry j is the least index
     of the component holding codes[j]."""

@@ -24,11 +24,12 @@ from recolor import (
     read_hypergraph,
 )
 from recolor.cli import main
-from recolor.gamma_oracle import _proper_codes
+from recolor.gamma_oracle import _edges_through, _proper_codes, _proper_neighbors
 from helpers import (
     gamma_distance_reference,
     gamma_stats_reference,
     gamma_stats_union_find,
+    proper_neighbors_reference,
     random_instance,
 )
 
@@ -279,6 +280,31 @@ class TestAgainstBfsReference:
         assert gamma_distance(K3, 3, a, b) is None
 
 
+def assert_proper_neighbors_match(H, q):
+    pows = [q ** i for i in range(H.n)]
+    through = _edges_through(H)
+    proper = set(_proper_codes(H, q))
+    for code in proper:
+        assert sorted(_proper_neighbors(code, through, pows, q)) == \
+            proper_neighbors_reference(proper, code, pows, q)
+
+
+class TestProperNeighbors:
+    """The proper-neighbor kernel against the full neighbor list it
+    replaced, filtered against the enumerated proper codes."""
+
+    @pytest.mark.parametrize("H,q", seeded_instances())
+    def test_seeded(self, H, q):
+        assert_proper_neighbors_match(H, q)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random(self, seed):
+        rng = random.Random(seed)
+        H = random_instance(rng, n_range=(2, 6), k_max=4, m_max=10)
+        assert_proper_neighbors_match(H, rng.randint(1, 4))
+
+
 def far_pairs(seed, pairs):
     """A bench-shaped instance (n=7, k=3, m=10, q=4) and seeded pairs of its
     proper colorings that differ at every vertex."""
@@ -351,16 +377,35 @@ class TestMeetInTheMiddle:
         monkeypatch.setattr(gamma_oracle, "_proper_codes", refuse)
         assert gamma_distance(K2, 3, Coloring((1, 2)), Coloring((1, 2))) == 0
 
+    def test_distinct_ends_enumerate_nothing(self, monkeypatch):
+        cases = []
+        for seed in range(4):
+            H, _, pairs = far_pairs(seed, 2)
+            cases += [(H, 4, a, b) for a, b in pairs]
+        # the first frozen coloring and the first in the 162-coloring
+        # component, as test_small_and_large_components_never_meet finds them
+        H = generate_hnm(6, 16, 3, 42)
+        cases.append((H, 3, Coloring((1, 2, 3, 1, 2, 3)),
+                      Coloring((1, 1, 2, 2, 2, 3))))
+        want = [gamma_distance_reference(*case) for case in cases]
+        assert want[-1] is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(gamma_oracle, "_proper_codes", refuse)
+        assert [gamma_distance(*case) for case in cases] == want
+
     def test_a_far_pair_expands_under_a_quarter_of_the_codes(self, monkeypatch):
         H, colorings, [(a, b)] = far_pairs(0, 1)
         calls = []
-        kernel = gamma_oracle._neighbors
+        kernel = gamma_oracle._proper_neighbors
 
-        def counted(code, pows, q):
+        def counted(code, through, pows, q):
             calls.append(code)
-            return kernel(code, pows, q)
+            return kernel(code, through, pows, q)
 
-        monkeypatch.setattr(gamma_oracle, "_neighbors", counted)
+        monkeypatch.setattr(gamma_oracle, "_proper_neighbors", counted)
         assert gamma_distance(H, 4, a, b) == gamma_distance_reference(H, 4, a, b)
         assert 0 < 4 * len(calls) < len(colorings)
 
