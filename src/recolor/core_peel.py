@@ -47,62 +47,6 @@ def _active_set(H: Hypergraph, active: Optional[Iterable[int]]) -> frozenset[int
     return act
 
 
-def _peel(H: Hypergraph, active: Iterable[int], floor: int,
-          limit: int) -> tuple[list[int], list[int]]:
-    """Remove vertices of ``active`` one at a time while any is eligible.
-
-    A vertex is eligible while its inside-degree d is below ``limit``; each
-    step removes the eligible vertex with the least (max(d, floor), id).
-    Needs floor < limit. Returns the removal order and each removed
-    vertex's d at its removal.
-    """
-    n1 = H.n + 1
-    k = H.k
-    edges = H.edges
-    inc = H.incidence
-    alive = [False] * n1
-    # live member count per edge, from the incidence lists of ``active`` so
-    # the cost is O(region edges); an edge contributes to inside-degrees only
-    # while all k of its vertices are alive
-    live = [0] * H.m
-    deg = [0] * n1
-    for v in active:
-        alive[v] = True
-        for ei in inc[v - 1]:
-            c = live[ei] + 1
-            live[ei] = c
-            if c == k:
-                for u in edges[ei]:
-                    deg[u] += 1
-    # key max(d, floor) * (n + 1) + v orders by (max(d, floor), id). Keys
-    # only drop, so a vertex's newest entry pops before its stale ones.
-    heap = [(deg[v] if deg[v] > floor else floor) * n1 + v
-            for v in active if deg[v] < limit]
-    heapq.heapify(heap)
-    removal = []
-    removed_deg = []
-    while heap:
-        v = heapq.heappop(heap) % n1
-        if not alive[v]:
-            continue
-        alive[v] = False
-        removal.append(v)
-        removed_deg.append(deg[v])
-        for ei in inc[v - 1]:
-            if live[ei] == k:
-                # this edge just lost its first vertex
-                for u in edges[ei]:
-                    if alive[u]:
-                        du = deg[u] - 1
-                        deg[u] = du
-                        # u turned eligible (du = limit - 1 >= floor) or
-                        # its key dropped
-                        if floor <= du < limit:
-                            heapq.heappush(heap, du * n1 + u)
-            live[ei] -= 1
-    return removal, removed_deg
-
-
 def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) -> PeelResult:
     """Peel ``active`` down to its beta-core.
 
@@ -114,8 +58,42 @@ def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) 
     if beta < 1:
         raise ValidationError(f"beta must be at least 1, got {beta}")
     act = _active_set(H, active)
-    # every eligible vertex keys at beta - 1, so ties go to the smallest id
-    removal, _ = _peel(H, act, beta - 1, beta)
+    k = H.k
+    edges = H.edges
+    inc = H.incidence
+    alive = [False] * (H.n + 1)
+    # live member count per edge, from the incidence lists of ``act`` so
+    # the cost is O(region edges); an edge contributes to inside-degrees only
+    # while all k of its vertices are alive
+    live = [0] * H.m
+    deg = [0] * (H.n + 1)
+    for v in act:
+        alive[v] = True
+        for ei in inc[v - 1]:
+            c = live[ei] + 1
+            live[ei] = c
+            if c == k:
+                for u in edges[ei]:
+                    deg[u] += 1
+    # a vertex enters the heap once: here if its degree is below beta, or
+    # later when its degree drops to beta - 1, so no entry is ever stale
+    heap = [v for v in act if deg[v] < beta]
+    heapq.heapify(heap)
+    removal = []
+    while heap:
+        v = heapq.heappop(heap)
+        alive[v] = False
+        removal.append(v)
+        for ei in inc[v - 1]:
+            if live[ei] == k:
+                # this edge just lost its first vertex
+                for u in edges[ei]:
+                    if alive[u]:
+                        du = deg[u] - 1
+                        deg[u] = du
+                        if du == beta - 1:
+                            heapq.heappush(heap, u)
+            live[ei] -= 1
     return PeelResult(core=act.difference(removal), order=tuple(reversed(removal)))
 
 

@@ -1,10 +1,9 @@
-"""Parameter formulas, structural probes, and seeded Monte Carlo trials.
+"""Parameter formulas and seeded Monte Carlo trials.
 
-Everything here reports; nothing here proves. The probes certify a
-violation whenever they exhibit one (a big independent set, a dense
-subset, a stuck core), but a clean heuristic run is labeled inconclusive.
-All randomness flows through derived seeds, so any record can be replayed
-bit-exactly from its own seed field.
+Everything here reports; nothing here proves. A trial's witness flag
+records a core that survived its peel on that one instance, not a bound on
+the random model. All randomness flows through derived seeds, so any
+record can be replayed bit-exactly from its own seed field.
 """
 
 from __future__ import annotations
@@ -15,22 +14,18 @@ from dataclasses import dataclass, fields
 from math import comb, log
 from typing import Iterable, Iterator, Optional
 
-from .core_peel import _peel, beta_core
-from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import Hypergraph, generate_hnm
-from .independence import (_mask_tables, extend_to_mis, greedy_sequence,
-                           max_independent_set_exact)
+from .core_peel import beta_core
+from .errors import ValidationError
+from .hypergraph import generate_hnm
+from .independence import greedy_sequence
 from .seeding import derive_seed
 
 __all__ = [
     "CSV_HEADER",
     "ParamSet",
-    "ProbeVerdict",
     "TrialRecord",
     "MonteCarloConfig",
     "params_from_d",
-    "probe_independent_set_bound",
-    "probe_density",
     "montecarlo_colorability",
     "witness_rate",
 ]
@@ -100,123 +95,6 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
         alpha_real=alpha_real, alpha=math.ceil(alpha_real),
         beta_real=beta_real, beta=math.ceil(beta_real),
         m0=m0, n0=16.0 * m0 * ld * ld, p=p, m=m)
-
-
-@dataclass(frozen=True)
-class ProbeVerdict:
-    """Outcome of a structural probe.
-
-    status is one of "bound-respected" (exact mode only), "bound-violated"
-    (always conclusive: the witness exhibits the violation), or
-    "inconclusive" (heuristic search found nothing).
-    """
-
-    status: str
-    observed: float
-    bound: float
-    witness: Optional[frozenset] = None
-
-
-def _check_mode(mode):
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ValidationError(
-            f"mode must be auto, exact, or heuristic, got {mode!r}")
-
-
-def probe_independent_set_bound(H: Hypergraph, d: float, mode: str = "auto",
-                                trials: int = 32, rng_seed: int = 0,
-                                exact_limit: int = 30) -> ProbeVerdict:
-    """Compare the largest independent set against the degree-d bound.
-
-    The bound is u = (2 k log d / ((k-1) d))^(1/(k-1)) * n. Exact mode
-    (branch and bound, n <= exact_limit) settles the question either way;
-    heuristic mode runs seeded greedy extensions and can only ever
-    exhibit a violation.
-    """
-    if not (d > 1 and math.isfinite(d)):
-        raise ValidationError(f"need a finite d > 1, got {d}")
-    _check_mode(mode)
-    k = H.k
-    u = (2 * k * log(d) / ((k - 1) * d)) ** (1.0 / (k - 1)) * H.n
-    if mode == "exact" or (mode == "auto" and H.n <= exact_limit):
-        size, best = max_independent_set_exact(H, max_size=exact_limit)
-        status = "bound-violated" if size >= u else "bound-respected"
-        return ProbeVerdict(status, float(size), u, best)
-    best = extend_to_mis(H)
-    for t in range(trials):
-        cand = extend_to_mis(H, strategy="random",
-                             rng_seed=derive_seed(rng_seed, t))
-        if len(cand) > len(best):
-            best = cand
-    status = "bound-violated" if len(best) >= u else "inconclusive"
-    return ProbeVerdict(status, float(len(best)), u, best)
-
-
-def _edge_count_by_subset(H: Hypergraph) -> list:
-    """f[mask] = number of edges entirely inside the vertex subset mask."""
-    f = [0] * (1 << H.n)
-    for mask in _mask_tables(H, list(range(1, H.n + 1)))[0]:
-        f[mask] += 1  # vertex v is bit v - 1
-    for b in range(H.n):
-        bit = 1 << b
-        for mask in range(1 << H.n):
-            if mask & bit:
-                f[mask] += f[mask ^ bit]
-    return f
-
-
-def _density_exact(H, cap, L):
-    f = _edge_count_by_subset(H)
-    best_ratio = -1.0
-    best_mask = 0
-    for mask in range(1, 1 << H.n):
-        size = mask.bit_count()
-        if size <= cap:
-            ratio = f[mask] / size
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_mask = mask
-    witness = frozenset(v for v in range(1, H.n + 1)
-                        if best_mask >> (v - 1) & 1)
-    status = "bound-violated" if best_ratio >= L else "bound-respected"
-    return ProbeVerdict(status, best_ratio, float(L), witness)
-
-
-def probe_density(H: Hypergraph, n0: float, L: float,
-                  mode: str = "auto", exact_limit: int = 20) -> ProbeVerdict:
-    """Look for a small vertex set spanning at least L edges per vertex.
-
-    Scans subsets S with |S| <= n0 for span(S) >= L |S|. Exact mode
-    enumerates all subsets (n <= exact_limit); the heuristic peels
-    min-degree vertices and inspects every suffix of the removal order.
-    """
-    if not (n0 >= 1 and math.isfinite(n0)):
-        raise ValidationError(f"need a finite n0 >= 1, got {n0}")
-    if not L > 0:
-        raise ValidationError(f"need a positive density threshold, got {L}")
-    _check_mode(mode)
-    cap = min(int(n0), H.n)
-    if mode == "exact" or (mode == "auto" and H.n <= exact_limit):
-        if H.n > exact_limit:
-            raise InstanceTooLargeError(
-                f"exact density scan visits 2^{H.n} subsets; "
-                f"the limit is n <= {exact_limit}")
-        return _density_exact(H, cap, L)
-    # strip min-inside-degree vertices by (degree, id); every suffix of the
-    # removal order is a candidate subset (no vertex degree reaches m + 1)
-    removal, removed_deg = _peel(H, range(1, H.n + 1), 0, H.m + 1)
-    spanned = H.m
-    best_ratio = -1.0
-    best_removed = 0
-    for gone, d in enumerate(removed_deg):
-        size = H.n - gone
-        if size <= cap and spanned / size > best_ratio:
-            best_ratio = spanned / size
-            best_removed = gone
-        spanned -= d
-    status = "bound-violated" if best_ratio >= L else "inconclusive"
-    return ProbeVerdict(status, best_ratio, float(L),
-                        frozenset(removal[best_removed:]))
 
 
 @dataclass(frozen=True)

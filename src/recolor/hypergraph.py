@@ -57,6 +57,10 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.colors) is not tuple:
+            # a list would be unhashable and unequal to its tuple form, and
+            # an iterator would be drained by the scans below
+            object.__setattr__(self, "colors", tuple(self.colors))
         # two C-level passes over the colors; the loop, run only when one
         # fails, words the first color that is not a positive int
         if (set(map(type, self.colors)) <= {int}

@@ -65,7 +65,6 @@ class PathStats:
     detour_moves: int = 0
     final_moves: int = 0
     final_depth: int = 0
-    max_inter_recolors: int = 0
     detours_per_level: list = field(default_factory=list)
 
     def absorb(self, other: "PathStats") -> None:
@@ -74,8 +73,6 @@ class PathStats:
         self.detour_moves += other.detour_moves
         self.final_moves += other.final_moves
         self.final_depth = max(self.final_depth, other.final_depth)
-        self.max_inter_recolors = max(self.max_inter_recolors,
-                                      other.max_inter_recolors)
         self.detours_per_level.extend(other.detours_per_level)
 
 
@@ -272,8 +269,6 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
                 cur[v] = color
         residual -= part
     stats.inter_moves += len(steps)
-    # each vertex moves at most once in the class phase
-    stats.max_inter_recolors = max(stats.max_inter_recolors, min(len(steps), 1))
     if len(steps) > cap:
         raise StepCapExceededError("class phase outgrew the step cap", cap=cap)
     W = frozenset(residual)

@@ -13,7 +13,6 @@ from typing import Iterable, Optional, Union
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
 from recolor import reconfig
 from recolor.core_peel import PeelResult, _active_set, beta_core
-from recolor.experiments import ProbeVerdict
 from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
@@ -476,9 +475,8 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
     return reconfig._assemble(H, chi1, steps, stats)
 
 
-# recolor.core_peel.beta_core and recolor.experiments._density_peel as they
-# stood while each kept its own heap peel, kept verbatim as differential
-# oracles for the shared min-key peel that replaced both.
+# recolor.core_peel.beta_core as it stood before its peel was shared and
+# then folded back, kept verbatim as the differential oracle for beta_core.
 def beta_core_reference(H, beta, active=None):
     """Peel ``active`` down to its beta-core, smallest eligible id first."""
     if beta < 1:
@@ -518,56 +516,6 @@ def beta_core_reference(H, beta, active=None):
             live[ei] -= 1
     core = frozenset(v for v in act if not removed[v])
     return PeelResult(core=core, order=tuple(reversed(removal)))
-
-
-def density_peel_reference(H, cap, L):
-    """The heuristic density probe: (degree, id) peel, best suffix."""
-    # strip min-inside-degree vertices one by one; every suffix of the
-    # removal order is a candidate subset
-    n = H.n
-    alive = [False] + [True] * n
-    members = [H.k] * H.m
-    deg = [0] * (n + 1)
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    spanned = H.m
-    heap = [(deg[v], v) for v in range(1, n + 1)]
-    heapq.heapify(heap)
-    removed = []
-    size = n
-    best_ratio = -1.0
-    best_removed = 0
-
-    def consider():
-        nonlocal best_ratio, best_removed
-        if 1 <= size <= cap and spanned / size > best_ratio:
-            best_ratio = spanned / size
-            best_removed = len(removed)
-
-    consider()
-    while size > 1:
-        while True:
-            dv, v = heapq.heappop(heap)
-            if alive[v] and deg[v] == dv:
-                break
-        alive[v] = False
-        removed.append(v)
-        size -= 1
-        for ei in H.incidence[v - 1]:
-            was = members[ei]
-            members[ei] = was - 1
-            if was == H.k:
-                spanned -= 1
-                for u in H.edges[ei]:
-                    if alive[u]:
-                        deg[u] -= 1
-                        heapq.heappush(heap, (deg[u], u))
-        consider()
-    gone = set(removed[:best_removed])
-    witness = frozenset(v for v in range(1, n + 1) if v not in gone)
-    status = "bound-violated" if best_ratio >= L else "inconclusive"
-    return ProbeVerdict(status, best_ratio, float(L), witness)
 
 
 # recolor.reconfig.verify_path and recolor.cli._parse_trace as they stood

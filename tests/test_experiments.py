@@ -1,5 +1,4 @@
 import math
-import random
 import tracemalloc
 from math import comb, log
 
@@ -8,22 +7,17 @@ import pytest
 
 from recolor import (
     CSV_HEADER,
-    InstanceTooLargeError,
     MonteCarloConfig,
     ValidationError,
-    build,
     generate_hnm,
     greedy_sequence,
     beta_core,
     is_alpha_beta_colorable_exact,
     montecarlo_colorability,
     params_from_d,
-    probe_density,
-    probe_independent_set_bound,
     witness_rate,
 )
 from recolor.seeding import derive_seed
-from helpers import density_peel_reference, edges_inside, is_independent_bruteforce
 
 mp.mp.dps = 50
 
@@ -101,133 +95,6 @@ class TestParams:
             params_from_d(100.0, 3, 2)
         with pytest.raises(ValidationError):
             params_from_d(1.0, 2, 10)
-
-
-class TestIndependentSetProbe:
-    def test_exact_settles(self):
-        H = generate_hnm(25, 250, 2, 4)
-        v = probe_independent_set_bound(H, 20.0, mode="exact")
-        assert v.status == "bound-respected"
-        assert v.observed == 4.0
-        assert v.bound == pytest.approx(100 * log(20.0) / 20)
-        assert is_independent_bruteforce(H, v.witness)
-
-    def test_heuristic_never_affirms(self):
-        H = generate_hnm(25, 250, 2, 4)
-        v = probe_independent_set_bound(H, 20.0, mode="heuristic",
-                                        trials=64, rng_seed=9)
-        assert v.status == "inconclusive"
-        assert v.observed <= 4.0
-        assert is_independent_bruteforce(H, v.witness)
-
-    def test_edgeless_violates(self):
-        H = build(12, 2, [])
-        v = probe_independent_set_bound(H, 50.0, mode="exact")
-        assert v.status == "bound-violated"
-        assert v.observed == 12.0
-        assert v.witness == frozenset(range(1, 13))
-
-    def test_heuristic_can_violate(self):
-        v = probe_independent_set_bound(build(12, 2, []), 50.0,
-                                        mode="heuristic")
-        assert v.status == "bound-violated"
-
-    def test_auto_dispatch(self):
-        small = probe_independent_set_bound(build(5, 2, [(1, 2)]), 30.0)
-        assert small.status in ("bound-respected", "bound-violated")
-        big = probe_independent_set_bound(build(40, 2, [(1, 2)]), 1e9)
-        assert big.status in ("bound-violated", "inconclusive")
-
-    def test_exact_mode_refuses_big_instances(self):
-        with pytest.raises(InstanceTooLargeError):
-            probe_independent_set_bound(build(31, 2, []), 5.0, mode="exact")
-
-    def test_heuristic_deterministic(self):
-        H = generate_hnm(40, 120, 2, 1)
-        a = probe_independent_set_bound(H, 6.0, mode="heuristic", rng_seed=5)
-        b = probe_independent_set_bound(H, 6.0, mode="heuristic", rng_seed=5)
-        assert a == b
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            probe_independent_set_bound(build(3, 2, []), 1.0)
-        with pytest.raises(ValidationError):
-            probe_independent_set_bound(build(3, 2, []), 5.0, mode="magic")
-
-    @pytest.mark.parametrize("d", [float("inf"), float("nan")])
-    def test_non_finite_d(self, d):
-        # log(d)/d is inf/inf at d = inf: the bound would be nan
-        with pytest.raises(ValidationError, match="finite d"):
-            probe_independent_set_bound(build(3, 2, [(1, 2)]), d)
-
-
-class TestDensityProbe:
-    def test_triangle_violates_at_ratio_one(self):
-        T = build(3, 2, [(1, 2), (2, 3), (1, 3)])
-        v = probe_density(T, 3, 1, mode="exact")
-        assert v.status == "bound-violated"
-        assert v.observed == 1.0
-        assert v.witness == frozenset({1, 2, 3})
-
-    def test_subset_size_cap_matters(self):
-        # any 2 of the triangle's vertices hold one edge: ratio only 1/2
-        T = build(3, 2, [(1, 2), (2, 3), (1, 3)])
-        v = probe_density(T, 2, 1, mode="exact")
-        assert v.status == "bound-respected"
-        assert v.observed == 0.5
-
-    def test_edgeless_respects(self):
-        v = probe_density(build(6, 2, []), 6, 1, mode="exact")
-        assert v.status == "bound-respected"
-        assert v.observed == 0.0
-
-    def test_exact_and_heuristic_agree_on_frozen_instance(self):
-        H = generate_hnm(18, 40, 3, 11)
-        ex = probe_density(H, 18, 2, mode="exact")
-        he = probe_density(H, 18, 2, mode="heuristic")
-        assert ex.status == he.status == "bound-violated"
-        assert ex.observed == pytest.approx(39 / 17)
-        assert he.observed <= ex.observed
-        for v in (ex, he):
-            inside = edges_inside(H, v.witness)
-            assert len(inside) / len(v.witness) == pytest.approx(v.observed)
-
-    def test_heuristic_matches_own_heap_predecessor(self):
-        """Status, observed ratio and witness agree with the (degree, id)
-        peel that kept its own heap, under every subset-size cap."""
-        rng = random.Random(2025)
-        for _ in range(300):
-            k = rng.randint(2, 4)
-            n = rng.randint(k, 40)
-            H = generate_hnm(n, rng.randint(0, min(comb(n, k), 3 * n)), k,
-                             rng.randrange(10 ** 9))
-            n0 = rng.randint(1, n + 2)
-            L = rng.uniform(0.1, 3.0)
-            got = probe_density(H, n0, L, mode="heuristic")
-            want = density_peel_reference(H, min(n0, n), L)
-            assert (got.status, got.observed, got.witness) == \
-                (want.status, want.observed, want.witness)
-
-    def test_heuristic_clean_run_is_inconclusive(self):
-        H = generate_hnm(18, 20, 3, 11)
-        v = probe_density(H, 18, 5, mode="heuristic")
-        assert v.status == "inconclusive"
-
-    def test_exact_mode_refuses_big_instances(self):
-        with pytest.raises(InstanceTooLargeError):
-            probe_density(build(21, 2, []), 21, 1, mode="exact")
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValidationError):
-            probe_density(build(3, 2, []), 0, 1)
-        with pytest.raises(ValidationError):
-            probe_density(build(3, 2, []), 3, 0)
-
-    @pytest.mark.parametrize("n0,L", [(float("nan"), 1), (float("inf"), 1),
-                                      (3, float("nan"))])
-    def test_non_finite_size_or_nan_threshold(self, n0, L):
-        with pytest.raises(ValidationError):
-            probe_density(build(3, 2, [(1, 2)]), n0, L, mode="heuristic")
 
 
 class TestMonteCarlo:

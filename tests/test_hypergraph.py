@@ -14,6 +14,7 @@ from recolor import (
     ValidationError,
     VertexRangeError,
     build,
+    connect,
     generate_hnm,
     generate_hnp,
     hamming,
@@ -357,6 +358,20 @@ class TestColoring:
 
     def test_used_colors(self):
         assert Coloring((2, 2, 7)).used_colors() == {2, 7}
+
+    @pytest.mark.parametrize("make", [
+        lambda: [1, 2, 3], lambda: range(1, 4), lambda: (c for c in (1, 2, 3)),
+    ], ids=["list", "range", "generator"])
+    def test_any_sequence_is_stored_as_a_tuple(self, make):
+        c = Coloring(make())
+        assert c.colors == (1, 2, 3) and type(c.colors) is tuple
+        assert c == Coloring((1, 2, 3))
+        assert hash(c) == hash(Coloring((1, 2, 3)))
+
+    def test_connect_ends_equal_a_list_target(self):
+        H = build(2, 2, [(1, 2)])
+        p = connect(H, Coloring([1, 2]), Coloring([2, 1]), 3, 0, 2)
+        assert p.end == Coloring([2, 1])
 
 
 class TestProperAndHamming:

@@ -195,7 +195,6 @@ class TestPathToGoodGreedy:
         # vertex at most twice
         per_vertex = Counter(v for v, _ in p.steps[:p.stats.inter_moves])
         assert all(c <= 2 for c in per_vertex.values())
-        assert p.stats.max_inter_recolors <= 2
 
 
 class TestPathBetweenGoodGreedy:
