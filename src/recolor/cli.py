@@ -449,7 +449,10 @@ def main(argv=None) -> int:
         sys.stderr.write(_witness_text(exc.witness))
         return 1
     except (InstanceTooLargeError, StepCapExceededError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        keyword = getattr(exc, "keyword", None)
+        hint = "" if keyword is None else \
+            f"; raise it with --{keyword.replace('_', '-')}"
+        print(f"refused: {exc}{hint}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

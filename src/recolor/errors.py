@@ -28,7 +28,15 @@ class DuplicateEdgeError(ValidationError):
 
 
 class InstanceTooLargeError(ValidationError):
-    """Refusal to run an exact search or enumeration beyond its configured cap."""
+    """Refusal to run an exact search or enumeration beyond its configured cap.
+
+    ``keyword`` names the keyword argument that raises the cap, when the
+    refusing call takes one.
+    """
+
+    def __init__(self, message, keyword=None):
+        super().__init__(message)
+        self.keyword = keyword
 
 
 class NonemptyCoreError(ValidationError):

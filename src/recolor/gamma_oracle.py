@@ -33,20 +33,37 @@ order s splits into q!/s components of W*s/q! colorings each.
 Eccentricity is invariant under S_q too, so the diameter sweep starts a BFS
 only from the representatives of the first largest quotient component,
 renamed into one of its components, over adjacency lists built once for
-that component. ``gamma_distance`` meets in the middle: it grows one BFS
-from each end, one whole level of the smaller frontier at a time, and
-stops at the first neighbor the other side has seen. Its balls stay
-disjoint until then, so that first meeting is at the exact distance. It
-enumerates nothing: both searches take their neighbors from
-``_proper_neighbors``, which generates only proper ones by checking the
-edges through the recolored vertex. The q**n budget still gates both
-calls, as a bound on the codes a search may reach.
+that component.
+
+``gamma_distance`` is a bidirectional A* search. One move recolors one
+vertex, so the Hamming distance h between two colorings is a lower bound on
+their distance in the graph, and it changes by at most 1 along an edge (it
+is consistent). The search from sigma ranks a coloring x by g(x) + h(x, tau),
+its depth plus its bound; the search from tau ranks by g(y) + h(y, sigma).
+Each step expands the best coloring of the side with fewer open entries,
+deeper first among equal ranks. Every coloring both sides have reached
+closes a path, and the search keeps the shortest, mu. Since the bound is
+consistent, some open coloring on a shortest path always has its exact
+depth, so each side's least rank is at most the distance until the path is
+found; once mu is at most the larger of the two least ranks, mu is the
+distance. A side that reaches the other end ranks it at its depth there,
+which is at least mu, so the search stops before that side can expand it
+and run out; a side that runs out has exhausted its component without a
+meeting, and the ends lie in different components. A pair whose distance
+equals its Hamming distance walks straight down the bound and expands
+about h colorings in all; the further the distance exceeds the bound, the
+more of the ball around the ends the search must clear.
+The query enumerates nothing. It and the diameter sweep take their
+neighbors from ``_proper_neighbors``, which generates only proper ones by
+checking the edges through the recolored vertex. The q**n budget still
+gates both calls, as a bound on the codes a search may reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from heapq import heappop, heappush
+from math import factorial, inf
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, ValidationError
@@ -78,7 +95,8 @@ def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
     # length, so a huge power is refused without being computed
     if (q >= 2 and H.n > budget.bit_length()) or q ** H.n > budget:
         raise InstanceTooLargeError(
-            f"q**n = {q}**{H.n} exceeds the enumeration budget {budget}")
+            f"q**n = {q}**{H.n} exceeds the enumeration budget {budget}",
+            keyword="budget")
 
 
 def _finishing_edges(H: Hypergraph) -> list[list[tuple[int, ...]]]:
@@ -395,7 +413,8 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
         work = size * size * n * (q - 1)
         if work > diameter_budget:
             raise InstanceTooLargeError(
-                f"diameter sweep needs ~{work} probes, over the budget {diameter_budget}")
+                f"diameter sweep needs ~{work} probes, over the diameter "
+                f"budget {diameter_budget}", keyword="diameter_budget")
         # eccentricity is invariant under S_q, so the representatives,
         # renamed into one component, are the only sources needed
         pows = [q ** i for i in range(n)]
@@ -450,19 +469,28 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
     """Exact recoloring distance between two proper colorings, or None if
     they sit in different components.
 
-    A meet-in-the-middle BFS: one search grows from sigma and one from tau,
-    and each round expands one whole level of the smaller frontier. After a
-    levels from sigma and b from tau without a meeting, the two visited
-    balls are disjoint, so no path of length at most a + b exists; a
-    neighbor of the expanded level that lies in the other ball closes a
-    path of length a + b + 1, which is therefore the distance. When either
-    frontier runs dry, that side's component is exhausted without meeting
-    the other, and the answer is None.
+    A bidirectional A* search guided by the Hamming distance h, a lower
+    bound on the distance since one move recolors one vertex. The search
+    from sigma ranks a coloring x by its depth plus h(x, tau), the search
+    from tau ranks y by its depth plus h(y, sigma), and each step expands
+    the best-ranked coloring of the side with the smaller open heap, deeper
+    first on equal ranks. mu, the shortest path closed by a coloring both
+    sides have reached, is returned once it is at most the larger of the
+    two least open ranks. h changes by at most 1 per move, so until a
+    shortest path is found each side holds one of its colorings at its
+    exact depth, ranked at most the distance: mu is then exact. A side that
+    reaches the other end ranks it at its depth there, at least mu, which
+    stops the search before the side can run dry, so a side runs dry only
+    when its component is exhausted without a meeting, and the answer is
+    then None. A pair at
+    distance h expands about h colorings; the search widens as the
+    distance exceeds h.
 
     Nothing is enumerated: each expanded coloring's proper neighbors are
     generated directly, by checking the edges through the recolored
-    vertex, and the search keeps only its two visited balls. The q**n
-    budget is checked first all the same, as it bounds what they may hold.
+    vertex, and each neighbor's bound follows from its parent's in O(1),
+    since they differ in one digit. The q**n budget is checked first all
+    the same, as it bounds what the searches may hold.
     """
     _check_budget(H, q, budget)
     for name, col in (("sigma", sigma), ("tau", tau)):
@@ -478,21 +506,39 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
     if src == dst:
         return 0
     through = _edges_through(H)
-    seen = [{src}, {dst}]
-    frontiers = [[src], [dst]]
-    d = 0
-    while frontiers[0] and frontiers[1]:
-        d += 1
-        side = len(frontiers[1]) < len(frontiers[0])
-        near, far = seen[side], seen[not side]
-        nxt: list[int] = []
-        for code in frontiers[side]:
-            nbrs = _proper_neighbors(code, through, pows, q)
-            if not far.isdisjoint(nbrs):
-                return d
-            hits = set(nbrs)
-            hits -= near
-            near |= hits
-            nxt.extend(hits)
-        frontiers[side] = nxt
+    # a neighbor differs from its parent by d = (x - c) * p in one digit,
+    # and |d| lies in [p, (q - 1) * p], so d alone names the digit
+    place: dict[int, tuple[int, int]] = {}
+    for i, p in enumerate(pows):
+        for step in range(1, q):
+            place[step * p] = place[-step * p] = (p, i)
+    # each side's goal digits: the search from sigma aims at tau
+    aims = ([c - 1 for c in tau.colors], [c - 1 for c in sigma.colors])
+    h = sum(a != b for a, b in zip(sigma.colors, tau.colors))
+    depths = ({src: 0}, {dst: 0})
+    heaps = ([(h, 0, src)], [(h, 0, dst)])  # (rank, -depth, code)
+    best = inf
+    while heaps[0] and heaps[1]:
+        if best <= max(heaps[0][0][0], heaps[1][0][0]):
+            return best
+        side = len(heaps[1]) < len(heaps[0])
+        heap, mine, theirs, aim = heaps[side], depths[side], depths[not side], aims[side]
+        rank, depth, code = heappop(heap)
+        depth = -depth
+        if depth > mine[code]:
+            continue  # superseded by a shorter route found since
+        h = rank - depth
+        depth += 1
+        for nb in _proper_neighbors(code, through, pows, q):
+            if mine.get(nb, depth + 1) <= depth:
+                continue
+            mine[nb] = depth
+            p, i = place[nb - code]
+            t = aim[i]
+            heappush(heap, (depth + h + (nb // p % q != t) - (code // p % q != t),
+                            -depth, nb))
+            there = theirs.get(nb)
+            if there is not None and depth + there < best:
+                best = depth + there
+    # a side ran dry, which the stopping rule forestalls once the sides meet
     return None

@@ -11,7 +11,7 @@ from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
 from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
-from recolor import reconfig
+from recolor import gamma_oracle, reconfig
 from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
@@ -334,6 +334,40 @@ def gamma_distance_reference(H, q, sigma, tau):
                         return dcode + 1
                     dist[nxt] = dcode + 1
                     queue.append(nxt)
+    return None
+
+
+# The meet-in-the-middle BFS recolor.gamma_oracle.gamma_distance ran before
+# its bidirectional A*, kept verbatim as a second differential oracle and as
+# the work baseline. It looks the neighbor kernel up on the module at each
+# call, so a test that wraps gamma_oracle._proper_neighbors counts its
+# expansions too.
+def gamma_distance_mitm_reference(H, q, sigma, tau):
+    """Recoloring distance by one BFS from each end, one whole level of the
+    smaller frontier at a time, or None when the ends never meet."""
+    pows = [q ** i for i in range(H.n)]
+    src, dst = (sum((c - 1) * p for c, p in zip(col.colors, pows))
+                for col in (sigma, tau))
+    if src == dst:
+        return 0
+    through = gamma_oracle._edges_through(H)
+    seen = [{src}, {dst}]
+    frontiers = [[src], [dst]]
+    d = 0
+    while frontiers[0] and frontiers[1]:
+        d += 1
+        side = len(frontiers[1]) < len(frontiers[0])
+        near, far = seen[side], seen[not side]
+        nxt: list[int] = []
+        for code in frontiers[side]:
+            nbrs = gamma_oracle._proper_neighbors(code, through, pows, q)
+            if not far.isdisjoint(nbrs):
+                return d
+            hits = set(nbrs)
+            hits -= near
+            near |= hits
+            nxt.extend(hits)
+        frontiers[side] = nxt
     return None
 
 

@@ -642,6 +642,18 @@ class TestGamma:
         assert capsys.readouterr().err.startswith("refused:")
 
     @pytest.mark.parametrize("flags,message", [
+        (["--budget", "8"], "q**n = 3**2 exceeds the enumeration budget 8; "
+                            "raise it with --budget"),
+        # one component of 6 colorings: 6 * 6 * n * (q - 1) probes
+        (["--diameter-budget", "143"],
+         "diameter sweep needs ~144 probes, over the diameter budget 143; "
+         "raise it with --diameter-budget"),
+    ], ids=["budget", "diameter-budget"])
+    def test_refusals_name_their_flag(self, k2_file, flags, message, capsys):
+        assert main(["gamma", k2_file, "--q", "3", *flags]) == 3
+        assert capsys.readouterr().err == f"refused: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
         (["--budget", "-5"], "budget must be nonnegative, got -5"),
         (["--diameter-budget", "-1"],
          "diameter budget must be nonnegative, got -1"),

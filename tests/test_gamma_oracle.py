@@ -26,6 +26,7 @@ from recolor import (
 from recolor.cli import main
 from recolor.gamma_oracle import _edges_through, _proper_codes, _proper_neighbors
 from helpers import (
+    gamma_distance_mitm_reference,
     gamma_distance_reference,
     gamma_stats_reference,
     gamma_stats_union_find,
@@ -250,9 +251,19 @@ def seeded_instances():
     return cases
 
 
+def assert_distance_matches(H, q, a, b):
+    """gamma_distance equals both references: the one-sided BFS and the
+    meet-in-the-middle search it replaced (tests/helpers.py)."""
+    d = gamma_distance(H, q, a, b)
+    assert d == gamma_distance_reference(H, q, a, b)
+    assert d == gamma_distance_mitm_reference(H, q, a, b)
+    return d
+
+
 class TestAgainstBfsReference:
     """gamma_stats and gamma_distance against the digit-probing BFS they
-    replaced (tests/helpers.py), on every GammaStats field."""
+    replaced (tests/helpers.py), on every GammaStats field; gamma_distance
+    also against the meet-in-the-middle search."""
 
     DIAMETER_BUDGET = 10 ** 6
 
@@ -271,8 +282,7 @@ class TestAgainstBfsReference:
         rng = random.Random(q * 1000 + H.n * 10 + H.m)
         for _ in range(min(4, len(colorings))):
             a, b = rng.choice(colorings), rng.choice(colorings)
-            assert gamma_distance(H, q, a, b) == \
-                gamma_distance_reference(H, q, a, b)
+            assert_distance_matches(H, q, a, b)
 
     def test_unreachable_distance(self):
         a, b = Coloring((1, 2, 3)), Coloring((2, 1, 3))
@@ -320,16 +330,45 @@ def far_pairs(seed, pairs):
     return H, colorings, out
 
 
+def count_expansions(monkeypatch):
+    """Wrap the neighbor kernel; the returned list gains one code per call,
+    from gamma_distance and gamma_distance_mitm_reference alike."""
+    calls = []
+    kernel = gamma_oracle._proper_neighbors
+
+    def counted(code, through, pows, q):
+        calls.append(code)
+        return kernel(code, through, pows, q)
+
+    monkeypatch.setattr(gamma_oracle, "_proper_neighbors", counted)
+    return calls
+
+
+def split_pairs():
+    """Seeded instances (n 7-10, k 2-3, q 3-4) whose Γ_q splits into 2 to
+    24 equal components of 58 to 558 colorings (the last also has frozen
+    singletons), each with six seeded pairs of its proper colorings."""
+    cases = []
+    for n, k, q, m, seed in [(10, 2, 3, 10, 3929521804), (8, 2, 3, 8, 2588455114),
+                             (9, 2, 4, 12, 3529388054), (9, 2, 4, 17, 726650368),
+                             (10, 3, 3, 55, 1605800870), (8, 3, 3, 39, 441875493)]:
+        H = generate_hnm(n, m, k, seed)
+        colorings = list(enumerate_proper(H, q))
+        rng = random.Random(seed)
+        pairs = [(rng.choice(colorings), rng.choice(colorings)) for _ in range(6)]
+        cases.append(pytest.param(H, q, pairs, id=f"n{n}-k{k}-q{q}-m{m}"))
+    return cases
+
+
 class TestMeetInTheMiddle:
-    """The two-sided search against the one-sided reference BFS, and the
-    work it saves on far pairs."""
+    """The two-sided A* search against the one-sided reference BFS and the
+    meet-in-the-middle search it replaced, and the work it does."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_far_pairs_match_the_reference(self, seed):
         H, _, pairs = far_pairs(seed, 2)
         for a, b in pairs:
-            assert gamma_distance(H, 4, a, b) == \
-                gamma_distance_reference(H, 4, a, b)
+            assert_distance_matches(H, 4, a, b)
 
     def test_small_and_large_components_never_meet(self):
         # Γ_3 of this instance: six frozen colorings and one component of
@@ -349,6 +388,7 @@ class TestMeetInTheMiddle:
         small = next(c for c in colorings if frozen(c))
         large = next(c for c in colorings if not frozen(c))
         assert gamma_distance_reference(H, q, small, large) is None
+        assert gamma_distance_mitm_reference(H, q, small, large) is None
         assert gamma_distance(H, q, small, large) is None
         assert gamma_distance(H, q, large, small) is None
 
@@ -364,8 +404,7 @@ class TestMeetInTheMiddle:
         if not colorings:
             return
         a, b = colorings[i % len(colorings)], colorings[j % len(colorings)]
-        d = gamma_distance(H, q, a, b)
-        assert d == gamma_distance_reference(H, q, a, b)
+        d = assert_distance_matches(H, q, a, b)
         assert d == gamma_distance(H, q, b, a)
         if d is not None:
             assert d >= hamming(a, b)
@@ -398,16 +437,39 @@ class TestMeetInTheMiddle:
 
     def test_a_far_pair_expands_under_a_quarter_of_the_codes(self, monkeypatch):
         H, colorings, [(a, b)] = far_pairs(0, 1)
-        calls = []
-        kernel = gamma_oracle._proper_neighbors
-
-        def counted(code, through, pows, q):
-            calls.append(code)
-            return kernel(code, through, pows, q)
-
-        monkeypatch.setattr(gamma_oracle, "_proper_neighbors", counted)
+        calls = count_expansions(monkeypatch)
         assert gamma_distance(H, 4, a, b) == gamma_distance_reference(H, 4, a, b)
         assert 0 < 4 * len(calls) < len(colorings)
+
+    def test_a_pair_at_its_hamming_distance_expands_at_most_2n(self, monkeypatch):
+        calls = count_expansions(monkeypatch)
+        tight = 0
+        for seed in range(12):
+            H, _, pairs = far_pairs(seed, 4)
+            for a, b in pairs:
+                want = gamma_distance_mitm_reference(H, 4, a, b)
+                calls.clear()
+                assert gamma_distance(H, 4, a, b) == want
+                if want == hamming(a, b):
+                    tight += 1
+                    assert 0 < len(calls) <= 2 * H.n
+        assert tight == 48  # every pair here sits at its Hamming distance
+
+    @pytest.mark.parametrize("H,q,pairs", split_pairs())
+    def test_a_disconnected_pair_expands_at_most_twice_the_old_search(
+            self, H, q, pairs, monkeypatch):
+        calls = count_expansions(monkeypatch)
+        apart = 0
+        for a, b in pairs:
+            calls.clear()
+            want = gamma_distance_mitm_reference(H, q, a, b)
+            old = len(calls)
+            calls.clear()
+            assert gamma_distance(H, q, a, b) == want
+            if want is None:
+                apart += 1
+                assert len(calls) <= 2 * old
+        assert apart
 
 
 def union_find_sample():
