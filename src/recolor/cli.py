@@ -448,10 +448,13 @@ def main(argv=None) -> int:
     except NotColorableEvidence as exc:
         sys.stderr.write(_witness_text(exc.witness))
         return 1
-    except (InstanceTooLargeError, StepCapExceededError) as exc:
-        keyword = getattr(exc, "keyword", None)
-        hint = "" if keyword is None else \
-            f"; raise it with --{keyword.replace('_', '-')}"
+    except StepCapExceededError as exc:
+        print(f"refused: {exc} of {exc.cap}; raise it with --step-cap",
+              file=sys.stderr)
+        return 3
+    except InstanceTooLargeError as exc:
+        hint = "" if exc.keyword is None else \
+            f"; raise it with --{exc.keyword.replace('_', '-')}"
         print(f"refused: {exc}{hint}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as exc:

@@ -56,9 +56,9 @@ class SpareColorError(RuntimeError):
 
 
 class StepCapExceededError(RuntimeError):
-    """A path construction outgrew the configured step cap."""
+    """A path construction outgrew the configured step cap ``cap``."""
 
-    def __init__(self, message, cap=None):
+    def __init__(self, message, cap):
         super().__init__(message)
         self.cap = cap
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from .core_peel import _active_set, _first_fit_along, beta_core
@@ -152,8 +152,13 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     that grows at the end in path order, and "the color of u just before
     move t" is one bisect.
 
-    Cost: level i sorts the moves of vnew's live neighbors and bisects for
-    the ones vnew meets; the labels are sorted once at the end. That is
+    Cost: level i is one pass over the edges through vnew. It keeps each
+    live one as the list of vnew's co-members and gathers those vertices'
+    moves; a vertex on two live edges lists its moves twice, and the walk
+    over the sorted moves skips the repeat. Only the moves in the color vnew
+    wears are bisected against the live edges, and the labels are sorted once
+    at the end. A level thus touches the deg(vnew) edges through vnew and
+    the moves of its co-members on the live ones, so the rewrite stays
     near-linear in the path length, where replaying every move at every
     level was O(levels x moves). Level i raises the step-cap error when the
     moves it replays plus its detours exceed the cap, where a full replay
@@ -180,31 +185,57 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
                 return colors[u][j - 1]
         return chi[u]
 
+    def mono(live, t, c):
+        # a live edge through vnew whose other vertices wear c before t
+        for e in live:
+            for u in e:
+                if color_at(u, t) != c:
+                    break
+            else:
+                return True
+        return False
+
     total = 0
     for i, vnew in enumerate(order):
         placed.add(vnew)
-        live = [edges[ei] for ei in inc[vnew - 1]
-                if placed.issuperset(edges[ei])]
-
-        def mono(t, c):
-            # a live edge through vnew whose other vertices wear c before t
-            return any(all(u == vnew or color_at(u, t) == c for u in e)
-                       for e in live)
-
-        nbrs = {u for e in live for u in e if u != vnew}
-        cand = sorted((t, w, c) for w in nbrs if labels.get(w)
-                      for t, c in zip(labels[w], colors[w]))
+        # live edges through vnew, each as vnew's co-members, and the moves
+        # of those co-members as (label, vertex, color)
+        live = []
+        cand = []
+        for ei in inc[vnew - 1]:
+            e = edges[ei]
+            if placed.issuperset(e):
+                e = list(e)
+                e.remove(vnew)
+                live.append(e)
+                for u in e:
+                    lab = labels.get(u)
+                    if lab:
+                        cand.extend(zip(lab, repeat(u), colors[u]))
+        cand.sort()
         cv = chi[vnew]
         detours = 0
+        prev = None
         for t, w, c in cand:
-            if c != cv:
+            # a vertex on two live edges lists its moves twice, and the
+            # repeat sorts right after the first
+            if c != cv or t == prev:
                 continue
-            if not any(w in e and all(u in (w, vnew) or color_at(u, t) == c
-                                      for u in e)
-                       for e in live):
+            prev = t
+            for e in live:
+                if w in e:
+                    for u in e:
+                        if u != w:
+                            lab = labels.get(u)
+                            j = bisect_left(lab, t) if lab else 0
+                            if (colors[u][j - 1] if j else chi[u]) != c:
+                                break
+                    else:
+                        break       # e goes monochromatic when w moves
+            else:
                 continue
             for s in pool:
-                if s != c and not mono(t, s):
+                if s != c and not mono(live, t, s):
                     break
             else:
                 # the old full replay checked the cap after every move, so
@@ -225,7 +256,7 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
                 f"level {i} outgrew the step cap", cap=cap)
         total += detours
         if cv != tau[vnew]:
-            if mono(end, tau[vnew]):
+            if mono(live, end, tau[vnew]):
                 raise ValidationError(
                     f"target color of vertex {vnew} is blocked at its own "
                     "level; the target coloring is not proper here")

@@ -492,7 +492,9 @@ class TestConnectAndVerify:
         c2 = coloring_file(tmp_path, "b.txt", (2, 1))
         assert main(["connect", k2_file, c1, c2, "--q", "3", "--alpha", "0",
                      "--beta", "2", "--step-cap", "1"]) == 3
-        assert capsys.readouterr().err.startswith("refused:")
+        assert capsys.readouterr().err == (
+            "refused: level 1 outgrew the step cap of 1; "
+            "raise it with --step-cap\n")
 
     def test_negative_step_cap_is_malformed(self, tmp_path, k2_file, capsys):
         c1 = coloring_file(tmp_path, "a.txt", (1, 2))

@@ -306,6 +306,28 @@ def test_step_cap_fires_before_a_later_missing_spare():
         assert res == outcome(reference(), call, cap)
 
 
+@pytest.mark.parametrize("edges,order,chi,tau,detours", [
+    # vertex 1's two moves come one after the other, and each forces
+    # vertex 2 onto a spare
+    ([(1, 2, 3), (1, 3, 4), (1, 2, 5)], [4, 3, 1, 5, 2], (3, 1, 1, 3, 2),
+     (2, 1, 3, 3, 3), [0, 0, 1, 0, 2]),
+    # vertex 4's first move forces vertex 1 onto a spare; its second move
+    # takes vertex 1's new color but is not blocked, so its repeat passes
+    # the color test and only the skip drops it
+    ([(2, 3, 4), (1, 3, 4), (1, 2, 4)], [3, 2, 4, 1], (1, 1, 3, 3),
+     (2, 3, 3, 2), [0, 0, 1, 1]),
+], ids=["two-detours", "unblocked-repeat"])
+def test_a_neighbor_on_two_live_edges_is_replayed_once(edges, order, chi,
+                                                       tau, detours):
+    """k=3: at the last level one neighbor shares both live edges with the
+    new vertex, so the rewriter gathers its moves once per edge. Each move
+    is replayed once, and each blocked one takes one detour."""
+    call = (build(len(order), 3, edges), order, [0, *chi], [0, *tau],
+            (1, 2, 3))
+    res = assert_same(call, caps=True)
+    assert res[0] == "ok" and res[2] == detours
+
+
 @pytest.mark.parametrize("name,q,alpha,beta", [("connect_k2", 4, 1, 2),
                                                ("connect_k4", 5, 1, 3)])
 def test_connect_trace_matches_golden(name, q, alpha, beta, tmp_path, capsys):
