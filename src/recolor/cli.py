@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .hypergraph import (
-    Coloring,
     _excerpt,
     _int_rows,
     _open_utf8,
@@ -261,10 +260,7 @@ def _cmd_verify(args) -> int:
         if cur[v] != old:
             return failed(i, "old-color-mismatch")
         cur[v] = new
-    path = reconfig.RecolorPath(start=start, steps=tuple(zip(vs, news)),
-                                end=Coloring(tuple(cur[1:])),
-                                stats=reconfig.PathStats())
-    verdict = reconfig.verify_path(H, path, args.q)
+    verdict = reconfig._replay(H, start, zip(vs, news), args.q)
     if verdict.ok:
         _emit(args, (f"ok length {len(vs)} "
                      f"end {' '.join(map(str, verdict.end.colors))}\n"))

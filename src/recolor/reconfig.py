@@ -329,7 +329,7 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     return steps, cur, peel
 
 
-def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
+def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
                  peel=None):
     """Steps from chi to tau on ``active``, both greedy-shaped above ``floor``.
 
@@ -341,7 +341,7 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
     """
     if all(chi[v] == tau[v] for v in active):
         return []
-    stats.final_depth = max(stats.final_depth, depth)
+    stats.final_depth = max(stats.final_depth, floor + 1)
     if a == 0:
         if peel is None:
             peel = beta_core(H, beta, active)
@@ -385,7 +385,7 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, depth, cap, stats,
                                           peel if a == 1 else None)
         out.extend(mid)
         out.extend(_final_steps(H, sub_active, shaped, tau, q, a - 1, beta,
-                                floor + 1, depth + 1, cap, stats,
+                                floor + 1, cap, stats,
                                 peel if a > 1 else inner))
     except NotColorableEvidence as exc:
         w = exc.witness
@@ -485,7 +485,7 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
         raise ValidationError("target coloring is not greedy-shaped")
     stats = PathStats()
     active = frozenset(range(1, H.n + 1))
-    steps = _final_steps(H, active, chi_l, tau_l, q, alpha, beta, 0, 1,
+    steps = _final_steps(H, active, chi_l, tau_l, q, alpha, beta, 0,
                          step_cap, stats)
     return _assemble(H, chi, steps, stats)
 
@@ -528,7 +528,7 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
                                           step_cap, stats2,
                                           peel1 if alpha == 0 else None)
     # the second walk's leftover is the middle's bottom-level remainder
-    steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0, 1,
+    steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0,
                           step_cap, stats, peel2)
     steps += _reversed_steps(chi2_l, steps2)
     if len(steps) > step_cap:
@@ -544,18 +544,22 @@ def verify_path(H: Hypergraph, path: RecolorPath, q: int) -> PathVerdict:
     Checks the start is proper in [q], every step changes exactly one vertex
     to a different in-range color, and properness holds after each move.
     """
+    return _replay(H, path.start, path.steps, q)
+
+
+def _replay(H, start, steps, q) -> PathVerdict:
     n = H.n
-    cols = list(path.start.colors)
+    cols = list(start.colors)
     if len(cols) != n:
         return PathVerdict(False, None, None, "start-length-mismatch")
     if any(c > q for c in cols):
         return PathVerdict(False, None, None, "start-color-out-of-range")
-    if not is_proper(H, path.start):
+    if not is_proper(H, start):
         return PathVerdict(False, None, None, "improper-start")
     incidence = H.incidence
     edges = H.edges
     cur = [0] + cols
-    for idx, (v, c) in enumerate(path.steps):
+    for idx, (v, c) in enumerate(steps):
         if not 1 <= v <= n:
             return PathVerdict(False, None, idx, "vertex-out-of-range")
         if not 1 <= c <= q:

@@ -17,7 +17,6 @@ from recolor import (
     hypergraph,
     hypergraph_from_text,
     hypergraph_to_text,
-    reconfig,
     write_coloring,
     write_hypergraph,
 )
@@ -504,24 +503,6 @@ class TestConnectAndVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: step cap must be nonnegative, got -1\n"
-
-    def test_verify_hands_over_the_replayed_end(self, tmp_path, k2_file,
-                                                 monkeypatch, capsys):
-        seen = []
-        inner = reconfig.verify_path
-
-        def capturing(H, path, q):
-            verdict = inner(H, path, q)
-            seen.append((path, verdict))
-            return verdict
-
-        monkeypatch.setattr(reconfig, "verify_path", capturing)
-        c1 = coloring_file(tmp_path, "a.txt", (1, 2))
-        trace = tmp_path / "trace.txt"
-        trace.write_text("0 1 1 3\n1 2 2 1\n2 1 3 2\n")
-        assert main(["verify", k2_file, c1, str(trace), "--q", "3"]) == 0
-        [(path, verdict)] = seen
-        assert verdict.ok and path.end == verdict.end == Coloring((2, 1))
 
     def test_verify_rejects_tampering(self, tmp_path, k2_file, capsys):
         c1 = coloring_file(tmp_path, "a.txt", (1, 2))

@@ -88,7 +88,7 @@ def test_connect_and_verify_run_paused_under_main(tmp_path, triangle_file,
         monkeypatch.setattr(reconfig, name, wrapper)
 
     spy("connect")
-    spy("verify_path")
+    spy("_replay")
     c1, c2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
     write_coloring(Coloring((1, 2, 3)), c1)
     write_coloring(Coloring((3, 1, 2)), c2)
@@ -98,7 +98,7 @@ def test_connect_and_verify_run_paused_under_main(tmp_path, triangle_file,
     assert main(["verify", triangle_file, str(c1), str(trace),
                  "--q", "4"]) == 0
     assert capsys.readouterr().out == "ok length 4 end 3 1 2\n"
-    assert seen == {"connect": False, "verify_path": False}
+    assert seen == {"connect": False, "_replay": False}
     assert gc.isenabled()
 
 

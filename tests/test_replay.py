@@ -18,9 +18,12 @@ from recolor import (
     NotColorableEvidence,
     RecolorPath,
     ValidationError,
+    build,
     connect,
     generate_hnm,
+    hypergraph_to_text,
     verify_path,
+    write_coloring,
 )
 from recolor import cli, reconfig
 from recolor.cli import _parse_trace
@@ -288,3 +291,81 @@ def test_parse_trace_keeps_at_most_40_bytes_a_move(tmp_path):
         tracemalloc.stop()
     assert kept <= 40 * moves
     assert list(map(len, cols)) == [moves] * 3
+
+
+def write_trace(path, start, steps):
+    """``steps`` as trace lines, each old color taken from the replay (1
+    where the vertex is outside the start)."""
+    cur = [0] + list(start.colors)
+    lines = []
+    for i, (v, c) in enumerate(steps):
+        inside = 1 <= v < len(cur)
+        lines.append(f"{i} {v} {cur[v] if inside else 1} {c}\n")
+        if inside:
+            cur[v] = c
+    path.write_text("".join(lines))
+
+
+def verdict_line(verdict, moves):
+    if verdict.ok:
+        end = " ".join(map(str, verdict.end.colors))
+        return f"ok length {moves} end {end}\n"
+    where = "start" if verdict.failure_index is None else verdict.failure_index
+    return f"failed index {where} reason {verdict.reason}\n"
+
+
+@pytest.mark.parametrize("k,n,m,alpha,beta", [
+    (2, 40, 50, 1, 2), (3, 60, 80, 2, 3), (4, 60, 120, 1, 3),
+])
+def test_cli_verify_prints_the_reference_verdict_on_injected_faults(
+        k, n, m, alpha, beta, tmp_path, capsys):
+    """Each faulty path as a trace file through ``recolor verify``: the
+    printed line is the one the old replay's verdict words."""
+    rng = random.Random(n * 1000 + m + k)
+    q = alpha + beta + 1
+    graph, start, trace = (tmp_path / name for name in
+                           ("h.txt", "start.txt", "trace.txt"))
+    seen = set()
+    for _ in range(4):
+        H = generate_hnm(n, m, k, rng.getrandbits(48))
+        graph.write_text(hypergraph_to_text(H))
+        c1 = random_proper_coloring(H, q, rng)
+        c2 = random_proper_coloring(H, q, rng)
+        try:
+            path = connect(H, c1, c2, q, alpha, beta)
+        except NotColorableEvidence:
+            continue
+        for fault, faulty in faulty_paths(H, path, q, rng):
+            write_coloring(faulty.start, start)
+            write_trace(trace, faulty.start, faulty.steps)
+            want = verify_path_reference(H, faulty, q)
+            code = cli.main(["verify", str(graph), str(start), str(trace),
+                             "--q", str(q)])
+            assert capsys.readouterr().out == verdict_line(want,
+                                                           len(faulty.steps))
+            assert code == (0 if want.ok else 1)
+            seen.add(want.reason)
+    assert seen >= REASONS | {None}
+
+
+def test_cli_verify_keeps_at_most_40_bytes_a_move(tmp_path, capsys):
+    # handing the replay a tuple of move pairs and a path around it cost
+    # about 78 bytes a move
+    moves = 200_000
+    graph, start, trace = (tmp_path / name for name in
+                           ("k2.txt", "start.txt", "trace.txt"))
+    graph.write_text(hypergraph_to_text(build(2, 2, [(1, 2)])))
+    write_coloring(Coloring((1, 2)), start)
+    trace.write_text("".join(f"{i} 1 {1 + 2 * (i % 2)} {3 - 2 * (i % 2)}\n"
+                             for i in range(moves)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["verify", str(graph), str(start), str(trace),
+                         "--q", "3"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "ok length 200000 end 1 2\n"
+    assert peak <= 40 * moves
