@@ -2,9 +2,10 @@
 
 Subcommands cover generation, peeling, independent-set tooling,
 certification, path building/checking, the exhaustive oracle, and Monte
-Carlo runs. All randomness is governed by --seed; repeating an invocation
-with the same seed reproduces the output byte for byte. Logarithms in
-`params` are natural (base e).
+Carlo runs. The seeded subcommands, gen, mis, greedy, certify and
+montecarlo, take all their randomness from --seed; the others draw none.
+Repeating an invocation reproduces the output byte for byte. Logarithms
+in `params` are natural (base e).
 """
 
 from __future__ import annotations
@@ -188,8 +189,7 @@ def _parse_trace(path_file: str):
     with _open_utf8(path_file) as fh:
         # readlines splits on "\n" only, as iterating over the file does
         for lines in iter(lambda: fh.readlines(_TRACE_CHUNK), []):
-            while header in lines:
-                lines.remove(header)
+            lines = [ln for ln in lines if ln != header]
             if lines and not _bulk_trace_rows(lines, cols):
                 cols = tuple(map(list, cols))
                 _trace_rows(itertools.chain(lines, fh), *cols)
@@ -238,7 +238,7 @@ def _trace_rows(lines, vs, olds, news) -> None:
 
 def _cmd_verify(args) -> int:
     if args.q < 1:
-        raise ValidationError(f"q must be positive, got {args.q}")
+        raise ValidationError(f"q must be positive, got {_excerpt(args.q)}")
     H = read_hypergraph(args.hypergraph)
     start = read_coloring(args.start)
     vs, olds, news = _parse_trace(args.trace)
@@ -308,11 +308,13 @@ def _cmd_montecarlo(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a usage error raised as one ValidationError line (exit
-    2 in ``main``), and any text that ``float`` reads, such as -inf or
+    2 in ``main``), cut to 190 characters since argparse echoes the words
+    it rejects whole, and any text that ``float`` reads, such as -inf or
     -1e5, taken as a value rather than as an option."""
 
     def error(self, message):
-        raise ValidationError(f"{self.prog}: {message}".replace("\n", "\\n"))
+        text = f"{self.prog}: {message}".replace("\n", "\\n")
+        raise ValidationError(text if len(text) <= 190 else text[:187] + "...")
 
     def _parse_optional(self, arg_string):
         try:
@@ -323,13 +325,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed; identical seeds replay byte-identically")
-    common.add_argument("--format", dest="fmt", choices=("text", "csv"),
-                        default="text", help="output format")
-    common.add_argument("--out", default=None,
-                        help="write output to this file instead of stdout")
+    # one parent per common option; a subcommand takes those it reads
+    seed, fmt, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0,
+                      help="master seed; identical seeds replay byte-identically")
+    fmt.add_argument("--format", dest="fmt", choices=("text", "csv"),
+                     default="text", help="output format")
+    out.add_argument("--out", default=None,
+                     help="write output to this file instead of stdout")
 
     parser = _Parser(
         prog="recolor",
@@ -337,14 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "All logarithms are natural.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", parents=[common],
+    p = sub.add_parser("params", parents=[fmt, out],
                        help="evaluate the closed-form run parameters (natural logs)")
     p.add_argument("d", type=float, help="expected degree parameter, d > 1")
     p.add_argument("k", type=int, help="edge size")
     p.add_argument("n", type=int, help="vertex count")
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[seed, out],
                        help="generate a random k-uniform hypergraph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -353,20 +356,20 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--p", type=float, help="independent edge probability")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("core", parents=[common],
+    p = sub.add_parser("core", parents=[fmt, out],
                        help="peel an instance and report its beta-core")
     p.add_argument("hypergraph")
     p.add_argument("--beta", type=int, required=True)
     p.set_defaults(func=_cmd_core)
 
-    p = sub.add_parser("mis", parents=[common],
+    p = sub.add_parser("mis", parents=[seed, fmt, out],
                        help="grow one maximal independent set")
     p.add_argument("hypergraph")
     p.add_argument("--strategy", choices=("ascending", "random"),
                    default="ascending")
     p.set_defaults(func=_cmd_mis)
 
-    p = sub.add_parser("greedy", parents=[common],
+    p = sub.add_parser("greedy", parents=[seed, fmt, out],
                        help="draw a maximally independent sequence")
     p.add_argument("hypergraph")
     p.add_argument("--levels", type=int, required=True,
@@ -375,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="ascending")
     p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[seed, out],
                        help="decide (alpha,beta)-colorability exactly at small n, "
                             "or hunt for a witness at larger n")
     p.add_argument("hypergraph")
@@ -387,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest n decided exhaustively")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("connect", parents=[common],
+    p = sub.add_parser("connect", parents=[fmt, out],
                        help="build a recoloring path between two proper colorings")
     p.add_argument("hypergraph")
     p.add_argument("coloring1")
@@ -398,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-cap", type=int, default=reconfig.DEFAULT_STEP_CAP)
     p.set_defaults(func=_cmd_connect)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[out],
                        help="replay a path trace and check every move")
     p.add_argument("hypergraph")
     p.add_argument("start", help="coloring file the trace starts from")
@@ -406,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gamma", parents=[common],
+    p = sub.add_parser("gamma", parents=[fmt, out],
                        help="exhaustive recoloring-graph statistics (tiny n)")
     p.add_argument("hypergraph")
     p.add_argument("--q", type=int, required=True)
@@ -417,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-diameter", action="store_true")
     p.set_defaults(func=_cmd_gamma)
 
-    p = sub.add_parser("montecarlo", parents=[common],
+    p = sub.add_parser("montecarlo", parents=[seed, out],
                        help="seeded colorability trials, one CSV row each")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

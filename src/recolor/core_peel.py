@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NonemptyCoreError, SpareColorError, ValidationError, VertexRangeError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _excerpt
 
 __all__ = ["PeelResult", "beta_core", "blocked_colors", "color_coreless"]
 
@@ -56,7 +56,7 @@ def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) 
     above restricted to the peeled vertices.
     """
     if beta < 1:
-        raise ValidationError(f"beta must be at least 1, got {beta}")
+        raise ValidationError(f"beta must be at least 1, got {_excerpt(beta)}")
     act = _active_set(H, active)
     k = H.k
     edges = H.edges

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core_peel import beta_core
 from .errors import ValidationError
-from .hypergraph import generate_hnm
+from .hypergraph import _excerpt, generate_hnm
 from .independence import greedy_sequence
 from .seeding import derive_seed
 
@@ -61,9 +61,10 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
     supply alpha and beta by hand in that regime.
     """
     if k < 2:
-        raise ValidationError(f"uniformity must be at least 2, got {k}")
+        raise ValidationError(f"uniformity must be at least 2, got {_excerpt(k)}")
     if n < k:
-        raise ValidationError(f"need n >= k, got n={n}, k={k}")
+        raise ValidationError(
+            f"need n >= k, got n={_excerpt(n)}, k={_excerpt(k)}")
     if not d > 1:
         raise ValidationError(f"need d > 1 for the log formulas, got {d}")
     if not math.isfinite(d):
@@ -76,7 +77,7 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
             "closed form needs a larger d; pass alpha and beta explicitly")
     alpha_real = ((k - 1) * d / denom) ** (1.0 / (k - 1))
     beta_real = 3.0 * ld ** (3 * k)
-    overflow = f"the parameter formulas overflow a float at d={d}, n={n}"
+    overflow = f"the parameter formulas overflow a float at d={d}, n={_excerpt(n)}"
     try:
         # an int operand beyond the float range raises instead of giving inf
         m_real = d * n / k
@@ -89,7 +90,8 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
     m = math.floor(m_real + 0.5)
     if m > comb(n, k):
         raise ValidationError(
-            f"round(d n / k) = {m} exceeds the {comb(n, k)} possible edges")
+            f"round(d n / k) = {_excerpt(m)} exceeds the {_excerpt(comb(n, k))} "
+            "possible edges")
     return ParamSet(
         d=float(d), k=k, n=n,
         alpha_real=alpha_real, alpha=math.ceil(alpha_real),
@@ -146,11 +148,14 @@ CSV_HEADER = ",".join(_CSV_FIELDS)
 
 def _resolve_config(cfg: MonteCarloConfig):
     if cfg.k < 2:
-        raise ValidationError(f"uniformity must be at least 2, got {cfg.k}")
+        raise ValidationError(
+            f"uniformity must be at least 2, got {_excerpt(cfg.k)}")
     if cfg.n < cfg.k:
-        raise ValidationError(f"need n >= k, got n={cfg.n}, k={cfg.k}")
+        raise ValidationError(
+            f"need n >= k, got n={_excerpt(cfg.n)}, k={_excerpt(cfg.k)}")
     if cfg.trials < 0:
-        raise ValidationError(f"trial count must be nonnegative, got {cfg.trials}")
+        raise ValidationError(
+            f"trial count must be nonnegative, got {_excerpt(cfg.trials)}")
     explicit = (cfg.alpha is not None, cfg.beta is not None, cfg.m is not None)
     if all(explicit):
         if cfg.d is not None and not math.isfinite(cfg.d):
@@ -167,9 +172,12 @@ def _resolve_config(cfg: MonteCarloConfig):
         ps = params_from_d(cfg.d, cfg.k, cfg.n)
         alpha, beta, m, n0 = ps.alpha, ps.beta, ps.m, ps.n0
     if alpha < 0 or beta < 1:
-        raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+        raise ValidationError("need alpha >= 0 and beta >= 1, got "
+                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
     if m < 0 or m > comb(cfg.n, cfg.k):
-        raise ValidationError(f"edge count {m} out of range for n={cfg.n}, k={cfg.k}")
+        raise ValidationError(
+            f"edge count {_excerpt(m)} out of range for "
+            f"n={_excerpt(cfg.n)}, k={_excerpt(cfg.k)}")
     return alpha, beta, m, n0
 
 

@@ -67,7 +67,7 @@ from math import factorial, inf
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import Coloring, Hypergraph, is_proper
+from .hypergraph import Coloring, Hypergraph, _excerpt, is_proper
 
 __all__ = ["GammaStats", "enumerate_proper", "gamma_stats", "gamma_distance"]
 
@@ -88,14 +88,16 @@ class GammaStats:
 
 def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
     if q < 1:
-        raise ValidationError(f"q must be positive, got {q}")
+        raise ValidationError(f"q must be positive, got {_excerpt(q)}")
     if budget < 0:
-        raise ValidationError(f"budget must be nonnegative, got {budget}")
+        raise ValidationError(
+            f"budget must be nonnegative, got {_excerpt(budget)}")
     # for q >= 2, q**n >= 2**n > budget once n exceeds the budget's bit
     # length, so a huge power is refused without being computed
     if (q >= 2 and H.n > budget.bit_length()) or q ** H.n > budget:
         raise InstanceTooLargeError(
-            f"q**n = {q}**{H.n} exceeds the enumeration budget {budget}",
+            f"q**n = {_excerpt(q)}**{H.n} exceeds the enumeration budget "
+            f"{_excerpt(budget)}",
             keyword="budget")
 
 
@@ -401,7 +403,7 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
     """
     if diameter_budget < 0:
         raise ValidationError(
-            f"diameter budget must be nonnegative, got {diameter_budget}")
+            f"diameter budget must be nonnegative, got {_excerpt(diameter_budget)}")
     _check_budget(H, q, budget)
     n = H.n
     census = _orbit_census(H, q)

@@ -192,7 +192,10 @@ def build(n: int, k: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
 
 def _excerpt(value) -> str:
     """repr(value) for an error message, cut to at most 60 characters."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<int of {value.bit_length()} bits>"
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -223,13 +226,16 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     if not all(isinstance(x, int) for x in (n, m, k)):
         raise ValidationError("n, m and k must be integers")
     if k < 2 or n < k:
-        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
+        raise ValidationError(
+            f"need n >= k >= 2, got n={_excerpt(n)}, k={_excerpt(k)}")
     total = math.comb(n, k)
     if not 0 <= m <= total:
-        raise ValidationError(f"m={m} outside 0..C({n},{k})={total}")
+        raise ValidationError(
+            f"m={_excerpt(m)} outside 0..C({_excerpt(n)},{_excerpt(k)})="
+            f"{_excerpt(total)}")
     if m > _MAX_MATERIALIZED_EDGES:
         raise InstanceTooLargeError(
-            f"edge count {m} is too large to materialize "
+            f"edge count {_excerpt(m)} is too large to materialize "
             f"(limit {_MAX_MATERIALIZED_EDGES})")
     _check_shape(n, k)
     return Hypergraph._trusted(
@@ -316,7 +322,8 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
     if not isinstance(n, int) or not isinstance(k, int):
         raise ValidationError("n and k must be integers")
     if k < 2 or n < k:
-        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
+        raise ValidationError(
+            f"need n >= k >= 2, got n={_excerpt(n)}, k={_excerpt(k)}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
     total = math.comb(n, k)
@@ -329,7 +336,7 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
         m = _binomial_draw(rng, total, p)
         if m > _MAX_MATERIALIZED_EDGES:
             raise InstanceTooLargeError(
-                f"sampled edge count {m} is too large to materialize")
+                f"sampled edge count {_excerpt(m)} is too large to materialize")
         _check_shape(n, k)
         edges = _distinct_k_sets(rng, n, k, m)
     return Hypergraph._trusted(n, k, edges)

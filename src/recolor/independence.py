@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from .core_peel import _active_set, beta_core
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import _MAX_VERTICES, Coloring, Hypergraph, is_proper
+from .hypergraph import _MAX_VERTICES, Coloring, Hypergraph, _excerpt, is_proper
 from .seeding import derive_seed
 
 __all__ = [
@@ -114,10 +114,11 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     refused.
     """
     if t < 0:
-        raise ValidationError(f"sequence length must be nonnegative, got {t}")
+        raise ValidationError(
+            f"sequence length must be nonnegative, got {_excerpt(t)}")
     if t > _MAX_VERTICES:
         raise InstanceTooLargeError(
-            f"sequence length {t} exceeds the limit of {_MAX_VERTICES}")
+            f"sequence length {_excerpt(t)} exceeds the limit of {_MAX_VERTICES}")
     if strategy not in _STRATEGIES:
         raise ValidationError(
             f"unknown strategy {strategy!r}; use 'ascending' or 'random'")
@@ -163,7 +164,8 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     uses at most beta distinct colors and has no beta-core.
     """
     if alpha < 0 or beta < 1:
-        raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+        raise ValidationError("need alpha >= 0 and beta >= 1, got "
+                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
     if len(coloring) != H.n:
         raise ValidationError("coloring length does not match the vertex count")
     if not is_proper(H, coloring):
@@ -228,9 +230,11 @@ def is_alpha_beta_colorable_exact(
     verts = sorted(_active_set(H, active))
     if len(verts) > max_size:
         raise InstanceTooLargeError(
-            f"{len(verts)} active vertices exceed the exhaustive cap of {max_size}")
+            f"{len(verts)} active vertices exceed the exhaustive cap of "
+            f"{_excerpt(max_size)}")
     if alpha < 0 or beta < 1:
-        raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+        raise ValidationError("need alpha >= 0 and beta >= 1, got "
+                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
     edge_masks, rest_masks = _mask_tables(H, verts)
     rests = [(1 << i, rv) for i, rv in enumerate(rest_masks)]
     mis_memo: dict[int, list[int]] = {}
@@ -300,12 +304,13 @@ def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
     a draw, once the arguments are checked.
     """
     if trials < 1:
-        raise ValidationError(f"trials must be positive, got {trials}")
+        raise ValidationError(f"trials must be positive, got {_excerpt(trials)}")
     if alpha < 0:
-        raise ValidationError(f"sequence length must be nonnegative, got {alpha}")
+        raise ValidationError(
+            f"sequence length must be nonnegative, got {_excerpt(alpha)}")
     act = _active_set(H, active)
     if beta < 1:
-        raise ValidationError(f"beta must be at least 1, got {beta}")
+        raise ValidationError(f"beta must be at least 1, got {_excerpt(beta)}")
     if alpha >= len(act):
         return None
     for t in range(trials):

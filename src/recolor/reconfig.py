@@ -33,7 +33,7 @@ from .errors import (
     StepCapExceededError,
     ValidationError,
 )
-from .hypergraph import Coloring, Hypergraph, is_proper
+from .hypergraph import Coloring, Hypergraph, _excerpt, is_proper
 from .independence import (
     ColorabilityWitness,
     MISequence,
@@ -99,12 +99,15 @@ class PathVerdict:
 
 def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
     if alpha < 0 or beta < 1:
-        raise ValidationError(f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+        raise ValidationError("need alpha >= 0 and beta >= 1, got "
+                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
     if q < alpha + beta + 1:
         raise ValidationError(
-            f"need q >= alpha + beta + 1 = {alpha + beta + 1}, got q={q}")
+            f"need q >= alpha + beta + 1 = {_excerpt(alpha + beta + 1)}, "
+            f"got q={_excerpt(q)}")
     if cap < 0:
-        raise ValidationError(f"step cap must be nonnegative, got {cap}")
+        raise ValidationError(
+            f"step cap must be nonnegative, got {_excerpt(cap)}")
 
 
 def _colors_list(H: Hypergraph, coloring: Coloring, q: int) -> list:

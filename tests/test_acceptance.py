@@ -326,8 +326,7 @@ def test_09_cli_reruns_are_byte_identical(tmp_path, capfd):
 
     invocations = [
         ["params", "1e9", "2", str(10 ** 10), "--format", "csv"],
-        ["gen", "--n", "20", "--k", "2", "--m", "30", "--seed", "6",
-         "--format", "csv"],
+        ["gen", "--n", "20", "--k", "2", "--m", "30", "--seed", "6"],
         ["gen", "--n", "14", "--k", "3", "--p", "0.2", "--seed", "6"],
         ["core", str(h), "--beta", "2", "--format", "csv"],
         ["mis", str(h), "--strategy", "random", "--seed", "31",

@@ -17,6 +17,7 @@ from recolor import (
     hypergraph,
     hypergraph_from_text,
     hypergraph_to_text,
+    params_from_d,
     write_coloring,
     write_hypergraph,
 )
@@ -47,6 +48,17 @@ def coloring_file(tmp_path, name, colors):
     f = tmp_path / name
     write_coloring(Coloring(colors), f)
     return str(f)
+
+
+@pytest.fixture
+def k2_files(tmp_path, k2_file):
+    """The one-edge K2, two proper colorings of it and a one-move trace,
+    under the names that argv templates use."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0 1 1 3\n")
+    return {"h": k2_file, "c1": coloring_file(tmp_path, "c1.txt", (1, 2)),
+            "c2": coloring_file(tmp_path, "c2.txt", (2, 1)),
+            "trace": str(trace)}
 
 
 def sha256(data: bytes) -> str:
@@ -366,6 +378,33 @@ class TestLongInputErrors:
         trace.write_text("0 1 1 " + "9" * 10 ** 5 + "\n")
         self.assert_short_error(
             ["verify", k2_file, start, str(trace), "--q", "2"], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "1e300", "2", "10"],
+        ["gen", "--n", "8", "--k", "3", "--m", "9" * 300],
+        ["greedy", "h", "--levels", "9" * 300],
+        ["gamma", "h", "--q", "9" * 300],
+        ["connect", "h", "c1", "c2", "--q", "4", "--alpha", "9" * 300,
+         "--beta", "2"],
+        ["montecarlo", "--n", "8", "--k", "2", "--trials", "1",
+         "--alpha", "1", "--beta", "1", "--m", "9" * 300],
+        ["certify", "h", "--alpha", "-" + "9" * 300, "--beta", "2"],
+        ["verify", "h", "c1", "trace", "--q", "-" + "9" * 300],
+        # beyond the digits ``int`` reads from text: argparse rejects it
+        ["montecarlo", "--n", "8", "--k", "2", "--trials", "1",
+         "--alpha", "1", "--beta", "1", "--m", "9" * 5000],
+        # C(n, 2) has more digits than ``repr`` of an int may print
+        ["gen", "--n", "9" * 4000, "--k", "2", "--m", "-1"],
+    ], ids=["params-m", "gen-m", "greedy-levels", "gamma-q", "connect-alpha",
+            "montecarlo-m", "certify-alpha", "verify-q", "montecarlo-m-5000",
+            "gen-comb"])
+    def test_huge_number_is_cut(self, argv, k2_files, capsys):
+        code = main([k2_files.get(word, word) for word in argv])
+        captured = capsys.readouterr()
+        assert code in (2, 3) and captured.out == ""
+        assert captured.err.startswith("error: " if code == 2 else "refused: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert len(captured.err) <= 200
 
 
 class TestMisAndGreedy:
@@ -702,3 +741,58 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--n", "30", "--k", "2", "--trials", "1",
                      "--alpha", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_d_alone_sets_alpha_beta_and_m(self, capsys):
+        assert main(["montecarlo", "--n", "30", "--k", "2", "--trials", "3",
+                     "--d", "2.5", "--seed", "1"]) == 0
+        ps = params_from_d(2.5, 2, 30)
+        assert (ps.m, ps.alpha, ps.beta) == (38, 2, 2)
+        assert ps.n0 == pytest.approx(218.169, abs=1e-3)
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert (int(cells["m"]), int(cells["alpha"]),
+                    int(cells["beta"])) == (ps.m, ps.alpha, ps.beta)
+            assert cells["n0"] == repr(ps.n0)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--trials", "-1", "--d", "2.5"],
+         "trial count must be nonnegative, got -1"),
+        (["--trials", "1", "--alpha", "-1", "--beta", "1", "--m", "5"],
+         "need alpha >= 0 and beta >= 1, got (-1, 1)"),
+    ], ids=["negative-trials", "negative-alpha"])
+    def test_bad_config_is_one_error_line(self, flags, message, capsys):
+        assert main(["montecarlo", "--n", "30", "--k", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestOptionSurface:
+    """A subcommand takes --seed and --format only when it reads them; each
+    one it does not read is a usage error, not a silent no-op."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["params", "2.5", "2", "10"], ["--seed", "5"]),
+        (["core", "h", "--beta", "2"], ["--seed", "5"]),
+        (["connect", "h", "c1", "c2", "--q", "3", "--alpha", "0",
+          "--beta", "2"], ["--seed", "1"]),
+        (["verify", "h", "c1", "trace", "--q", "3"], ["--seed", "1"]),
+        (["gamma", "h", "--q", "3"], ["--seed", "1"]),
+        (["gen", "--n", "8", "--k", "3", "--m", "10"], ["--format", "csv"]),
+        (["certify", "h", "--alpha", "0", "--beta", "2"],
+         ["--format", "csv"]),
+        (["verify", "h", "c1", "trace", "--q", "3"], ["--format", "csv"]),
+        (["montecarlo", "--n", "8", "--k", "2", "--trials", "1",
+          "--d", "2.5"], ["--format", "text"]),
+    ], ids=["params-seed", "core-seed", "connect-seed", "verify-seed",
+            "gamma-seed", "gen-format", "certify-format", "verify-format",
+            "montecarlo-format"])
+    def test_unread_option_is_a_usage_error(self, argv, option, k2_files,
+                                            capsys):
+        assert main([k2_files.get(word, word) for word in argv] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: recolor: unrecognized arguments: "
+                                f"{' '.join(option)}\n")

@@ -124,8 +124,8 @@ def flag(name, drawn, valid, required=True):
 N, K = flag("--n", INTS, ("4", "8")), flag("--k", INTS, ("2", "3"))
 ALPHA = flag("--alpha", INTS, ("0", "1", "2"))
 BETA = flag("--beta", INTS, ("1", "2"))
-# subcommand, its file arguments, its numeric flags; "--seed" is common to
-# all, and a name without dashes is positional
+# subcommand, its file arguments, its numeric flags; a name without dashes
+# is positional, and "--seed" is drawn for the SEEDED subcommands only
 COMMANDS = {
     "params": ((), [flag("d", FLOATS, ("2.5", "1e6")),
                     flag("k", INTS, ("2", "3")),
@@ -153,6 +153,7 @@ COMMANDS = {
                         flag("--m", INTS, ("5", "20"), False)]),
 }
 SEED = flag("--seed", INTS, ("1", "7"), False)
+SEEDED = {"gen-m", "gen-p", "mis", "greedy", "certify", "montecarlo"}
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,8 @@ def invocation(draw):
     after ``--``: (command, {flag: text}, option words, positional words)."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     values, options, positional = {}, [], []
-    for name, choices, required in COMMANDS[command][1] + [SEED]:
+    seed = [SEED] if command in SEEDED else []
+    for name, choices, required in COMMANDS[command][1] + seed:
         if required or draw(st.booleans()):
             text = values[name] = draw(st.sampled_from(choices))
             if not name.startswith("--"):
@@ -226,6 +228,32 @@ def test_numeric_flags_end_in_a_documented_exit(files, drawn):
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     if code == 1:
         assert rechecks(command, values, out, err), argv
+
+
+@pytest.mark.parametrize("command, flag, sign", [
+    (command, name, sign)
+    for command, (_, flags) in sorted(COMMANDS.items())
+    for name, _, _ in flags for sign in ("", "-")
+    # a huge work count asks for that much work
+    if not (name == "--trials" and sign == "")
+])
+def test_a_huge_number_gives_a_short_message(files, command, flag, sign):
+    """One flag at 300 digits, the required others at a valid value: an
+    error or refusal quotes the number cut, on one short line."""
+    file_names, flags = COMMANDS[command]
+    options, positional = [], []
+    for name, choices, required in flags:
+        if name == flag or required:
+            text = sign + "9" * 300 if name == flag else choices[-1]
+            if name.startswith("--"):
+                options += [name, text]
+            else:
+                positional.append(text)
+    code, out, err = run([command.split("-")[0], *options,
+                          *(files[name] for name in file_names), *positional])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3) and not out.startswith("inconclusive"):
+        assert err.count("\n") == 1 and len(err) <= 200, err[:100]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,6 +8,7 @@ seeded inputs, faulty ones above all, and asks for the same answer: the same
 """
 
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -291,6 +292,22 @@ def test_parse_trace_keeps_at_most_40_bytes_a_move(tmp_path):
         tracemalloc.stop()
     assert kept <= 40 * moves
     assert list(map(len, cols)) == [moves] * 3
+
+
+def test_parse_trace_drops_a_header_after_every_move_in_linear_time(tmp_path):
+    # taking the header lines out one remove() at a time rescanned the chunk
+    # for each: 4-6 s on these 200,000 moves on a 2-vCPU host, where the
+    # one-pass filter takes 0.2 s, as long as the trace without headers
+    lines = canonical_trace(200_000, random.Random(4))
+    plain, headed = tmp_path / "plain.txt", tmp_path / "headed.txt"
+    plain.write_text("".join(lines))
+    headed.write_text("".join(line + "index,vertex,old_color,new_color\n"
+                              for line in lines))
+    want = _parse_trace(str(plain))
+    t0 = time.perf_counter()
+    got = _parse_trace(str(headed))
+    assert time.perf_counter() - t0 < 2.5
+    assert got == want
 
 
 def write_trace(path, start, steps):
