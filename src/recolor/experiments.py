@@ -16,7 +16,13 @@ from typing import Iterable, Iterator, Optional
 
 from .core_peel import beta_core
 from .errors import ValidationError
-from .hypergraph import _excerpt, generate_hnm
+from .hypergraph import (
+    _check_alpha_beta,
+    _check_edge_count,
+    _check_shape,
+    _excerpt,
+    generate_hnm,
+)
 from .independence import greedy_sequence
 from .seeding import derive_seed
 
@@ -60,11 +66,7 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
     Raises a domain error when the alpha denominator is not positive;
     supply alpha and beta by hand in that regime.
     """
-    if k < 2:
-        raise ValidationError(f"uniformity must be at least 2, got {_excerpt(k)}")
-    if n < k:
-        raise ValidationError(
-            f"need n >= k, got n={_excerpt(n)}, k={_excerpt(k)}")
+    _check_shape(n, k, capped=False)
     if not d > 1:
         raise ValidationError(f"need d > 1 for the log formulas, got {d}")
     if not math.isfinite(d):
@@ -88,10 +90,7 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
     if not (math.isfinite(alpha_real) and math.isfinite(m_real)):
         raise ValidationError(overflow)
     m = math.floor(m_real + 0.5)
-    if m > comb(n, k):
-        raise ValidationError(
-            f"round(d n / k) = {_excerpt(m)} exceeds the {_excerpt(comb(n, k))} "
-            "possible edges")
+    _check_edge_count(n, k, m)
     return ParamSet(
         d=float(d), k=k, n=n,
         alpha_real=alpha_real, alpha=math.ceil(alpha_real),
@@ -147,19 +146,16 @@ CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def _resolve_config(cfg: MonteCarloConfig):
-    if cfg.k < 2:
-        raise ValidationError(
-            f"uniformity must be at least 2, got {_excerpt(cfg.k)}")
-    if cfg.n < cfg.k:
-        raise ValidationError(
-            f"need n >= k, got n={_excerpt(cfg.n)}, k={_excerpt(cfg.k)}")
+    _check_shape(cfg.n, cfg.k, capped=False)
     if cfg.trials < 0:
         raise ValidationError(
             f"trial count must be nonnegative, got {_excerpt(cfg.trials)}")
     explicit = (cfg.alpha is not None, cfg.beta is not None, cfg.m is not None)
     if all(explicit):
+        _check_edge_count(cfg.n, cfg.k, cfg.m)
         if cfg.d is not None and not math.isfinite(cfg.d):
             raise ValidationError(f"need a finite d, got {cfg.d}")
+        _check_alpha_beta(cfg.alpha, cfg.beta)
         alpha, beta, m = cfg.alpha, cfg.beta, cfg.m
         n0 = None
         if cfg.d is not None and cfg.d > 1 and alpha > 0:
@@ -171,13 +167,6 @@ def _resolve_config(cfg: MonteCarloConfig):
     else:
         ps = params_from_d(cfg.d, cfg.k, cfg.n)
         alpha, beta, m, n0 = ps.alpha, ps.beta, ps.m, ps.n0
-    if alpha < 0 or beta < 1:
-        raise ValidationError("need alpha >= 0 and beta >= 1, got "
-                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
-    if m < 0 or m > comb(cfg.n, cfg.k):
-        raise ValidationError(
-            f"edge count {_excerpt(m)} out of range for "
-            f"n={_excerpt(cfg.n)}, k={_excerpt(cfg.k)}")
     return alpha, beta, m, n0
 
 

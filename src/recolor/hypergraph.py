@@ -19,6 +19,7 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import lt
 from typing import Iterable, Sequence
 
@@ -199,17 +200,54 @@ def _excerpt(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _check_shape(n: int, k: int) -> None:
+def _check_shape(n: int, k: int, capped: bool = True) -> None:
+    """Refuse an (n, k) that names no k-uniform instance: sizes that are
+    not ints, k < 2 or n < k. ``capped`` adds the vertex cap, for callers
+    that build the instance; formulas in n take any n."""
     if not isinstance(n, int) or not isinstance(k, int):
         raise ValidationError("n and k must be integers")
     if k < 2:
         raise ValidationError(f"uniformity k must be at least 2, got {_excerpt(k)}")
     if n < k:
         raise ValidationError(f"need n >= k, got n={_excerpt(n)}, k={_excerpt(k)}")
-    if n > _MAX_VERTICES:
+    if capped and n > _MAX_VERTICES:
         raise InstanceTooLargeError(
             f"vertex count {_excerpt(n)} is too large to materialize "
             f"(limit {_MAX_VERTICES})")
+
+
+def _comb_upto(n: int, k: int, bound: int) -> int | None:
+    """C(n, k) if it is at most ``bound``, else None; the shape is checked.
+
+    Multiplies out C(n, i) for i = 1, 2, ... up to min(k, n - k) and stops
+    once one passes the bound: C(n, i) grows with i up to n/2, so C(n, k)
+    is past it too. The work is a few multiplications when the bound is
+    small next to C(n, k), however large n and k are.
+    """
+    c = 1
+    for i in range(1, min(k, n - k) + 1):
+        c = c * (n - i + 1) // i
+        if c > bound:
+            return None
+    return c
+
+
+def _check_edge_count(n: int, k: int, m: int) -> None:
+    """Refuse an edge count m outside 0..C(n, k); the shape is checked."""
+    if not isinstance(m, int):
+        raise ValidationError("n, m and k must be integers")
+    total = _comb_upto(n, k, m) if m >= 0 else None
+    if m < 0 or total is not None and total < m:
+        exact = "" if total is None else f"={_excerpt(total)}"
+        raise ValidationError(
+            f"m={_excerpt(m)} outside 0..C({_excerpt(n)},{_excerpt(k)}){exact}")
+
+
+def _check_alpha_beta(alpha: int, beta: int) -> None:
+    """Refuse greedy parameters with alpha < 0 or beta < 1."""
+    if alpha < 0 or beta < 1:
+        raise ValidationError("need alpha >= 0 and beta >= 1, got "
+                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
 
 
 def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
@@ -223,21 +261,12 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     so a seed names the same instance on every Python whose ``sample``
     draws alike.
     """
-    if not all(isinstance(x, int) for x in (n, m, k)):
-        raise ValidationError("n, m and k must be integers")
-    if k < 2 or n < k:
-        raise ValidationError(
-            f"need n >= k >= 2, got n={_excerpt(n)}, k={_excerpt(k)}")
-    total = math.comb(n, k)
-    if not 0 <= m <= total:
-        raise ValidationError(
-            f"m={_excerpt(m)} outside 0..C({_excerpt(n)},{_excerpt(k)})="
-            f"{_excerpt(total)}")
+    _check_shape(n, k)
+    _check_edge_count(n, k, m)
     if m > _MAX_MATERIALIZED_EDGES:
         raise InstanceTooLargeError(
             f"edge count {_excerpt(m)} is too large to materialize "
             f"(limit {_MAX_MATERIALIZED_EDGES})")
-    _check_shape(n, k)
     return Hypergraph._trusted(
         n, k, _distinct_k_sets(random.Random(seed), n, k, m))
 
@@ -290,18 +319,16 @@ _MAX_VERTICES = 5_000_000
 
 
 def _binomial_draw(rng: random.Random, trials: int, p: float) -> int:
-    """Exact inverse-CDF binomial sample; O(mean) time, log-space pmf walk."""
-    if p <= 0.0:
-        return 0
+    """Exact inverse-CDF binomial sample for 0 < p; O(mean) time, log-space
+    pmf walk. ``trials`` may be past the float range."""
     if p >= 1.0:
         return trials
-    mean = trials * p
-    if mean > _MAX_MATERIALIZED_EDGES:
-        raise InstanceTooLargeError(
-            f"expected edge count {mean:.3g} is too large to materialize")
     u = rng.random()
     log_ratio = math.log(p) - math.log1p(-p)
-    logpmf = trials * math.log1p(-p)
+    try:
+        logpmf = trials * math.log1p(-p)
+    except OverflowError:  # float(trials) overflows; round the exact product
+        logpmf = float(trials * Fraction(math.log1p(-p)))
     cdf = math.exp(logpmf)
     i = 0
     while u > cdf and i < trials:
@@ -318,18 +345,22 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
     enumerated in lexicographic order and kept with probability p each; beyond
     that the edge count is drawn from Binomial(C(n,k), p) and that many
     distinct k-sets are sampled uniformly, which yields the same distribution.
+    A mean C(n,k) p above _MAX_MATERIALIZED_EDGES is refused before any draw,
+    and C(n,k) is multiplied out only that far.
     """
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValidationError("n and k must be integers")
-    if k < 2 or n < k:
-        raise ValidationError(
-            f"need n >= k >= 2, got n={_excerpt(n)}, k={_excerpt(k)}")
+    _check_shape(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p={p} outside [0, 1]")
-    total = math.comb(n, k)
+    if p == 0.0:
+        return Hypergraph._trusted(n, k, [])
+    total = _comb_upto(n, k, max(
+        _ENUMERATION_LIMIT, int(_MAX_MATERIALIZED_EDGES / Fraction(p))))
+    if total is None:
+        raise InstanceTooLargeError(
+            f"expected edge count C({_excerpt(n)},{_excerpt(k)})*{p} is too "
+            f"large to materialize (above the limit {_MAX_MATERIALIZED_EDGES})")
     rng = random.Random(seed)
     if total <= _ENUMERATION_LIMIT:
-        _check_shape(n, k)
         edges = [e for e in itertools.combinations(range(1, n + 1), k)
                  if rng.random() < p]
     else:
@@ -337,7 +368,6 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
         if m > _MAX_MATERIALIZED_EDGES:
             raise InstanceTooLargeError(
                 f"sampled edge count {_excerpt(m)} is too large to materialize")
-        _check_shape(n, k)
         edges = _distinct_k_sets(rng, n, k, m)
     return Hypergraph._trusted(n, k, edges)
 

@@ -24,7 +24,14 @@ from typing import Iterable, Optional, Union
 
 from .core_peel import _active_set, beta_core
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import _MAX_VERTICES, Coloring, Hypergraph, _excerpt, is_proper
+from .hypergraph import (
+    _MAX_VERTICES,
+    Coloring,
+    Hypergraph,
+    _check_alpha_beta,
+    _excerpt,
+    is_proper,
+)
 from .seeding import derive_seed
 
 __all__ = [
@@ -163,9 +170,7 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     independent sequence, and the residual (vertices colored above alpha)
     uses at most beta distinct colors and has no beta-core.
     """
-    if alpha < 0 or beta < 1:
-        raise ValidationError("need alpha >= 0 and beta >= 1, got "
-                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
+    _check_alpha_beta(alpha, beta)
     if len(coloring) != H.n:
         raise ValidationError("coloring length does not match the vertex count")
     if not is_proper(H, coloring):
@@ -232,9 +237,7 @@ def is_alpha_beta_colorable_exact(
         raise InstanceTooLargeError(
             f"{len(verts)} active vertices exceed the exhaustive cap of "
             f"{_excerpt(max_size)}")
-    if alpha < 0 or beta < 1:
-        raise ValidationError("need alpha >= 0 and beta >= 1, got "
-                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
+    _check_alpha_beta(alpha, beta)
     edge_masks, rest_masks = _mask_tables(H, verts)
     rests = [(1 << i, rv) for i, rv in enumerate(rest_masks)]
     mis_memo: dict[int, list[int]] = {}

@@ -33,7 +33,7 @@ from .errors import (
     StepCapExceededError,
     ValidationError,
 )
-from .hypergraph import Coloring, Hypergraph, _excerpt, is_proper
+from .hypergraph import Coloring, Hypergraph, _check_alpha_beta, _excerpt, is_proper
 from .independence import (
     ColorabilityWitness,
     MISequence,
@@ -98,9 +98,7 @@ class PathVerdict:
 
 
 def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
-    if alpha < 0 or beta < 1:
-        raise ValidationError("need alpha >= 0 and beta >= 1, got "
-                              f"({_excerpt(alpha)}, {_excerpt(beta)})")
+    _check_alpha_beta(alpha, beta)
     if q < alpha + beta + 1:
         raise ValidationError(
             f"need q >= alpha + beta + 1 = {_excerpt(alpha + beta + 1)}, "

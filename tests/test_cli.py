@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from recolor import (
     blocked_colors,
     build,
     coloring_from_text,
+    experiments,
     generate_hnm,
     hypergraph,
     hypergraph_from_text,
@@ -212,6 +215,60 @@ class TestGen:
                      "--out", str(dest)]) == 0
         assert capsys.readouterr().out == ""
         assert dest.read_text().splitlines()[0] == "5 2 4"
+
+
+class TestSizeChecks:
+    """Sizes are checked before any C(n, k) is multiplied out in full, so
+    sizes far past the caps end quickly in one line, never a traceback."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "--n", str(10 ** 30), "--k", str(10 ** 20), "--m", "1"], 3),
+        (["montecarlo", "--n", str(10 ** 30), "--k", str(10 ** 20),
+          "--trials", "1", "--alpha", "1", "--beta", "1", "--m", "1"], 3),
+        (["gen", "--n", "2000", "--k", "1000", "--p", "0.5"], 3),
+        (["gen", "--n", "2000", "--k", "1000", "--p", "1e-320"], 3),
+        (["gen", "--n", "1000000", "--k", "500000", "--m", "6000000"], 3),
+        (["montecarlo", "--n", "1000000", "--k", "500000", "--trials", "0",
+          "--alpha", "1", "--beta", "1", "--m", "1"], 0),
+    ], ids=["gen-huge-nk", "montecarlo-huge-nk", "gen-p-half",
+            "gen-p-subnormal", "gen-m-over-cap", "montecarlo-no-trials"])
+    def test_ends_fast_in_one_line(self, argv, code, capsys):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
+        if code == 3:
+            assert captured.err.startswith("refused: ")
+            assert captured.out == ""
+        else:
+            assert captured.out == experiments.CSV_HEADER + "\n"
+
+    def test_tiny_mean_past_the_float_range_draws(self, capsys):
+        # C(2000, 230) is about 1.8e308, so the mean is about 1e-15
+        assert math.comb(2000, 230) > sys.float_info.max
+        assert main(["gen", "--n", "2000", "--k", "230",
+                     "--p", "5e-324"]) == 0
+        assert capsys.readouterr().out == "2000 230 0\n"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["gen", "--n", "2000", "--k", "1000", "--p", "0.5"],
+         "refused: expected edge count C(2000,1000)*0.5 is too large to "
+         "materialize (above the limit 5000000)\n"),
+        (["gen", "--n", "4", "--k", "2", "--m", "-1"],
+         "error: m=-1 outside 0..C(4,2)\n"),
+        (["gen", "--n", "4", "--k", "2", "--m", "7"],
+         "error: m=7 outside 0..C(4,2)=6\n"),
+        (["montecarlo", "--n", "4", "--k", "2", "--trials", "1",
+          "--alpha", "1", "--beta", "1", "--m", "99"],
+         "error: m=99 outside 0..C(4,2)=6\n"),
+        (["params", "2.5", "2", "3"], "error: m=4 outside 0..C(3,2)=3\n"),
+    ], ids=["stopped-early", "negative-m", "m-past-comb", "montecarlo-m",
+            "params-m"])
+    def test_quotes_only_an_exact_comb(self, argv, err, capsys):
+        assert main(argv) in (2, 3)
+        assert capsys.readouterr().err == err
 
 
 class TestCore:

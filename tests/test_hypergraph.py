@@ -10,6 +10,7 @@ from recolor import (
     DuplicateEdgeError,
     EdgeArityError,
     InstanceTooLargeError,
+    MonteCarloConfig,
     RepeatedVertexError,
     ValidationError,
     VertexRangeError,
@@ -21,6 +22,7 @@ from recolor import (
     hypergraph_from_text,
     hypergraph_to_text,
     is_proper,
+    montecarlo_colorability,
     read_coloring,
     read_hypergraph,
     write_coloring,
@@ -135,6 +137,9 @@ class TestGenerateHnm:
             def getrandbits(self, *args, **kwargs):
                 raise AssertionError("sampled before refusing")
 
+            def random(self):
+                raise AssertionError("sampled before refusing")
+
         monkeypatch.setattr(hypergraph, "random",
                             types.SimpleNamespace(Random=NoDraws))
         n = hypergraph._MAX_VERTICES + 1
@@ -142,6 +147,27 @@ class TestGenerateHnm:
             generate_hnm(n, 3, 2, 0)
         with pytest.raises(InstanceTooLargeError, match="vertex count"):
             generate_hnp(n, 1e-12, 2, 0)
+
+    def test_edge_count_check_matches_comb(self, monkeypatch):
+        # every admissible m reaches the draw, here stubbed out, and every
+        # other m is refused, both by generate_hnm and by a config
+        monkeypatch.setattr(hypergraph, "_distinct_k_sets",
+                            lambda rng, n, k, m: [])
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                total = math.comb(n, k)
+                for m in range(-2, total + 3):
+                    ok = 0 <= m <= total
+                    cfg = MonteCarloConfig(n=n, k=k, trials=0, seed=0,
+                                           alpha=1, beta=1, m=m)
+                    for check in (lambda: generate_hnm(n, m, k, 0),
+                                  lambda: list(montecarlo_colorability(cfg))):
+                        if ok:
+                            check()
+                        else:
+                            with pytest.raises(ValidationError,
+                                               match=f"^m={m} outside"):
+                                check()
 
     def test_refuses_one_past_the_vertex_cap(self):
         with pytest.raises(InstanceTooLargeError, match="vertex count"):
