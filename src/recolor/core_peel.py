@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NonemptyCoreError, SpareColorError, ValidationError, VertexRangeError
-from .hypergraph import Hypergraph, _excerpt
+from .hypergraph import Hypergraph, _check_vertex, _excerpt
 
 __all__ = ["PeelResult", "beta_core", "blocked_colors", "color_coreless"]
 
@@ -104,8 +104,7 @@ def blocked_colors(H: Hypergraph, v: int, partial_coloring: Mapping[int, int]) -
     vertex present in the partial coloring with color c. Vertices missing
     from the mapping are uncolored and never block.
     """
-    if not 1 <= v <= H.n:
-        raise VertexRangeError(f"vertex {v} outside 1..{H.n}")
+    _check_vertex(v, H.n)
     if v in partial_coloring:
         raise ValidationError(f"vertex {v} is already colored")
     blocked = set()

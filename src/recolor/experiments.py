@@ -57,6 +57,12 @@ class ParamSet:
     m: int
 
 
+def _overflow(d: float, n: int) -> ValidationError:
+    """The error for a parameter formula that leaves the float range."""
+    return ValidationError(
+        f"the parameter formulas overflow a float at d={d}, n={_excerpt(n)}")
+
+
 def params_from_d(d: float, k: int, n: int) -> ParamSet:
     """Evaluate the parameter formulas at (d, k, n).
 
@@ -79,16 +85,15 @@ def params_from_d(d: float, k: int, n: int) -> ParamSet:
             "closed form needs a larger d; pass alpha and beta explicitly")
     alpha_real = ((k - 1) * d / denom) ** (1.0 / (k - 1))
     beta_real = 3.0 * ld ** (3 * k)
-    overflow = f"the parameter formulas overflow a float at d={d}, n={_excerpt(n)}"
     try:
         # an int operand beyond the float range raises instead of giving inf
         m_real = d * n / k
         m0 = n / alpha_real
         p = min(1.0, d / comb(n - 1, k - 1))
     except OverflowError:
-        raise ValidationError(overflow) from None
+        raise _overflow(d, n) from None
     if not (math.isfinite(alpha_real) and math.isfinite(m_real)):
-        raise ValidationError(overflow)
+        raise _overflow(d, n)
     m = math.floor(m_real + 0.5)
     _check_edge_count(n, k, m)
     return ParamSet(
@@ -159,7 +164,10 @@ def _resolve_config(cfg: MonteCarloConfig):
         alpha, beta, m = cfg.alpha, cfg.beta, cfg.m
         n0 = None
         if cfg.d is not None and cfg.d > 1 and alpha > 0:
-            n0 = 16.0 * (cfg.n / alpha) * log(cfg.d) ** 2
+            try:
+                n0 = 16.0 * (cfg.n / alpha) * log(cfg.d) ** 2
+            except OverflowError:
+                raise _overflow(cfg.d, cfg.n) from None
     elif any(explicit):
         raise ValidationError("give all of alpha, beta, m, or none of them")
     elif cfg.d is None:

@@ -67,7 +67,7 @@ from math import factorial, inf
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import Coloring, Hypergraph, _excerpt, is_proper
+from .hypergraph import Coloring, Hypergraph, _check_palette, _excerpt, is_proper
 
 __all__ = ["GammaStats", "enumerate_proper", "gamma_stats", "gamma_distance"]
 
@@ -496,10 +496,7 @@ def gamma_distance(H: Hypergraph, q: int, sigma: Coloring, tau: Coloring,
     """
     _check_budget(H, q, budget)
     for name, col in (("sigma", sigma), ("tau", tau)):
-        if len(col) != H.n:
-            raise ValidationError(f"{name} has wrong length")
-        if any(c > q for c in col.colors):
-            raise ValidationError(f"{name} uses colors above q={q}")
+        _check_palette(col, q, name)
         if not is_proper(H, col):
             raise ValidationError(f"{name} is not proper")
     pows = [q ** i for i in range(H.n)]

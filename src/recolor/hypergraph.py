@@ -75,13 +75,8 @@ class Coloring:
     def __len__(self) -> int:
         return len(self.colors)
 
-    def _check_vertex(self, vertex: int) -> None:
-        if not 1 <= vertex <= len(self.colors):
-            raise VertexRangeError(
-                f"vertex {vertex} outside 1..{len(self.colors)}")
-
     def __getitem__(self, vertex: int) -> int:
-        self._check_vertex(vertex)
+        _check_vertex(vertex, len(self.colors))
         return self.colors[vertex - 1]
 
     def __iter__(self):
@@ -89,7 +84,7 @@ class Coloring:
 
     def replace(self, vertex: int, color: int) -> "Coloring":
         """New coloring with one vertex recolored."""
-        self._check_vertex(vertex)
+        _check_vertex(vertex, len(self.colors))
         lst = list(self.colors)
         lst[vertex - 1] = color
         return Coloring(tuple(lst))
@@ -170,8 +165,7 @@ class Hypergraph:
         return range(1, self.n + 1)
 
     def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise VertexRangeError(f"vertex {v} outside 1..{self.n}")
+        _check_vertex(v, self.n)
         return len(self.incidence[v - 1])
 
     def __eq__(self, other) -> bool:
@@ -198,6 +192,18 @@ def _excerpt(value) -> str:
     except ValueError:  # an int past sys.get_int_max_str_digits()
         return f"<int of {value.bit_length()} bits>"
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _check_vertex(v: int, n: int) -> None:
+    """Refuse a vertex id outside 1..n."""
+    if not 1 <= v <= n:
+        raise VertexRangeError(f"vertex {_excerpt(v)} outside 1..{n}")
+
+
+def _check_palette(coloring: Coloring, q: int, name: str) -> None:
+    """Refuse a coloring, called ``name`` in the message, with a color above q."""
+    if max(coloring.colors, default=0) > q:
+        raise ValidationError(f"{name} uses a color above q={_excerpt(q)}")
 
 
 def _check_shape(n: int, k: int, capped: bool = True) -> None:

@@ -63,7 +63,13 @@ class ColorabilityWitness:
     core_vertices: frozenset[int]
 
 
-_STRATEGIES = ("ascending", "random")
+def _check_strategy(strategy: str, rng_seed: Optional[int]) -> None:
+    """Refuse an unknown strategy, and the random one without a seed."""
+    if strategy not in ("ascending", "random"):
+        raise ValidationError(
+            f"unknown strategy {_excerpt(strategy)}; use 'ascending' or 'random'")
+    if strategy == "random" and rng_seed is None:
+        raise ValidationError("the seeded-random strategy requires rng_seed")
 
 
 def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
@@ -75,9 +81,7 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
     the random strategy (rng_seed is then required). The result always
     contains the seed set.
     """
-    if strategy not in _STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; use 'ascending' or 'random'")
+    _check_strategy(strategy, rng_seed)
     act = _active_set(H, active)
     inc = H.incidence
     full = H.k - 1
@@ -96,8 +100,6 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
         chosen.add(v)
     rest = sorted(act - chosen)
     if strategy == "random":
-        if rng_seed is None:
-            raise ValidationError("the seeded-random strategy requires rng_seed")
         random.Random(rng_seed).shuffle(rest)
     for v in rest:
         for ei in inc[v - 1]:
@@ -126,11 +128,7 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     if t > _MAX_VERTICES:
         raise InstanceTooLargeError(
             f"sequence length {_excerpt(t)} exceeds the limit of {_MAX_VERTICES}")
-    if strategy not in _STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; use 'ascending' or 'random'")
-    if strategy == "random" and rng_seed is None:
-        raise ValidationError("the seeded-random strategy requires rng_seed")
+    _check_strategy(strategy, rng_seed)
     residual = set(_active_set(H, active))
     sets = []
     for level in range(t):
@@ -171,8 +169,6 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     uses at most beta distinct colors and has no beta-core.
     """
     _check_alpha_beta(alpha, beta)
-    if len(coloring) != H.n:
-        raise ValidationError("coloring length does not match the vertex count")
     if not is_proper(H, coloring):
         return False
     rem = set(range(1, H.n + 1))
@@ -306,14 +302,10 @@ def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
     the residual is empty after alpha levels. None is then returned without
     a draw, once the arguments are checked.
     """
+    act = _active_set(H, active)
+    _check_alpha_beta(alpha, beta)
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {_excerpt(trials)}")
-    if alpha < 0:
-        raise ValidationError(
-            f"sequence length must be nonnegative, got {_excerpt(alpha)}")
-    act = _active_set(H, active)
-    if beta < 1:
-        raise ValidationError(f"beta must be at least 1, got {_excerpt(beta)}")
     if alpha >= len(act):
         return None
     for t in range(trials):

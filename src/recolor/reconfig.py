@@ -33,7 +33,8 @@ from .errors import (
     StepCapExceededError,
     ValidationError,
 )
-from .hypergraph import Coloring, Hypergraph, _check_alpha_beta, _excerpt, is_proper
+from .hypergraph import (Coloring, Hypergraph, _check_alpha_beta,
+                         _check_palette, _excerpt, is_proper)
 from .independence import (
     ColorabilityWitness,
     MISequence,
@@ -108,12 +109,9 @@ def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
             f"step cap must be nonnegative, got {_excerpt(cap)}")
 
 
-def _colors_list(H: Hypergraph, coloring: Coloring, q: int) -> list:
+def _colors_list(coloring: Coloring, q: int) -> list:
     """1-indexed mutable copy of a coloring, range-checked against q."""
-    if len(coloring) != H.n:
-        raise ValidationError("coloring length does not match the vertex count")
-    if any(c > q for c in coloring.colors):
-        raise ValidationError(f"coloring uses a color above q={q}")
+    _check_palette(coloring, q, "coloring")
     return [0] + list(coloring.colors)
 
 
@@ -420,8 +418,8 @@ def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
     """
     _validate_params(alpha, beta, q, step_cap)
     W = frozenset(_active_set(H, region))
-    chi_l = _colors_list(H, chi, q)
-    tau_l = _colors_list(H, tau, q)
+    chi_l = _colors_list(chi, q)
+    tau_l = _colors_list(tau, q)
     if not is_proper(H, chi):
         raise ValidationError("start coloring is not proper")
     if not is_proper(H, tau):
@@ -462,7 +460,7 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
     colorable along the constructed sequence.
     """
     _validate_params(alpha, beta, q, step_cap)
-    chi_l = _colors_list(H, chi, q)
+    chi_l = _colors_list(chi, q)
     if not is_proper(H, chi):
         raise ValidationError("start coloring is not proper")
     stats = PathStats()
@@ -478,8 +476,8 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
                              step_cap: int = DEFAULT_STEP_CAP) -> RecolorPath:
     """Path between two greedy-shaped colorings of the same instance."""
     _validate_params(alpha, beta, q, step_cap)
-    chi_l = _colors_list(H, chi, q)
-    tau_l = _colors_list(H, tau, q)
+    chi_l = _colors_list(chi, q)
+    tau_l = _colors_list(tau, q)
     if not check_good_greedy(H, chi, alpha, beta):
         raise ValidationError("start coloring is not greedy-shaped")
     if not check_good_greedy(H, tau, alpha, beta):
@@ -511,8 +509,8 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     NotColorableEvidence if any stage exposes non-(alpha, beta)-colorability.
     """
     _validate_params(alpha, beta, q, step_cap)
-    chi1_l = _colors_list(H, chi1, q)
-    chi2_l = _colors_list(H, chi2, q)
+    chi1_l = _colors_list(chi1, q)
+    chi2_l = _colors_list(chi2, q)
     if not is_proper(H, chi1):
         raise ValidationError("first coloring is not proper")
     if not is_proper(H, chi2):

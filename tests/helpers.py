@@ -483,8 +483,8 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
                       step_cap=reconfig.DEFAULT_STEP_CAP):
     """Full path between two arbitrary proper colorings, the old way."""
     reconfig._validate_params(alpha, beta, q, step_cap)
-    reconfig._colors_list(H, chi1, q)
-    reconfig._colors_list(H, chi2, q)
+    reconfig._colors_list(chi1, q)
+    reconfig._colors_list(chi2, q)
     if not is_proper(H, chi1):
         raise ValidationError("first coloring is not proper")
     if not is_proper(H, chi2):

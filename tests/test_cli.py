@@ -538,6 +538,23 @@ class TestCertify:
         assert got.encode() == (
             GOLDEN / f"certify_{case}.out.txt").read_bytes()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--alpha", "-1", "--beta", "1"],
+         "need alpha >= 0 and beta >= 1, got (-1, 1)"),
+        (["--alpha", "1", "--beta", "0"],
+         "need alpha >= 0 and beta >= 1, got (1, 0)"),
+    ], ids=["negative-alpha", "zero-beta"])
+    def test_alpha_beta_worded_alike_by_both_searches(self, tmp_path, flags,
+                                                      message, capsys):
+        # 20 vertices: the falsifier by default, the exact search at 30
+        f = tmp_path / "h.txt"
+        write_hypergraph(generate_hnm(20, 30, 3, 5), f)
+        for limit in ([], ["--exact-limit", "30"]):
+            assert main(["certify", str(f), *flags, *limit]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
 
 class TestConnectAndVerify:
     def test_roundtrip(self, tmp_path, k2_file, capsys):
@@ -824,6 +841,17 @@ class TestMonteCarlo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_n0_past_the_float_range_is_one_error_line(self, capsys):
+        assert main(["montecarlo", "--n", HUGE_N, "--k", "2", "--trials", "0",
+                     "--alpha", "1", "--beta", "1", "--m", "1",
+                     "--d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: the parameter formulas overflow a float at d=2.0, n=1000")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
 
 
 class TestOptionSurface:

@@ -157,10 +157,10 @@ class TestGammaDistance:
                               Coloring((2, 1, 3))) is None
 
     @pytest.mark.parametrize("name,tampered,message", [
-        ("tau", (2,), "tau has wrong length"),
-        ("tau", (2, 4), "tau uses colors above q=3"),
+        ("tau", (2,), "coloring has 1 entries, hypergraph has 2 vertices"),
+        ("tau", (2, 4), "tau uses a color above q=3"),
         ("tau", (2, 2), "tau is not proper"),
-        ("sigma", (1, 4), "sigma uses colors above q=3"),
+        ("sigma", (1, 4), "sigma uses a color above q=3"),
     ])
     def test_rejects_a_tampered_endpoint(self, name, tampered, message):
         ends = {"sigma": Coloring((1, 2)), "tau": Coloring((2, 1))}

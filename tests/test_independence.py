@@ -393,13 +393,13 @@ class TestFalsify:
         (dict(alpha=10 ** 6, beta=1, trials=0), ValidationError,
          "trials must be positive, got 0"),
         (dict(alpha=-1, beta=0, trials=0), ValidationError,
-         "trials must be positive, got 0"),
-        (dict(alpha=-1, beta=0, trials=1, active={9}), ValidationError,
-         "sequence length must be nonnegative, got -1"),
+         "need alpha >= 0 and beta >= 1, got (-1, 0)"),
+        (dict(alpha=-1, beta=0, trials=1, active={9}), VertexRangeError,
+         "active vertex 9 outside 1..4"),
         (dict(alpha=10 ** 6, beta=0, trials=1, active={9}),
          VertexRangeError, "active vertex 9 outside 1..4"),
         (dict(alpha=10 ** 6, beta=0, trials=1), ValidationError,
-         "beta must be at least 1, got 0"),
+         "need alpha >= 0 and beta >= 1, got (1000000, 0)"),
     ])
     def test_refusals_come_before_the_shortcut(self, kwargs, error, message):
         with pytest.raises(error) as caught:
