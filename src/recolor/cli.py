@@ -37,6 +37,7 @@ from .hypergraph import (
     read_hypergraph,
 )
 from .independence import (
+    _check_falsifier_args,
     extend_to_mis,
     falsify_alpha_beta,
     greedy_sequence,
@@ -134,6 +135,7 @@ def _witness_text(w) -> str:
 
 def _cmd_certify(args) -> int:
     H = read_hypergraph(args.hypergraph)
+    _check_falsifier_args(args.alpha, args.beta, args.trials)
     if H.n <= args.exact_limit:
         res = is_alpha_beta_colorable_exact(H, args.alpha, args.beta,
                                             max_size=args.exact_limit)

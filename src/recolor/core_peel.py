@@ -43,7 +43,7 @@ def _active_set(H: Hypergraph, active: Optional[Iterable[int]]) -> frozenset[int
     # slow path: int subclasses other than bool pass, anything else is named
     for v in act:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= H.n:
-            raise VertexRangeError(f"active vertex {v!r} outside 1..{H.n}")
+            raise VertexRangeError(f"active vertex {_excerpt(v)} outside 1..{H.n}")
     return act
 
 
@@ -156,7 +156,8 @@ def color_coreless(H: Hypergraph, beta: int, active: Optional[Iterable[int]],
     if len(set(pal)) != len(pal):
         raise ValidationError("palette entries must be distinct")
     if len(pal) < beta:
-        raise ValidationError(f"palette of size {len(pal)} is smaller than beta={beta}")
+        raise ValidationError(
+            f"palette of size {len(pal)} is smaller than beta={_excerpt(beta)}")
     peel = beta_core(H, beta, active)
     if peel.core:
         raise NonemptyCoreError(

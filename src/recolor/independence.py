@@ -90,7 +90,7 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
 
     for v in sorted(set(seed_set)):
         if v not in act:
-            raise ValidationError(f"seed vertex {v} is not active")
+            raise ValidationError(f"seed vertex {_excerpt(v)} is not active")
         for ei in inc[v - 1]:
             if cnt[ei] == full:
                 raise ValidationError(
@@ -290,6 +290,13 @@ def is_alpha_beta_colorable_exact(
     return True if witness is None else witness
 
 
+def _check_falsifier_args(alpha: int, beta: int, trials: int) -> None:
+    """Refuse a bad (alpha, beta), then a trial count below 1."""
+    _check_alpha_beta(alpha, beta)
+    if trials < 1:
+        raise ValidationError(f"trials must be positive, got {_excerpt(trials)}")
+
+
 def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
                        rng_seed: int,
                        active: Optional[Iterable[int]] = None) -> Optional[ColorabilityWitness]:
@@ -303,9 +310,7 @@ def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
     a draw, once the arguments are checked.
     """
     act = _active_set(H, active)
-    _check_alpha_beta(alpha, beta)
-    if trials < 1:
-        raise ValidationError(f"trials must be positive, got {_excerpt(trials)}")
+    _check_falsifier_args(alpha, beta, trials)
     if alpha >= len(act):
         return None
     for t in range(trials):
@@ -344,7 +349,7 @@ def max_independent_set_exact(H: Hypergraph, max_size: int = 30) -> tuple[int, f
     |chosen| + |candidates| bound tight.
     """
     if H.n > max_size:
-        raise InstanceTooLargeError(f"n={H.n} exceeds the exact cap of {max_size}")
+        raise InstanceTooLargeError(f"n={H.n} exceeds the exact cap of {_excerpt(max_size)}")
     # vertex v is bit v - 1, and the search runs on those bit positions
     _, rest_masks = _mask_tables(H, list(range(1, H.n + 1)))
 

@@ -280,7 +280,8 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
     is ``active`` itself, and a caller that peeled it passes ``peel``.
     Raises NotColorableEvidence with the class sequence and core when the
-    leftover cannot be peeled.
+    leftover cannot be peeled, and the step-cap error when the finished walk
+    is longer than ``cap``.
     """
     cur = chi[:]
     steps = []
@@ -299,8 +300,6 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
                 cur[v] = color
         residual -= part
     stats.inter_moves += len(steps)
-    if len(steps) > cap:
-        raise StepCapExceededError("class phase outgrew the step cap", cap=cap)
     W = frozenset(residual)
     peel = beta_core(H, beta, W) if peel is None else peel
     if peel.core:
@@ -322,9 +321,9 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
             for v, c in bridge:
                 steps.append((v, c))
                 cur[v] = c
-            if len(steps) > cap:
-                raise StepCapExceededError(
-                    "bridge phase outgrew the step cap", cap=cap)
+    if len(steps) > cap:
+        raise StepCapExceededError(
+            "walk to greedy shape outgrew the step cap", cap=cap)
     return steps, cur, peel
 
 
@@ -337,6 +336,7 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
     recurse on the rest with one fewer greedy level. The base case hands the
     (coreless, since tau is greedy-shaped) remainder, outside tau's classes,
     to the region rewriter, along ``peel`` when the caller already peeled it.
+    It checks no cap on its own moves: the caller's ``_assemble`` does.
     """
     if all(chi[v] == tau[v] for v in active):
         return []
@@ -358,15 +358,9 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
         chi_class = []          # class already in place, park nothing
     if chi_class:
         used = {cur[v] for v in active}
-        park = 0
-        for cand in range(floor + 1, q + 1):
-            if cand not in used:
-                park = cand
-                break
-        if not park:
-            # a+beta distinct colors live above floor at most, and
-            # q - floor >= a + beta + 1, so this cannot trigger
-            raise ValidationError("no unused color above the floor")
+        # a+beta distinct colors live above floor at most, and
+        # q - floor >= a + beta + 1, so one is always free
+        park = next(c for c in range(floor + 1, q + 1) if c not in used)
         for v in chi_class:
             out.append((v, park))
             cur[v] = park
@@ -375,8 +369,6 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
             out.append((v, cls))
             cur[v] = cls
     stats.final_moves += len(out)
-    if len(out) > cap:
-        raise StepCapExceededError("class swap outgrew the step cap", cap=cap)
     sub_active = frozenset(active) - frozenset(tau_class)
     try:
         mid, shaped, inner = _inter_steps(H, sub_active, cur, a - 1, beta,
@@ -393,12 +385,13 @@ def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
                        w.sequence.residual),
             w.core_vertices)
         raise NotColorableEvidence(lifted) from None
-    if len(out) > cap:
-        raise StepCapExceededError("recursion outgrew the step cap", cap=cap)
     return out
 
 
-def _assemble(H, start, steps, stats):
+def _assemble(start, steps, stats, cap):
+    if len(steps) > cap:
+        raise StepCapExceededError("composed path outgrew the step cap",
+                                   cap=cap)
     cur = [0] + list(start.colors)
     for v, c in steps:
         cur[v] = c
@@ -433,7 +426,8 @@ def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
                 f"colorings disagree at vertex {v} outside the region")
         if chi_l[v] > alpha:
             raise ValidationError(
-                f"vertex {v} outside the region wears color {chi_l[v]} > alpha")
+                f"vertex {v} outside the region wears color "
+                f"{_excerpt(chi_l[v])} > alpha")
         outside_colors.add(chi_l[v])
     fresh = {tau_l[v] for v in W} - outside_colors
     if len(fresh) > beta:
@@ -448,7 +442,7 @@ def path_core(H: Hypergraph, region: Iterable[int], chi: Coloring,
     stats = PathStats()
     steps = _core_steps(H, peel.order, chi_l, tau_l,
                         range(alpha + 1, alpha + beta + 2), step_cap, stats)
-    return _assemble(H, chi, steps, stats)
+    return _assemble(chi, steps, stats, step_cap)
 
 
 def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
@@ -467,7 +461,7 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
     active = frozenset(range(1, H.n + 1))
     steps, _, _ = _inter_steps(H, active, chi_l, alpha, beta, 0, step_cap,
                                stats)
-    path = _assemble(H, chi, steps, stats)
+    path = _assemble(chi, steps, stats, step_cap)
     return path, path.end
 
 
@@ -486,7 +480,7 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
     active = frozenset(range(1, H.n + 1))
     steps = _final_steps(H, active, chi_l, tau_l, q, alpha, beta, 0,
                          step_cap, stats)
-    return _assemble(H, chi, steps, stats)
+    return _assemble(chi, steps, stats, step_cap)
 
 
 def _reversed_steps(start: list, steps: list) -> list:
@@ -530,11 +524,8 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0,
                           step_cap, stats, peel2)
     steps += _reversed_steps(chi2_l, steps2)
-    if len(steps) > step_cap:
-        raise StepCapExceededError("composed path outgrew the step cap",
-                                   cap=step_cap)
     stats.absorb(stats2)
-    return _assemble(H, chi1, steps, stats)
+    return _assemble(chi1, steps, stats, step_cap)
 
 
 def verify_path(H: Hypergraph, path: RecolorPath, q: int) -> PathVerdict:

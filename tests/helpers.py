@@ -506,7 +506,7 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
     stats.absorb(p1.stats)
     stats.absorb(mid.stats)
     stats.absorb(p2.stats)
-    return reconfig._assemble(H, chi1, steps, stats)
+    return reconfig._assemble(chi1, steps, stats, step_cap)
 
 
 # recolor.core_peel.beta_core as it stood before its peel was shared and

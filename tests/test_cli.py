@@ -555,6 +555,24 @@ class TestCertify:
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--trials", "0"], "trials must be positive, got 0"),
+        (["--trials", "-5"], "trials must be positive, got -5"),
+        (["--trials", "0", "--alpha", "-1"],
+         "need alpha >= 0 and beta >= 1, got (-1, 2)"),
+    ], ids=["zero", "negative", "bad-alpha-first"])
+    def test_trials_worded_alike_by_both_searches(self, tmp_path, flags,
+                                                  message, capsys):
+        # the exact search at 30 runs no trials, but refuses a bad count
+        f = tmp_path / "h.txt"
+        write_hypergraph(generate_hnm(20, 30, 2, 1), f)
+        for limit in ([], ["--exact-limit", "30"]):
+            assert main(["certify", str(f), "--alpha", "1", "--beta", "2",
+                         *flags, *limit]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
 
 class TestConnectAndVerify:
     def test_roundtrip(self, tmp_path, k2_file, capsys):

@@ -6,11 +6,14 @@ import pytest
 
 from recolor import (
     Coloring,
+    InstanceTooLargeError,
     ValidationError,
     VertexRangeError,
+    beta_core,
     blocked_colors,
     build,
     check_good_greedy,
+    color_coreless,
     connect,
     extend_to_mis,
     falsify_alpha_beta,
@@ -18,6 +21,7 @@ from recolor import (
     greedy_sequence,
     is_alpha_beta_colorable_exact,
     is_proper,
+    max_independent_set_exact,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
@@ -104,3 +108,21 @@ def test_alpha_and_beta(alpha, beta):
     want = (ValidationError,
             f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
     assert [raised(call) for call in calls] == [want] * len(calls)
+
+
+BIG = 2 ** 20000                    # past the int-to-str digit limit
+OUTSIDE_BIG = Coloring((1, 2, BIG))
+
+
+@pytest.mark.parametrize("error,call", [
+    (VertexRangeError, lambda: beta_core(PATH3, 1, [BIG])),
+    (ValidationError, lambda: color_coreless(PATH3, BIG, None, [1])),
+    (ValidationError, lambda: extend_to_mis(PATH3, seed_set=[BIG])),
+    (InstanceTooLargeError, lambda: max_independent_set_exact(PATH3, -BIG)),
+    (ValidationError, lambda: path_core(PATH3, {1, 2}, OUTSIDE_BIG,
+                                        OUTSIDE_BIG, ALPHA, BETA, BIG)),
+], ids=["active-vertex", "beta", "seed-vertex", "exact-cap",
+        "outside-color"])
+def test_a_number_past_the_digit_limit_is_quoted_by_size(error, call):
+    kind, message = raised(call)
+    assert kind is error and "<int of 20001 bits>" in message, message
