@@ -20,10 +20,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NonemptyCoreError, SpareColorError, ValidationError, VertexRangeError
+from .errors import SpareColorError, ValidationError, VertexRangeError
 from .hypergraph import Hypergraph, _check_vertex, _excerpt
 
-__all__ = ["PeelResult", "beta_core", "blocked_colors", "color_coreless"]
+__all__ = ["PeelResult", "beta_core", "blocked_colors"]
 
 
 @dataclass(frozen=True)
@@ -143,24 +143,3 @@ def _first_fit_along(H: Hypergraph, order: Sequence[int],
                 f"all {len(pal)} palette colors blocked at vertex {v}; "
                 "peel order invariant violated")
     return assignment
-
-
-def color_coreless(H: Hypergraph, beta: int, active: Optional[Iterable[int]],
-                   palette: Sequence[int]) -> dict[int, int]:
-    """First-fit color a coreless set along its peel order.
-
-    Requires the beta-core of ``active`` to be empty and a palette of at
-    least beta distinct colors; returns {vertex: color} over ``active``.
-    """
-    pal = list(palette)
-    if len(set(pal)) != len(pal):
-        raise ValidationError("palette entries must be distinct")
-    if len(pal) < beta:
-        raise ValidationError(
-            f"palette of size {len(pal)} is smaller than beta={_excerpt(beta)}")
-    peel = beta_core(H, beta, active)
-    if peel.core:
-        raise NonemptyCoreError(
-            f"{len(peel.core)}-vertex {beta}-core present; cannot color along a peel order",
-            core=peel.core)
-    return _first_fit_along(H, peel.order, pal)

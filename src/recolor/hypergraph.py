@@ -43,11 +43,9 @@ __all__ = [
     "hypergraph_to_text",
     "hypergraph_from_text",
     "read_hypergraph",
-    "write_hypergraph",
     "coloring_to_text",
     "coloring_from_text",
     "read_coloring",
-    "write_coloring",
 ]
 
 
@@ -484,11 +482,6 @@ def _canonical_edges(rows: list, n: int, k: int) -> list | None:
     return None
 
 
-def write_hypergraph(H: Hypergraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(hypergraph_to_text(H))
-
-
 @contextmanager
 def _open_utf8(path):
     """Open a text file for reading; bytes that are not UTF-8 are malformed
@@ -519,11 +512,6 @@ def coloring_from_text(text: str) -> Coloring:
     except ValueError as exc:
         raise ValidationError(f"bad coloring text {_excerpt(text)}") from exc
     return Coloring(colors)
-
-
-def write_coloring(coloring: Coloring, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(coloring_to_text(coloring))
 
 
 def read_coloring(path) -> Coloring:

@@ -10,9 +10,8 @@ An instance is (alpha, beta)-colorable when NO maximally independent
 sequence of length alpha leaves a residual with a beta-core. The exact
 search below enumerates every sequence, memoizing per call on the residual
 (which is all the outcome depends on); the falsifier samples seeded-random
-greedy sequences and can only ever refute. Both exhaustive searches, this
-one and the maximum independent set, hold vertex sets as bitmasks and share
-one test of whether a vertex would complete an edge.
+greedy sequences and can only ever refute. The exact search holds vertex
+sets as bitmasks, with one test of whether a vertex would complete an edge.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "is_alpha_beta_colorable_exact",
     "falsify_alpha_beta",
     "verify_witness",
-    "max_independent_set_exact",
 ]
 
 
@@ -339,37 +337,3 @@ def verify_witness(H: Hypergraph, witness: ColorabilityWitness, alpha: int, beta
         return False
     core = beta_core(H, beta, residual).core
     return bool(core) and witness.core_vertices == core
-
-
-def max_independent_set_exact(H: Hypergraph, max_size: int = 30) -> tuple[int, frozenset[int]]:
-    """Branch-and-bound maximum independent set; returns (size, one witness).
-
-    The candidate list is filtered as the chosen set grows (a vertex whose
-    addition would complete an edge can never rejoin), which keeps the
-    |chosen| + |candidates| bound tight.
-    """
-    if H.n > max_size:
-        raise InstanceTooLargeError(f"n={H.n} exceeds the exact cap of {_excerpt(max_size)}")
-    # vertex v is bit v - 1, and the search runs on those bit positions
-    _, rest_masks = _mask_tables(H, list(range(1, H.n + 1)))
-
-    greedy = extend_to_mis(H)
-    best_size = len(greedy)
-    best_mask = sum(1 << (v - 1) for v in greedy)
-
-    def dfs(chosen_mask: int, size: int, cand: list[int]) -> None:
-        nonlocal best_size, best_mask
-        if size > best_size:
-            best_size = size
-            best_mask = chosen_mask
-        if size + len(cand) <= best_size or not cand:
-            return
-        i = cand[0]
-        with_i = chosen_mask | 1 << i
-        filtered = [j for j in cand[1:] if not _blocked(rest_masks[j], with_i)]
-        dfs(with_i, size + 1, filtered)
-        dfs(chosen_mask, size, cand[1:])
-
-    dfs(0, 0, [i for i in range(H.n) if not _blocked(rest_masks[i], 0)])
-    winner = frozenset(v for v in range(1, H.n + 1) if best_mask >> (v - 1) & 1)
-    return best_size, winner

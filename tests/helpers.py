@@ -6,13 +6,20 @@ checks that cannot share a bug with the library's incremental algorithms.
 
 import heapq
 import itertools
-import random
 from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
-from recolor import Coloring, Hypergraph, blocked_colors, generate_hnm, is_proper
+from recolor import (
+    Coloring,
+    Hypergraph,
+    blocked_colors,
+    coloring_to_text,
+    generate_hnm,
+    hypergraph_to_text,
+    is_proper,
+)
 from recolor import gamma_oracle, reconfig
-from recolor.core_peel import PeelResult, _active_set, beta_core
+from recolor.core_peel import PeelResult, _active_set, _first_fit_along, beta_core
 from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
@@ -76,16 +83,6 @@ def all_maximal_independent_sets(H, active=None):
     return out
 
 
-def max_independent_bruteforce(H):
-    best = 0
-    best_set = frozenset()
-    for S in subsets(range(1, H.n + 1)):
-        if len(S) > best and is_independent_bruteforce(H, S):
-            best = len(S)
-            best_set = frozenset(S)
-    return best, best_set
-
-
 def colorable_bruteforce(H, alpha, beta, active=None):
     """(alpha, beta)-colorability by trying every maximally independent
     sequence; True iff no sequence leaves a residual with a beta-core."""
@@ -132,6 +129,23 @@ def random_instance(rng, n_range=(2, 8), k_max=3, m_max=12):
     k = rng.randint(2, min(k_max, n))
     m = rng.randint(0, min(m_max, comb(n, k)))
     return generate_hnm(n, m, k, rng.getrandbits(48))
+
+
+def color_coreless(H, beta, active, palette):
+    """First-fit color a coreless ``active`` set along its peel order."""
+    peel = beta_core(H, beta, active)
+    assert not peel.core, f"{len(peel.core)}-vertex {beta}-core present"
+    return _first_fit_along(H, peel.order, palette)
+
+
+def write_hypergraph(H, path):
+    with open(path, "w") as fh:
+        fh.write(hypergraph_to_text(H))
+
+
+def write_coloring(coloring, path):
+    with open(path, "w") as fh:
+        fh.write(coloring_to_text(coloring))
 
 
 # The level-by-level region rewriter as it stood before the incremental

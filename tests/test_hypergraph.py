@@ -25,14 +25,14 @@ from recolor import (
     montecarlo_colorability,
     read_coloring,
     read_hypergraph,
-    write_coloring,
-    write_hypergraph,
 )
 from recolor import hypergraph
 from helpers import (
     distinct_k_sets_reference,
     hypergraph_from_text_reference,
     random_instance,
+    write_coloring,
+    write_hypergraph,
 )
 
 

@@ -19,7 +19,6 @@ from recolor import (
     generate_hnm,
     greedy_sequence,
     is_alpha_beta_colorable_exact,
-    max_independent_set_exact,
     verify_witness,
 )
 from helpers import (
@@ -27,7 +26,6 @@ from helpers import (
     colorable_bruteforce,
     exact_certifier_reference,
     is_independent_bruteforce,
-    max_independent_bruteforce,
     random_instance,
 )
 
@@ -413,38 +411,6 @@ class TestFalsify:
             w = falsify_alpha_beta(H, 1, 1, trials=8, rng_seed=seed)
             if w is not None:
                 assert is_alpha_beta_colorable_exact(H, 1, 1) is not True
-
-
-class TestMaxIndependentSet:
-    def test_edgeless(self):
-        size, S = max_independent_set_exact(build(7, 2, []))
-        assert size == 7 and S == frozenset(range(1, 8))
-
-    def test_triangle(self):
-        size, _ = max_independent_set_exact(TRIANGLE)
-        assert size == 1
-
-    def test_single_k3_edge_with_spare(self):
-        H = build(4, 3, [(1, 2, 3)])
-        size, S = max_independent_set_exact(H)
-        assert size == 3
-        assert is_independent_bruteforce(H, S)
-
-    def test_too_large_refused(self):
-        H = generate_hnm(31, 10, 2, 0)
-        with pytest.raises(InstanceTooLargeError):
-            max_independent_set_exact(H)
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_bruteforce(self, seed):
-        rng = random.Random(seed)
-        H = random_instance(rng, n_range=(2, 9), m_max=16)
-        size, S = max_independent_set_exact(H)
-        expected, _ = max_independent_bruteforce(H)
-        assert size == expected
-        assert len(S) == size
-        assert is_independent_bruteforce(H, S)
 
 
 class TestColorClassesSanity:

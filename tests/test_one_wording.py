@@ -6,14 +6,12 @@ import pytest
 
 from recolor import (
     Coloring,
-    InstanceTooLargeError,
     ValidationError,
     VertexRangeError,
     beta_core,
     blocked_colors,
     build,
     check_good_greedy,
-    color_coreless,
     connect,
     extend_to_mis,
     falsify_alpha_beta,
@@ -21,7 +19,6 @@ from recolor import (
     greedy_sequence,
     is_alpha_beta_colorable_exact,
     is_proper,
-    max_independent_set_exact,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
@@ -116,13 +113,10 @@ OUTSIDE_BIG = Coloring((1, 2, BIG))
 
 @pytest.mark.parametrize("error,call", [
     (VertexRangeError, lambda: beta_core(PATH3, 1, [BIG])),
-    (ValidationError, lambda: color_coreless(PATH3, BIG, None, [1])),
     (ValidationError, lambda: extend_to_mis(PATH3, seed_set=[BIG])),
-    (InstanceTooLargeError, lambda: max_independent_set_exact(PATH3, -BIG)),
     (ValidationError, lambda: path_core(PATH3, {1, 2}, OUTSIDE_BIG,
                                         OUTSIDE_BIG, ALPHA, BETA, BIG)),
-], ids=["active-vertex", "beta", "seed-vertex", "exact-cap",
-        "outside-color"])
+], ids=["active-vertex", "seed-vertex", "outside-color"])
 def test_a_number_past_the_digit_limit_is_quoted_by_size(error, call):
     kind, message = raised(call)
     assert kind is error and "<int of 20001 bits>" in message, message

@@ -16,19 +16,17 @@ from recolor import (
     beta_core,
     build,
     check_good_greedy,
-    color_coreless,
     connect,
     gamma_distance,
     generate_hnm,
     is_alpha_beta_colorable_exact,
-    is_proper,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
     verify_path,
     verify_witness,
 )
-from helpers import random_instance, random_proper_coloring
+from helpers import color_coreless, random_instance, random_proper_coloring
 
 K2 = build(2, 2, [(1, 2)])
 PATH3 = build(3, 2, [(1, 2), (2, 3)])

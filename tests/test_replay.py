@@ -24,7 +24,6 @@ from recolor import (
     generate_hnm,
     hypergraph_to_text,
     verify_path,
-    write_coloring,
 )
 from recolor import cli, reconfig
 from recolor.cli import _parse_trace
@@ -32,6 +31,7 @@ from helpers import (
     parse_trace_reference,
     random_proper_coloring,
     verify_path_reference,
+    write_coloring,
 )
 
 REASONS = {"start-length-mismatch", "start-color-out-of-range",

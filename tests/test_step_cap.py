@@ -15,14 +15,13 @@ from recolor import (
     NotColorableEvidence,
     StepCapExceededError,
     build,
-    color_coreless,
     connect,
     generate_hnm,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
 )
-from helpers import random_proper_coloring
+from helpers import color_coreless, random_proper_coloring
 
 
 def walk(*args, **kwargs):
