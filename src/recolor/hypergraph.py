@@ -91,6 +91,33 @@ class Coloring:
         return set(self.colors)
 
 
+class _CollectorPause:
+    """Pause the cyclic collector for one instance build, then leave it as
+    it was found; under a caller that has paused it already, do nothing.
+
+    A build makes containers in bulk: parsed rows, edge tuples, incidence
+    lists and tuples. None of them forms a cycle, so a collector pass during
+    a build would scan them for nothing. The pause covers the checks and
+    index of ``Hypergraph``, the parse, checks and index of
+    ``hypergraph_from_text``, and the index of a drawn instance. The draws
+    of a generator run with the collector on: its passes then scan each
+    edge tuple while it is fresh, which costs less than the one pass over
+    them all that a pause would defer to its end. The pause ends without
+    allocating, so no pass starts as it ends.
+    """
+
+    __slots__ = ("collecting",)
+
+    def __enter__(self) -> None:
+        self.collecting = gc.isenabled()
+        if self.collecting:
+            gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.collecting:
+            gc.enable()
+
+
 class Hypergraph:
     """Immutable k-uniform hypergraph on {1..n} with a per-vertex incidence index.
 
@@ -101,29 +128,32 @@ class Hypergraph:
     __slots__ = ("n", "k", "edges", "incidence")
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
-        _check_shape(n, k)
-        canon = []
-        seen = set()
-        for raw in edges:
-            e = tuple(raw)
-            if len(e) != k:
-                raise EdgeArityError(
-                    f"edge {_excerpt(e)} has {len(e)} vertices, expected {k}")
-            for v in e:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise VertexRangeError(f"vertex id {_excerpt(v)} is not an integer")
-                if not 1 <= v <= n:
-                    raise VertexRangeError(f"vertex {_excerpt(v)} outside "
-                                           f"1..{n} in edge {_excerpt(e)}")
-            se = tuple(sorted(e))
-            if len(set(se)) != k:
-                raise RepeatedVertexError(f"edge {_excerpt(e)} repeats a vertex")
-            if se in seen:
-                raise DuplicateEdgeError(f"duplicate edge {_excerpt(se)}")
-            seen.add(se)
-            canon.append(se)
-        canon.sort()
-        self._index(n, k, canon)
+        with _CollectorPause():
+            _check_shape(n, k)
+            canon = []
+            seen = set()
+            for raw in edges:
+                e = tuple(raw)
+                if len(e) != k:
+                    raise EdgeArityError(f"edge {_excerpt(e)} has {len(e)} "
+                                         f"vertices, expected {k}")
+                for v in e:
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise VertexRangeError(
+                            f"vertex id {_excerpt(v)} is not an integer")
+                    if not 1 <= v <= n:
+                        raise VertexRangeError(f"vertex {_excerpt(v)} outside "
+                                               f"1..{n} in edge {_excerpt(e)}")
+                se = tuple(sorted(e))
+                if len(set(se)) != k:
+                    raise RepeatedVertexError(
+                        f"edge {_excerpt(e)} repeats a vertex")
+                if se in seen:
+                    raise DuplicateEdgeError(f"duplicate edge {_excerpt(se)}")
+                seen.add(se)
+                canon.append(se)
+            canon.sort()
+            self._index(n, k, canon)
 
     @classmethod
     def _trusted(cls, n: int, k: int, canon: list[tuple[int, ...]]) -> "Hypergraph":
@@ -137,23 +167,16 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges = tuple(canon)
-        # edgeless vertices share (); the lists and tuples made here form
-        # no cycles, so the cyclic collector pauses while they are built
-        inc = [()] * (n + 1)  # slot 0 is never filled
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for idx, e in enumerate(self.edges):
-                for v in e:
-                    if inc[v]:
-                        inc[v].append(idx)
-                    else:
-                        inc[v] = [idx]
-            del inc[0]
-            self.incidence = tuple(map(tuple, inc))
-        finally:
-            if collecting:
-                gc.enable()
+        # edgeless vertices share (); slot 0 is never filled
+        inc = [()] * (n + 1)
+        for idx, e in enumerate(self.edges):
+            for v in e:
+                if inc[v]:
+                    inc[v].append(idx)
+                else:
+                    inc[v] = [idx]
+        del inc[0]
+        self.incidence = tuple(map(tuple, inc))
 
     @property
     def m(self) -> int:
@@ -271,8 +294,9 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
         raise InstanceTooLargeError(
             f"edge count {_excerpt(m)} is too large to materialize "
             f"(limit {_MAX_MATERIALIZED_EDGES})")
-    return Hypergraph._trusted(
-        n, k, _distinct_k_sets(random.Random(seed), n, k, m))
+    edges = _distinct_k_sets(random.Random(seed), n, k, m)
+    with _CollectorPause():
+        return Hypergraph._trusted(n, k, edges)
 
 
 def _distinct_k_sets(rng: random.Random, n: int, k: int,
@@ -373,7 +397,8 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
             raise InstanceTooLargeError(
                 f"sampled edge count {_excerpt(m)} is too large to materialize")
         edges = _distinct_k_sets(rng, n, k, m)
-    return Hypergraph._trusted(n, k, edges)
+    with _CollectorPause():
+        return Hypergraph._trusted(n, k, edges)
 
 
 def is_proper(H: Hypergraph, coloring: Coloring) -> bool:
@@ -414,36 +439,39 @@ def hypergraph_to_text(H: Hypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValidationError("empty hypergraph text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValidationError(f"header must be 'n k m', got {_excerpt(lines[0])}")
-    try:
-        n, k, m = map(int, head)
-    except ValueError as exc:
-        raise ValidationError(f"non-integer header {_excerpt(lines[0])}") from exc
-    if len(lines) - 1 != m:
-        raise ValidationError(
-            f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
-    rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
-    if rows is not None:
-        # every edge line is ints, so the shape is the next check due
-        _check_shape(n, k)
-        edges = _canonical_edges(rows, n, k)
-        if edges is not None:
-            del lines, rows  # not kept while the index is built
-            return Hypergraph._trusted(n, k, edges)
-    # the per-line checker: it words the first fault in input order, and
-    # builds valid texts whose edges are not canonical
-    edges = []
-    for ln in lines[1:]:
+    with _CollectorPause():
+        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+        if not lines:
+            raise ValidationError("empty hypergraph text")
+        head = lines[0].split()
+        if len(head) != 3:
+            raise ValidationError(
+                f"header must be 'n k m', got {_excerpt(lines[0])}")
         try:
-            edges.append(tuple(map(int, ln.split())))
+            n, k, m = map(int, head)
         except ValueError as exc:
-            raise ValidationError(f"bad edge line {_excerpt(ln)}") from exc
-    return Hypergraph(n, k, edges)
+            raise ValidationError(
+                f"non-integer header {_excerpt(lines[0])}") from exc
+        if len(lines) - 1 != m:
+            raise ValidationError(
+                f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
+        rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
+        if rows is not None:
+            # every edge line is ints, so the shape is the next check due
+            _check_shape(n, k)
+            edges = _canonical_edges(rows, n, k)
+            if edges is not None:
+                del lines, rows  # not kept while the index is built
+                return Hypergraph._trusted(n, k, edges)
+        # the per-line checker: it words the first fault in input order, and
+        # builds valid texts whose edges are not canonical
+        edges = []
+        for ln in lines[1:]:
+            try:
+                edges.append(tuple(map(int, ln.split())))
+            except ValueError as exc:
+                raise ValidationError(f"bad edge line {_excerpt(ln)}") from exc
+        return Hypergraph(n, k, edges)
 
 
 def _int_rows(text: str) -> list | None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .core_peel import _active_set, beta_core
-from .errors import InstanceTooLargeError, ValidationError
+from .errors import InstanceTooLargeError, ValidationError, VertexRangeError
 from .hypergraph import (
     _MAX_VERTICES,
     Coloring,
@@ -62,12 +62,40 @@ class ColorabilityWitness:
 
 
 def _check_strategy(strategy: str, rng_seed: Optional[int]) -> None:
-    """Refuse an unknown strategy, and the random one without a seed."""
+    """Refuse an unknown strategy, and the random one without an int seed."""
     if strategy not in ("ascending", "random"):
         raise ValidationError(
             f"unknown strategy {_excerpt(strategy)}; use 'ascending' or 'random'")
-    if strategy == "random" and rng_seed is None:
+    if strategy != "random":
+        return
+    if rng_seed is None:
         raise ValidationError("the seeded-random strategy requires rng_seed")
+    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
+        raise ValidationError(
+            f"rng_seed must be an integer, got {_excerpt(rng_seed)}")
+
+
+def _grow_mis(H: Hypergraph, seeds: Iterable[int],
+              rest: Iterable[int]) -> frozenset[int]:
+    """The seeds plus each vertex of ``rest``, in order, that completes no
+    edge with those taken before it. Checks nothing: the seeds are distinct
+    independent vertex ids, and ``rest`` holds distinct ids outside them."""
+    inc = H.incidence
+    full = H.k - 1
+    chosen = set(seeds)
+    cnt = [0] * H.m  # chosen members per edge
+    for v in chosen:
+        for ei in inc[v - 1]:
+            cnt[ei] += 1
+    for v in rest:
+        for ei in inc[v - 1]:
+            if cnt[ei] == full:
+                break           # v would complete an edge
+        else:
+            for ei in inc[v - 1]:
+                cnt[ei] += 1
+            chosen.add(v)
+    return frozenset(chosen)
 
 
 def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
@@ -81,12 +109,15 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
     """
     _check_strategy(strategy, rng_seed)
     act = _active_set(H, active)
+    seeds = set(seed_set)
+    for v in seeds:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise VertexRangeError(
+                f"seed vertex {_excerpt(v)} is not an integer")
     inc = H.incidence
     full = H.k - 1
-    chosen: set[int] = set()
-    cnt = [0] * H.m  # chosen members per edge
-
-    for v in sorted(set(seed_set)):
+    cnt = [0] * H.m  # seeds per edge, so far in ascending order
+    for v in sorted(seeds):
         if v not in act:
             raise ValidationError(f"seed vertex {_excerpt(v)} is not active")
         for ei in inc[v - 1]:
@@ -95,19 +126,10 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
                     "seed set is not independent inside the active set")
         for ei in inc[v - 1]:
             cnt[ei] += 1
-        chosen.add(v)
-    rest = sorted(act - chosen)
+    rest = sorted(act - seeds)
     if strategy == "random":
         random.Random(rng_seed).shuffle(rest)
-    for v in rest:
-        for ei in inc[v - 1]:
-            if cnt[ei] == full:
-                break           # v would complete an edge
-        else:
-            for ei in inc[v - 1]:
-                cnt[ei] += 1
-            chosen.add(v)
-    return frozenset(chosen)
+    return _grow_mis(H, seeds, rest)
 
 
 def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
@@ -118,9 +140,10 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     Per-level seeds are derived from rng_seed so the whole sequence is
     reproducible. Trailing sets are empty once the residual runs out, so
     no instance needs more than n levels, and t past the vertex limit is
-    refused.
+    refused. Each level is the one extend_to_mis would grow on the residual
+    with that level's seed; the arguments are checked once, up front.
     """
-    if t < 0:
+    if not isinstance(t, int) or t < 0:
         raise ValidationError(
             f"sequence length must be nonnegative, got {_excerpt(t)}")
     if t > _MAX_VERTICES:
@@ -133,8 +156,10 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
         if not residual:
             sets.extend(itertools.repeat(frozenset(), t - level))
             break
-        seed = derive_seed(rng_seed, level) if strategy == "random" else None
-        part = extend_to_mis(H, residual, (), strategy, seed)
+        rest = sorted(residual)
+        if strategy == "random":
+            random.Random(derive_seed(rng_seed, level)).shuffle(rest)
+        part = _grow_mis(H, (), rest)
         sets.append(part)
         residual -= part
     return MISequence(sets=tuple(sets), residual=frozenset(residual))

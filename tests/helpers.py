@@ -6,6 +6,7 @@ checks that cannot share a bug with the library's incremental algorithms.
 
 import heapq
 import itertools
+import random
 from collections import Counter, deque
 from typing import Iterable, Optional, Union
 
@@ -27,8 +28,9 @@ from recolor.errors import (
     StepCapExceededError,
     ValidationError,
 )
-from recolor.hypergraph import _excerpt
+from recolor.hypergraph import _MAX_VERTICES, _excerpt
 from recolor.independence import ColorabilityWitness, MISequence
+from recolor.seeding import derive_seed
 
 
 def subsets(vertices):
@@ -803,3 +805,74 @@ def distinct_k_sets_reference(rng, n, k, m):
         if e not in seen:
             seen.add(e)
             yield e
+
+
+# recolor.independence.extend_to_mis and greedy_sequence as they stood
+# before greedy_sequence drew its levels through the unchecked kernel
+# _grow_mis: every level went through the public, checking extend_to_mis.
+# Kept verbatim, but for their names and the strategy check inlined, as the
+# differential oracle.
+def extend_to_mis_reference(H: Hypergraph, active: Optional[Iterable[int]] = None,
+                            seed_set: Iterable[int] = (),
+                            strategy: str = "ascending",
+                            rng_seed: Optional[int] = None) -> frozenset[int]:
+    if strategy not in ("ascending", "random"):
+        raise ValidationError(
+            f"unknown strategy {_excerpt(strategy)}; use 'ascending' or 'random'")
+    if strategy == "random" and rng_seed is None:
+        raise ValidationError("the seeded-random strategy requires rng_seed")
+    act = _active_set(H, active)
+    inc = H.incidence
+    full = H.k - 1
+    chosen: set[int] = set()
+    cnt = [0] * H.m  # chosen members per edge
+
+    for v in sorted(set(seed_set)):
+        if v not in act:
+            raise ValidationError(f"seed vertex {_excerpt(v)} is not active")
+        for ei in inc[v - 1]:
+            if cnt[ei] == full:
+                raise ValidationError(
+                    "seed set is not independent inside the active set")
+        for ei in inc[v - 1]:
+            cnt[ei] += 1
+        chosen.add(v)
+    rest = sorted(act - chosen)
+    if strategy == "random":
+        random.Random(rng_seed).shuffle(rest)
+    for v in rest:
+        for ei in inc[v - 1]:
+            if cnt[ei] == full:
+                break           # v would complete an edge
+        else:
+            for ei in inc[v - 1]:
+                cnt[ei] += 1
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+def greedy_sequence_reference(H: Hypergraph, t: int, strategy: str = "ascending",
+                              rng_seed: Optional[int] = None,
+                              active: Optional[Iterable[int]] = None) -> MISequence:
+    if t < 0:
+        raise ValidationError(
+            f"sequence length must be nonnegative, got {_excerpt(t)}")
+    if t > _MAX_VERTICES:
+        raise InstanceTooLargeError(
+            f"sequence length {_excerpt(t)} exceeds the limit of {_MAX_VERTICES}")
+    if strategy not in ("ascending", "random"):
+        raise ValidationError(
+            f"unknown strategy {_excerpt(strategy)}; use 'ascending' or 'random'")
+    if strategy == "random" and rng_seed is None:
+        raise ValidationError("the seeded-random strategy requires rng_seed")
+    residual = set(_active_set(H, active))
+    sets = []
+    for level in range(t):
+        if not residual:
+            sets.extend(itertools.repeat(frozenset(), t - level))
+            break
+        seed = derive_seed(rng_seed, level) if strategy == "random" else None
+        part = extend_to_mis_reference(H, residual, (), strategy, seed)
+        sets.append(part)
+        residual -= part
+    return MISequence(sets=tuple(sets), residual=frozenset(residual))

@@ -496,6 +496,24 @@ class TestMisAndGreedy:
         assert "1,1" in lines
         assert "residual,2" in lines
 
+    # on connect_k2.h.txt (n=200, k=2, m=200), whose three greedy levels
+    # leave a residual under both strategies
+    @pytest.mark.parametrize("command,flags", [
+        ("mis", []), ("greedy", ["--levels", "3"]),
+    ], ids=["mis", "greedy"])
+    @pytest.mark.parametrize("strategy,seed", [
+        ("ascending", []), ("random", ["--seed", "5"]),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_matches_golden(self, command, flags, strategy, seed, fmt,
+                            capsys):
+        """Recorded before greedy_sequence drew its levels through one
+        unchecked kernel."""
+        assert main([command, str(GOLDEN / "connect_k2.h.txt"), *flags,
+                     "--strategy", strategy, *seed, "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == (
+            GOLDEN / f"{command}_k2.{strategy}.{fmt}.txt").read_bytes()
+
 
 class TestCertify:
     def test_colorable(self, k3_file, capsys):
@@ -796,6 +814,10 @@ class TestMonteCarlo:
         ("montecarlo_n2000_k3",
          ["montecarlo", "--n", "2000", "--k", "3", "--trials", "3",
           "--alpha", "2", "--beta", "2", "--m", "4000", "--seed", "11"]),
+        # the bench's trial shape, with a witness rate near 1/2
+        ("montecarlo_n10000_k2",
+         ["montecarlo", "--n", "10000", "--k", "2", "--trials", "4",
+          "--alpha", "2", "--beta", "2", "--m", "18000", "--seed", "7"]),
     ])
     def test_matches_golden(self, name, argv, capsys):
         """CSV rows and the rate line: each trial's instance is pinned

@@ -1,8 +1,10 @@
 """Where the cyclic collector pauses.
 
 The CLI pauses it once per subcommand, around the whole call, and leaves it
-as it found it whatever the exit. The library pauses it only while
-``Hypergraph._index`` builds an instance's incidence lists.
+as it found it whatever the exit. The library pauses it once per instance
+build, through one helper, and also leaves it as it found it: around the
+whole of ``build`` and ``hypergraph_from_text``, and around the index of a
+drawn instance.
 """
 
 import ast
@@ -14,9 +16,13 @@ import pytest
 import recolor
 from recolor import (
     Coloring,
+    InstanceTooLargeError,
+    ValidationError,
     build,
     cli,
+    experiments,
     generate_hnm,
+    generate_hnp,
     hypergraph,
     hypergraph_from_text,
     hypergraph_to_text,
@@ -117,14 +123,52 @@ class CollectorSpy:
 
 @pytest.mark.parametrize("make", [
     lambda: generate_hnm(50, 60, 3, 1),
+    lambda: generate_hnp(50, 0.01, 3, 1),
     lambda: hypergraph_from_text(hypergraph_to_text(TRIANGLE)),
-], ids=["generate_hnm", "hypergraph_from_text"])
-def test_the_library_pauses_only_while_indexing(make, monkeypatch):
+    lambda: build(3, 2, [(2, 1), (3, 2)]),
+], ids=["generate_hnm", "generate_hnp", "hypergraph_from_text", "build"])
+def test_the_library_pauses_once_per_instance_build(make, monkeypatch):
     spy = CollectorSpy()
     monkeypatch.setattr(hypergraph, "gc", spy)
     make()
     assert spy.calls == ["isenabled", "disable", "enable"]
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hypergraph_from_text("3 2 1\n1 x\n"),
+    lambda: build(3, 2, [(1, 1)]),
+], ids=["hypergraph_from_text", "build"])
+def test_a_refusal_inside_a_build_ends_its_pause(make, monkeypatch):
+    spy = CollectorSpy()
+    monkeypatch.setattr(hypergraph, "gc", spy)
+    with pytest.raises(ValidationError):
+        make()
+    assert spy.calls == ["isenabled", "disable", "enable"]
+    assert gc.isenabled()
+
+
+def test_a_generator_draws_with_the_collector_on(monkeypatch):
+    # its passes scan each drawn edge while it is fresh; deferred to one
+    # pass over every edge, as a pause would, they measured slower
+    seen = []
+    draw = hypergraph._distinct_k_sets
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return draw(*args)
+    monkeypatch.setattr(hypergraph, "_distinct_k_sets", spy)
+    generate_hnm(50, 60, 3, 1)
+    assert seen == [True]
+
+
+def test_a_build_under_a_paused_collector_leaves_it_paused(monkeypatch):
+    spy = CollectorSpy()
+    monkeypatch.setattr(hypergraph, "gc", spy)
+    gc.disable()
+    generate_hnm(50, 60, 3, 1)
+    assert spy.calls == ["isenabled"]
+    assert not gc.isenabled()
 
 
 def disable_sites():
@@ -148,5 +192,46 @@ def disable_sites():
     return sites
 
 
-def test_only_main_and_index_disable_the_collector():
-    assert disable_sites() == ["cli.main", "hypergraph.Hypergraph._index"]
+def test_only_main_and_the_build_pause_disable_the_collector():
+    assert disable_sites() == ["cli.main",
+                               "hypergraph._CollectorPause.__enter__"]
+
+
+MONTECARLO = experiments.MonteCarloConfig(
+    n=200, k=2, trials=3, seed=4, alpha=2, beta=2, m=300)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_montecarlo_leaves_the_collector_as_found_after_each_trial(
+        collecting):
+    (gc.enable if collecting else gc.disable)()
+    trials = experiments.montecarlo_colorability(MONTECARLO)
+    for _ in range(MONTECARLO.trials):
+        next(trials)
+        assert gc.isenabled() is collecting
+    with pytest.raises(StopIteration):
+        next(trials)
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_montecarlo_leaves_the_collector_as_found_when_closed_mid_stream(
+        collecting):
+    (gc.enable if collecting else gc.disable)()
+    trials = experiments.montecarlo_colorability(MONTECARLO)
+    next(trials)
+    trials.close()
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_montecarlo_leaves_the_collector_as_found_after_a_refusal(
+        collecting):
+    # one vertex past the cap: the first trial's generate_hnm refuses it
+    (gc.enable if collecting else gc.disable)()
+    cfg = experiments.MonteCarloConfig(
+        n=hypergraph._MAX_VERTICES + 1, k=2, trials=1, seed=0,
+        alpha=1, beta=1, m=1)
+    with pytest.raises(InstanceTooLargeError, match="too large"):
+        next(experiments.montecarlo_colorability(cfg))
+    assert gc.isenabled() is collecting

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from recolor import (
     Coloring,
     InstanceTooLargeError,
+    MISequence,
     ValidationError,
     VertexRangeError,
     beta_core,
@@ -25,6 +26,8 @@ from helpers import (
     all_maximal_independent_sets,
     colorable_bruteforce,
     exact_certifier_reference,
+    extend_to_mis_reference,
+    greedy_sequence_reference,
     is_independent_bruteforce,
     random_instance,
 )
@@ -153,6 +156,82 @@ class TestGreedySequence:
                 assert part == frozenset()
             remaining -= part
         assert seq.residual == frozenset(remaining)
+
+
+def outcome(call):
+    """The value a call returns, or the type and wording of its refusal."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestMisAgainstReference:
+    """extend_to_mis and greedy_sequence against the versions that grew
+    every level through the checking extend_to_mis: the same sets, the
+    same sequences and the same refusals."""
+
+    @given(st.integers(0, 10 ** 9), st.sampled_from(["ascending", "random"]))
+    @settings(max_examples=150, deadline=None)
+    def test_extend_to_mis(self, seed, strategy):
+        rng = random.Random(seed)
+        H = random_instance(rng, n_range=(4, 30), k_max=4, m_max=60)
+        verts = list(H.vertices())
+        active = (None if rng.random() < 0.5
+                  else rng.sample(verts, rng.randint(0, H.n)))
+        act = verts if active is None else active
+        # an independent seed set: part of a maximal one inside a subset
+        grown = extend_to_mis_reference(
+            H, rng.sample(act, rng.randint(0, len(act))), (), "random", seed)
+        seeds = rng.sample(sorted(grown), rng.randint(0, len(grown)))
+        # and any set of ids, which may be dependent, inactive or outside
+        anything = rng.sample(range(0, H.n + 3), rng.randint(0, H.n))
+        for seed_set in (seeds, anything):
+            args = (H, active, seed_set, strategy, rng.getrandbits(64))
+            want = outcome(lambda: extend_to_mis_reference(*args))
+            got = outcome(lambda: extend_to_mis(*args))
+            assert got == want
+
+    @given(st.integers(0, 10 ** 9), st.sampled_from(["ascending", "random"]),
+           st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_sequence(self, seed, strategy, t):
+        rng = random.Random(seed)
+        H = random_instance(rng, n_range=(4, 30), k_max=4, m_max=60)
+        active = (None if rng.random() < 0.5
+                  else rng.sample(list(H.vertices()), rng.randint(0, H.n)))
+        args = (H, t, strategy, rng.getrandbits(64), active)
+        want = greedy_sequence_reference(*args)
+        got = greedy_sequence(*args)
+        assert type(got) is MISequence
+        assert got == want
+        assert all(type(part) is frozenset for part in got.sets)
+
+
+class TestArgumentChecks:
+    """Arguments that once escaped as a TypeError, or as a bool taken for
+    a vertex, are refused in one line."""
+
+    @pytest.mark.parametrize("seed_set,shown", [
+        ([1.0], "1.0"), ([2, "x"], "'x'"), ([True], "True"),
+    ])
+    def test_a_seed_vertex_that_is_not_an_int(self, seed_set, shown):
+        with pytest.raises(VertexRangeError) as caught:
+            extend_to_mis(PATH3, seed_set=seed_set)
+        assert str(caught.value) == f"seed vertex {shown} is not an integer"
+
+    @pytest.mark.parametrize("t", [2.0, "2", None])
+    def test_a_sequence_length_that_is_not_an_int(self, t):
+        with pytest.raises(ValidationError) as caught:
+            greedy_sequence(PATH3, t)
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == (
+            f"sequence length must be nonnegative, got {t!r}")
+
+    def test_an_ascending_draw_ignores_the_seed(self):
+        assert (extend_to_mis(PATH3, rng_seed=1.5)
+                == greedy_sequence(PATH3, 1, rng_seed="abc").sets[0]
+                == frozenset({1, 3}))
 
 
 class TestCheckGoodGreedy:

@@ -94,6 +94,16 @@ def test_a_bad_strategy_or_a_missing_seed(strategy, message):
     assert [raised(call) for call in calls] == [want] * len(calls)
 
 
+@pytest.mark.parametrize("rng_seed", [1.5, "abc", True, b"1"])
+def test_a_random_seed_that_is_not_an_int(rng_seed):
+    calls = [
+        lambda: extend_to_mis(PATH3, strategy="random", rng_seed=rng_seed),
+        lambda: greedy_sequence(PATH3, 2, "random", rng_seed=rng_seed),
+    ]
+    want = (ValidationError, f"rng_seed must be an integer, got {rng_seed!r}")
+    assert [raised(call) for call in calls] == [want] * len(calls)
+
+
 @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 0)])
 def test_alpha_and_beta(alpha, beta):
     calls = [
