@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import itertools
+import re
 import sys
 from array import array
 from collections import Counter
@@ -48,16 +50,22 @@ from .independence import (
 # verification), 2 bad input, 3 refused (budget, cap, inconclusive)
 
 _TRACE_HEADER = "index,vertex,old_color,new_color"
-# characters of trace text _parse_trace reads at a time (whole lines)
+_TRACE_HEADER_LINE = re.compile(f"^{_TRACE_HEADER}\n", re.MULTILINE)
+# characters of trace text _parse_trace reads at a time
 _TRACE_CHUNK = 1 << 16
+# moves per piece of text _trace_chunks yields
+_TRACE_ROWS = 1 << 12
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text) -> None:
+    """Write ``text`` to --out or stdout: a str, or an iterable of str
+    pieces, each written as it comes."""
+    pieces = (text,) if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_params(args) -> int:
@@ -152,14 +160,25 @@ def _cmd_certify(args) -> int:
     return 1
 
 
-def _trace_text(path, fmt: str) -> str:
+def _trace_chunks(path, fmt: str):
+    """The trace text of ``path``, in pieces of at most _TRACE_ROWS moves
+    after the csv header. Each color is formatted once, with its separator
+    in front, into a table indexed by color."""
     sep = "," if fmt == "csv" else " "
-    cur = [0] + list(path.start.colors)
-    rows = [_TRACE_HEADER] if fmt == "csv" else []
-    for i, (v, c) in enumerate(path.steps):
-        rows.append(f"{i}{sep}{v}{sep}{cur[v]}{sep}{c}")
-        cur[v] = c
-    return "\n".join(rows) + "\n" if rows else ""
+    if fmt == "csv":
+        yield _TRACE_HEADER + "\n"
+    steps = path.steps
+    if not steps:
+        return
+    cur = [0, *path.start.colors]
+    top = max(max(cur), max(c for _, c in steps))
+    col = [sep + str(c) for c in range(top + 1)]
+    for lo in range(0, len(steps), _TRACE_ROWS):
+        rows = []
+        for i, (v, c) in enumerate(steps[lo:lo + _TRACE_ROWS], lo):
+            rows.append(f"{i}{sep}{v}{col[cur[v]]}{col[c]}\n")
+            cur[v] = c
+        yield "".join(rows)
 
 
 def _cmd_connect(args) -> int:
@@ -168,7 +187,7 @@ def _cmd_connect(args) -> int:
     c2 = read_coloring(args.coloring2)
     path = reconfig.connect(H, c1, c2, args.q, args.alpha, args.beta,
                             step_cap=args.step_cap)
-    _emit(args, _trace_text(path, args.fmt))
+    _emit(args, _trace_chunks(path, args.fmt))
     s = path.stats
     print(f"path length {len(path.steps)}: inter {s.inter_moves} "
           f"core {s.core_moves} (detours {s.detour_moves}) "
@@ -179,30 +198,41 @@ def _cmd_connect(args) -> int:
 def _parse_trace(path_file: str):
     """The vertex, old color and new color columns of a trace file.
 
-    Each chunk of lines is read in bulk into ``array('i')`` columns when it
-    is canonical text: four plain numerals a line, split by single spaces
-    or commas, indices in sequence, header lines only as the whole line.
-    From the first chunk that is not (a fault, other spacing, an int beyond
-    32 bits), the rest goes through the per-line checker into lists, which
-    is the one place that words a trace error.
+    The file is read in blocks of _TRACE_CHUNK characters, each cut after
+    its last newline; the partial line left over starts the next block.
+    A block goes in bulk into ``array('i')`` columns when it is canonical
+    text: four plain numerals a line, split by single spaces or commas,
+    indices in sequence, header lines only as the whole line. From the
+    first block that is not (a fault, other spacing, an int beyond 32 bits,
+    a line longer than a block), the rest goes through the per-line checker
+    into lists, which is the one place that words a trace error.
     """
     cols = (array("i"), array("i"), array("i"))
-    header = _TRACE_HEADER + "\n"
+    carry = ""
     with _open_utf8(path_file) as fh:
-        # readlines splits on "\n" only, as iterating over the file does
-        for lines in iter(lambda: fh.readlines(_TRACE_CHUNK), []):
-            lines = [ln for ln in lines if ln != header]
-            if lines and not _bulk_trace_rows(lines, cols):
+        while True:
+            block = fh.read(_TRACE_CHUNK)
+            text = carry + block
+            # newline translation leaves "\n" the only line end
+            cut = text.rfind("\n") + 1 if block else len(text)
+            text, carry = text[:cut], text[cut:]
+            if _TRACE_HEADER in text:  # a far cheaper scan than the regex
+                text = _TRACE_HEADER_LINE.sub("", text)
+            if block and not cut or text and not _bulk_trace_rows(text, cols):
                 cols = tuple(map(list, cols))
-                _trace_rows(itertools.chain(lines, fh), *cols)
+                # the block's lines, its partial last line whole, the rest
+                rest = io.StringIO(text + carry + fh.readline(), newline="\n")
+                _trace_rows(itertools.chain(rest, fh), *cols)
+                break
+            if not block:
                 break
     return cols
 
 
-def _bulk_trace_rows(lines: list, cols: tuple) -> bool:
-    """Append a chunk of canonical trace lines to the array columns; False,
-    with the columns untouched, when the chunk is anything else."""
-    rows = _int_rows("".join(lines).replace(",", " "))
+def _bulk_trace_rows(text: str, cols: tuple) -> bool:
+    """Append a block of canonical trace lines to the array columns; False,
+    with the columns untouched, when the block is anything else."""
+    rows = _int_rows(text.replace(",", " "))
     if rows is None or set(map(len, rows)) != {4}:
         return False
     idx, *data = zip(*rows)

@@ -440,6 +440,22 @@ def hypergraph_to_text(H: Hypergraph) -> str:
 
 def hypergraph_from_text(text: str) -> Hypergraph:
     with _CollectorPause():
+        # a canonical text (plain header line, then m plain edge lines) goes
+        # in bulk; the stripped line list is built only for any other text
+        head, _, body = text.partition("\n")
+        top = _int_rows(head)
+        if top is not None and len(top[0]) == 3:
+            n, k, m = top[0]
+            rows = _int_rows(body)
+            # an empty row is a blank line, which the line count skips
+            if rows is not None and len(rows) == m and all(rows):
+                _check_shape(n, k)
+                edges = _canonical_edges(rows, n, k)
+                if edges is not None:
+                    del body, rows  # not kept while the index is built
+                    return Hypergraph._trusted(n, k, edges)
+        # the per-line checker: it words the first fault in input order, and
+        # builds valid texts that are not canonical
         lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise ValidationError("empty hypergraph text")
@@ -455,16 +471,6 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         if len(lines) - 1 != m:
             raise ValidationError(
                 f"header promises {_excerpt(m)} edges, found {len(lines) - 1}")
-        rows = _int_rows("\n".join(itertools.islice(lines, 1, None)))
-        if rows is not None:
-            # every edge line is ints, so the shape is the next check due
-            _check_shape(n, k)
-            edges = _canonical_edges(rows, n, k)
-            if edges is not None:
-                del lines, rows  # not kept while the index is built
-                return Hypergraph._trusted(n, k, edges)
-        # the per-line checker: it words the first fault in input order, and
-        # builds valid texts whose edges are not canonical
         edges = []
         for ln in lines[1:]:
             try:

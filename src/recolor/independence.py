@@ -75,18 +75,15 @@ def _check_strategy(strategy: str, rng_seed: Optional[int]) -> None:
             f"rng_seed must be an integer, got {_excerpt(rng_seed)}")
 
 
-def _grow_mis(H: Hypergraph, seeds: Iterable[int],
-              rest: Iterable[int]) -> frozenset[int]:
+def _grow_mis(H: Hypergraph, seeds: Iterable[int], rest: Iterable[int],
+              cnt: list[int]) -> frozenset[int]:
     """The seeds plus each vertex of ``rest``, in order, that completes no
-    edge with those taken before it. Checks nothing: the seeds are distinct
+    edge with those taken before it. ``cnt`` holds the seeds' members per
+    edge, and is updated in place. Checks nothing: the seeds are distinct
     independent vertex ids, and ``rest`` holds distinct ids outside them."""
     inc = H.incidence
     full = H.k - 1
     chosen = set(seeds)
-    cnt = [0] * H.m  # chosen members per edge
-    for v in chosen:
-        for ei in inc[v - 1]:
-            cnt[ei] += 1
     for v in rest:
         for ei in inc[v - 1]:
             if cnt[ei] == full:
@@ -129,7 +126,7 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
     rest = sorted(act - seeds)
     if strategy == "random":
         random.Random(rng_seed).shuffle(rest)
-    return _grow_mis(H, seeds, rest)
+    return _grow_mis(H, seeds, rest, cnt)
 
 
 def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
@@ -159,7 +156,7 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
         rest = sorted(residual)
         if strategy == "random":
             random.Random(derive_seed(rng_seed, level)).shuffle(rest)
-        part = _grow_mis(H, (), rest)
+        part = _grow_mis(H, (), rest, [0] * H.m)
         sets.append(part)
         residual -= part
     return MISequence(sets=tuple(sets), residual=frozenset(residual))
@@ -334,6 +331,7 @@ def falsify_alpha_beta(H: Hypergraph, alpha: int, beta: int, trials: int,
     """
     act = _active_set(H, active)
     _check_falsifier_args(alpha, beta, trials)
+    _check_strategy("random", rng_seed)
     if alpha >= len(act):
         return None
     for t in range(trials):

@@ -624,6 +624,20 @@ def parse_trace_reference(path_file):
     return steps
 
 
+# recolor.cli._trace_text as it stood before the trace was written in chunks
+# through a color table: one f-string per move, then one join. Kept
+# verbatim, but for its name and the header literal, as the byte oracle of
+# recolor.cli._trace_chunks.
+def trace_text_reference(path, fmt: str) -> str:
+    sep = "," if fmt == "csv" else " "
+    cur = [0] + list(path.start.colors)
+    rows = ["index,vertex,old_color,new_color"] if fmt == "csv" else []
+    for i, (v, c) in enumerate(path.steps):
+        rows.append(f"{i}{sep}{v}{sep}{cur[v]}{sep}{c}")
+        cur[v] = c
+    return "\n".join(rows) + "\n" if rows else ""
+
+
 # recolor.hypergraph.hypergraph_from_text as it stood before canonical edge
 # lines were read in bulk: one int parse per line, then the checking
 # constructor. Kept verbatim, but for its name, as the differential oracle.

@@ -22,6 +22,7 @@ from recolor import (
     hypergraph_to_text,
     params_from_d,
 )
+from recolor import cli
 from recolor.cli import _parse_trace, main
 from helpers import write_coloring, write_hypergraph
 
@@ -745,6 +746,23 @@ class TestConnectAndVerify:
         assert main(["verify", hg, f1, str(trace), "--q", "6"]) == 0
         assert sha256(capsys.readouterr().out.encode()) == (
             "a12368f984de14237c99edc5c67dc0c2ba46dedfc21244b0ea992ddfbac9c4b0")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_stdout_equals_out_over_two_chunks(self, fmt, tmp_path, capsys):
+        H, (c1, c2) = bench_sized_instance()
+        hg, f1, f2 = (str(tmp_path / name) for name in ("h", "c1", "c2"))
+        trace = tmp_path / "trace.txt"
+        write_hypergraph(H, hg)
+        write_coloring(c1, f1)
+        write_coloring(c2, f2)
+        argv = ["connect", hg, f1, f2, "--q", "6", "--alpha", "2",
+                "--beta", "3", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--out", str(trace)]) == 0
+        assert capsys.readouterr().out == ""
+        assert trace.read_text() == out
+        assert out.count("\n") > cli._TRACE_ROWS
 
 
 class TestGamma:

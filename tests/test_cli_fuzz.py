@@ -27,7 +27,7 @@ from recolor import (
     reconfig,
     verify_witness,
 )
-from recolor.cli import _trace_text, main
+from recolor.cli import _trace_chunks, main
 from helpers import write_coloring
 
 # digits, signs, letters, spaces, commas and newlines
@@ -165,7 +165,7 @@ def files(tmp_path_factory):
     paths["g"].write_text(hypergraph_to_text(GAMMA_H))
     write_coloring(C1, paths["c1"])
     write_coloring(C2, paths["c2"])
-    paths["trace"].write_text(_trace_text(TRACE, "text"))
+    paths["trace"].write_text("".join(_trace_chunks(TRACE, "text")))
     return {name: str(path) for name, path in paths.items()}
 
 

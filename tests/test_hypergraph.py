@@ -549,7 +549,9 @@ class TestTextReaderDifferential:
         "12 2 1\n1 1_0", "4 2 1\n٣ 4", "4 2 2\n1\t2\r\n\n3 4\n",
         "4 2 2\n3 4\n1 2", "4 2 1\n2 1", "4 2 1\n01 2",
         "6000000 2 1\n1 2", "3 2 1\n" + "9" * 5000 + " 1",
-        "3 2 1\n1 \ud800",
+        "3 2 1\n1 \ud800", "1 5 3\n1 2\n\n3 4\n", "\n3 2 1\n1 2\n",
+        " 3 2 1\n1 2\n", "3 2 1 \n1 2\n", "3 2 1\n1 2 \n",
+        "3 2 1 1\n1 2\n",
     ])
     def test_matches_the_reference_on_spellings(self, text):
         assert read_outcome(hypergraph_from_text, text) == \

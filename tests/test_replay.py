@@ -1,18 +1,22 @@
-"""The replay kernel and the trace parser against the versions they
-replaced.
+"""The replay kernel and the trace reader and writer against the versions
+they replaced.
 
-``verify_path_reference`` and ``parse_trace_reference`` in ``helpers`` are
-the old code, kept verbatim. Each test here feeds old and new the same
-seeded inputs, faulty ones above all, and asks for the same answer: the same
-``PathVerdict``, the same parsed rows or ``ValidationError`` message.
+``verify_path_reference``, ``parse_trace_reference`` and
+``trace_text_reference`` in ``helpers`` are the old code, kept verbatim.
+Each test here feeds old and new the same seeded inputs, faulty ones above
+all, and asks for the same answer: the same ``PathVerdict``, the same parsed
+rows or ``ValidationError`` message, the same trace bytes.
 """
 
+import itertools
 import random
 import time
 import tracemalloc
 from math import comb
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recolor import (
     Coloring,
@@ -26,9 +30,10 @@ from recolor import (
     verify_path,
 )
 from recolor import cli, reconfig
-from recolor.cli import _parse_trace
+from recolor.cli import _parse_trace, _trace_chunks
 from helpers import (
     parse_trace_reference,
+    trace_text_reference,
     random_proper_coloring,
     verify_path_reference,
     write_coloring,
@@ -308,6 +313,84 @@ def test_parse_trace_drops_a_header_after_every_move_in_linear_time(tmp_path):
     got = _parse_trace(str(headed))
     assert time.perf_counter() - t0 < 2.5
     assert got == want
+
+
+def test_parse_trace_reads_a_line_longer_than_a_block(tmp_path):
+    """Lines of more than _TRACE_CHUNK characters, valid and not, among
+    canonical lines and as the last line without a newline: the per-line
+    checker takes them, and the rows or the error are the reference's."""
+    rng = random.Random(6)
+    lines = canonical_trace(20_000, rng)
+    wide = cli._TRACE_CHUNK + 100
+    f = tmp_path / "trace.txt"
+    for at in (0, 3, 9_000, 19_999):
+        i, v, old, new = lines[at].split()
+        for long_line, ok in [
+            (f"{i} {v}{' ' * wide}{old} {new}\n", True),
+            (f"{' ' * wide}{i},{v},{old},{new}\n", True),
+            (f"{i} {v} {old} {new}{' ' * wide}x\n", False),
+        ]:
+            edit = lines[:at] + [long_line] + lines[at + 1:]
+            for text in ("".join(edit), "".join(edit).rstrip("\n")):
+                assert len(max(text.split("\n"), key=len)) > cli._TRACE_CHUNK
+                f.write_text(text, encoding="utf-8")
+                got = parse_outcome(parse_rows, f)
+                assert got == parse_outcome(parse_trace_reference, f)
+                assert (got[0] == "ok") == ok
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_parse_trace_drops_a_header_split_across_two_blocks(sep,
+                                                            final_newline,
+                                                            tmp_path):
+    header = "index,vertex,old_color,new_color\n"
+    lines = canonical_trace(12_000, random.Random(8), sep)
+    # the header follows the first line ending within half a header of the
+    # first block's end, so the block boundary falls inside the header
+    ends = itertools.accumulate(map(len, lines))
+    at = next(j for j, end in enumerate(ends, 1)
+              if end + len(header) // 2 > cli._TRACE_CHUNK)
+    text = "".join(lines[:at] + [header] + lines[at:])
+    if not final_newline:
+        text = "".join(lines[:at]) + header.rstrip("\n")
+    start = text.index(header.rstrip("\n"))
+    assert start < cli._TRACE_CHUNK < start + len(header) - 1
+    f = tmp_path / "trace.txt"
+    f.write_text(text, encoding="utf-8")
+    got = parse_outcome(parse_rows, f)
+    assert got == parse_outcome(parse_trace_reference, f)
+    assert got[0] == "ok"
+    assert len(got[1]) == (len(lines) if final_newline else at)
+
+
+@st.composite
+def trace_paths(draw):
+    """A start coloring and moves on it, any colors from 1 up, including
+    colors the start does not use and moves that keep their color."""
+    n = draw(st.integers(1, 6))
+    colors = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, 120)),
+                          max_size=12))
+    return SimpleNamespace(start=Coloring(tuple(colors)), steps=tuple(steps))
+
+
+@given(trace_paths(), st.sampled_from(["text", "csv"]),
+       st.sampled_from([1, 2, 3, None]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_trace_chunks_join_to_the_reference_bytes(path, fmt, rows):
+    """Any row count, the module's own among them: the pieces join to the
+    old writer's text, the empty path too ("" in text, the header alone in
+    csv), and no piece holds more than the row count of moves."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(cli, "_TRACE_ROWS", rows)
+        chunks = list(_trace_chunks(path, fmt))
+        rows = cli._TRACE_ROWS
+    assert "".join(chunks) == trace_text_reference(path, fmt)
+    moves = chunks[1:] if fmt == "csv" else chunks
+    assert all(0 < chunk.count("\n") <= rows for chunk in moves)
+    assert sum(chunk.count("\n") for chunk in moves) == len(path.steps)
 
 
 def write_trace(path, start, steps):
