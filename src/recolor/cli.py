@@ -162,8 +162,8 @@ def _cmd_certify(args) -> int:
 
 def _trace_chunks(path, fmt: str):
     """The trace text of ``path``, in pieces of at most _TRACE_ROWS moves
-    after the csv header. Each color is formatted once, with its separator
-    in front, into a table indexed by color."""
+    after the csv header. Each color in use is formatted once, with its
+    separator in front, into a table keyed by color."""
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
         yield _TRACE_HEADER + "\n"
@@ -171,8 +171,7 @@ def _trace_chunks(path, fmt: str):
     if not steps:
         return
     cur = [0, *path.start.colors]
-    top = max(max(cur), max(c for _, c in steps))
-    col = [sep + str(c) for c in range(top + 1)]
+    col = {c: sep + str(c) for c in {*cur, *(c for _, c in steps)}}
     for lo in range(0, len(steps), _TRACE_ROWS):
         rows = []
         for i, (v, c) in enumerate(steps[lo:lo + _TRACE_ROWS], lo):

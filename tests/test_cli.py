@@ -15,6 +15,7 @@ from recolor import (
     blocked_colors,
     build,
     coloring_from_text,
+    connect,
     experiments,
     generate_hnm,
     hypergraph,
@@ -24,7 +25,7 @@ from recolor import (
 )
 from recolor import cli
 from recolor.cli import _parse_trace, main
-from helpers import write_coloring, write_hypergraph
+from helpers import trace_text_reference, write_coloring, write_hypergraph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -763,6 +764,28 @@ class TestConnectAndVerify:
         assert capsys.readouterr().out == ""
         assert trace.read_text() == out
         assert out.count("\n") > cli._TRACE_ROWS
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_a_color_near_a_trillion(self, fmt, tmp_path, capsys):
+        """The writer formats the colors in use, not every color up to
+        the largest: a path from color 10**12 is written at once, to
+        stdout and to --out, in the old writer's bytes."""
+        H = build(2, 2, [(1, 2)])
+        c1, c2 = Coloring((1, 10 ** 12)), Coloring((2, 1))
+        hg, f1, f2 = (str(tmp_path / name) for name in ("h", "c1", "c2"))
+        trace = tmp_path / "trace.txt"
+        write_hypergraph(H, hg)
+        write_coloring(c1, f1)
+        write_coloring(c2, f2)
+        argv = ["connect", hg, f1, f2, "--q", str(10 ** 12), "--alpha", "2",
+                "--beta", "1", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--out", str(trace)]) == 0
+        assert trace.read_text() == out
+        path = connect(H, c1, c2, 10 ** 12, 2, 1)
+        assert out == trace_text_reference(path, fmt)
+        assert f" {10 ** 12} " in out or f",{10 ** 12}," in out
 
 
 class TestGamma:

@@ -483,21 +483,6 @@ class TestFalsify:
             falsify_alpha_beta(PATH4, rng_seed=0, **kwargs)
         assert type(caught.value) is error and str(caught.value) == message
 
-    @pytest.mark.parametrize("rng_seed,message", [
-        (1.5, "rng_seed must be an integer, got 1.5"),
-        (True, "rng_seed must be an integer, got True"),
-    ])
-    def test_seed_must_be_an_int(self, rng_seed, message):
-        # worded as extend_to_mis and greedy_sequence word it, and refused
-        # before the shortcut as well as before the draws
-        for alpha in (1, 10 ** 6):
-            with pytest.raises(ValidationError) as caught:
-                falsify_alpha_beta(PATH4, alpha, 1, 3, rng_seed)
-            assert str(caught.value) == message
-            with pytest.raises(ValidationError) as caught:
-                greedy_sequence(PATH4, alpha, "random", rng_seed)
-            assert str(caught.value) == message
-
     def test_witness_consistent_with_exact(self):
         # a found witness refutes colorability; the exact search must agree
         for seed in range(40):

@@ -99,6 +99,9 @@ def test_a_random_seed_that_is_not_an_int(rng_seed):
     calls = [
         lambda: extend_to_mis(PATH3, strategy="random", rng_seed=rng_seed),
         lambda: greedy_sequence(PATH3, 2, "random", rng_seed=rng_seed),
+        lambda: falsify_alpha_beta(PATH3, 1, 1, 3, rng_seed),
+        # alpha >= n takes the falsifier's shortcut, after the seed's check
+        lambda: falsify_alpha_beta(PATH3, 3, 1, 3, rng_seed),
     ]
     want = (ValidationError, f"rng_seed must be an integer, got {rng_seed!r}")
     assert [raised(call) for call in calls] == [want] * len(calls)

@@ -366,12 +366,14 @@ def test_parse_trace_drops_a_header_split_across_two_blocks(sep,
 
 @st.composite
 def trace_paths(draw):
-    """A start coloring and moves on it, any colors from 1 up, including
-    colors the start does not use and moves that keep their color."""
+    """A start coloring and moves on it, any colors from 1 up, 10**12
+    among them, including colors the start does not use and moves that
+    keep their color."""
     n = draw(st.integers(1, 6))
-    colors = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
-    steps = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, 120)),
-                          max_size=12))
+    color = st.integers(1, 120) | st.just(10 ** 12)
+    colors = draw(st.lists(st.integers(1, 12) | st.just(10 ** 12),
+                           min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(1, n), color), max_size=12))
     return SimpleNamespace(start=Coloring(tuple(colors)), steps=tuple(steps))
 
 
