@@ -11,7 +11,6 @@ in `params` are natural (base e).
 from __future__ import annotations
 
 import argparse
-import gc
 import io
 import itertools
 import re
@@ -29,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .hypergraph import (
+    _CollectorPause,
     _excerpt,
     _int_rows,
     _open_utf8,
@@ -470,11 +470,10 @@ def main(argv=None) -> int:
     # A subcommand builds containers that form no cycles (parsed rows, edge
     # tuples, one pair per move), so the cyclic collector pauses for the
     # whole of it; the few cycles a call makes wait until it returns.
-    collecting = gc.isenabled()
     try:
         args = _build_parser().parse_args(argv)
-        gc.disable()
-        return args.func(args)
+        with _CollectorPause():
+            return args.func(args)
     except NotColorableEvidence as exc:
         sys.stderr.write(_witness_text(exc.witness))
         return 1
@@ -490,9 +489,6 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

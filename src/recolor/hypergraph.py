@@ -92,8 +92,8 @@ class Coloring:
 
 
 class _CollectorPause:
-    """Pause the cyclic collector for one instance build, then leave it as
-    it was found; under a caller that has paused it already, do nothing.
+    """Pause the cyclic collector for a build or a CLI call, then leave it
+    as it was found; under a caller that has paused it already, do nothing.
 
     A build makes containers in bulk: parsed rows, edge tuples, incidence
     lists and tuples. None of them forms a cycle, so a collector pass during

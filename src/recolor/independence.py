@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core_peel import _active_set, beta_core
+from .core_peel import PeelResult, _active_set, beta_core
 from .errors import InstanceTooLargeError, ValidationError, VertexRangeError
 from .hypergraph import (
     _MAX_VERTICES,
@@ -188,9 +188,16 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
     independent sequence, and the residual (vertices colored above alpha)
     uses at most beta distinct colors and has no beta-core.
     """
+    return _good_greedy_peel(H, coloring, alpha, beta) is not None
+
+
+def _good_greedy_peel(H: Hypergraph, coloring: Coloring, alpha: int,
+                      beta: int) -> Optional[PeelResult]:
+    """``check_good_greedy``'s test, returning the coreless peel of the
+    residual when it passes and None when it fails."""
     _check_alpha_beta(alpha, beta)
     if not is_proper(H, coloring):
-        return False
+        return None
     rem = set(range(1, H.n + 1))
     for color in range(1, alpha + 1):
         if not rem:
@@ -198,14 +205,13 @@ def check_good_greedy(H: Hypergraph, coloring: Coloring, alpha: int, beta: int) 
         cls = {v for v in rem if coloring[v] == color}
         # independence is free (color class of a proper coloring); check maximality
         if not _is_maximal(H, cls, rem):
-            return False
+            return None
         rem -= cls
     residual_colors = {coloring[v] for v in rem}
     if len(residual_colors) > beta:
-        return False
-    if beta_core(H, beta, rem).core:
-        return False
-    return True
+        return None
+    peel = beta_core(H, beta, rem)
+    return None if peel.core else peel
 
 
 def _mask_tables(H: Hypergraph, verts: list[int]) -> tuple[list[int], list[list[int]]]:

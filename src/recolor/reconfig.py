@@ -12,7 +12,7 @@ Three builders layer on each other:
 * ``path_core`` rewrites a coreless region, one peel level at a time.
 * ``path_to_good_greedy`` walks any proper coloring into greedy shape.
 * ``path_between_good_greedy`` joins two greedy-shaped colorings by
-  freezing one color class per recursion level.
+  freezing one color class per level.
 
 Each public builder validates once, then runs the unchecked phase builders;
 ``connect`` composes them into one path. ``verify_path`` re-checks any path.
@@ -38,6 +38,7 @@ from .hypergraph import (Coloring, Hypergraph, _check_alpha_beta,
 from .independence import (
     ColorabilityWitness,
     MISequence,
+    _good_greedy_peel,
     check_good_greedy,
     extend_to_mis,
 )
@@ -327,64 +328,57 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     return steps, cur, peel
 
 
-def _final_steps(H, active, chi, tau, q, a, beta, floor, cap, stats,
-                 peel=None):
-    """Steps from chi to tau on ``active``, both greedy-shaped above ``floor``.
+def _final_steps(H, active, chi, tau, q, a, beta, cap, stats, peel):
+    """Steps from chi to tau on ``active``, both greedy-shaped.
 
-    Peels one class per level: park chi's copy of color floor+1 on an unused
-    color, paint tau's class floor+1 into place, then freeze that class and
-    recurse on the rest with one fewer greedy level. The base case hands the
-    (coreless, since tau is greedy-shaped) remainder, outside tau's classes,
-    to the region rewriter, along ``peel`` when the caller already peeled it.
+    Freezes one class per level: level cls parks chi's copy of color cls on
+    an unused color, paints tau's class cls into place, takes that class out
+    of ``active`` and walks the rest into greedy shape above cls. A witness
+    from a walk is lifted by the classes frozen so far. After level a the
+    rest is tau's leftover, coreless since tau is greedy-shaped, and the
+    region rewriter takes it along ``peel``, the caller's peel of it.
     It checks no cap on its own moves: the caller's ``_assemble`` does.
     """
-    if all(chi[v] == tau[v] for v in active):
-        return []
-    stats.final_depth = max(stats.final_depth, floor + 1)
-    if a == 0:
-        if peel is None:
-            peel = beta_core(H, beta, active)
-        if peel.core:
-            raise ValidationError(
-                "residual keeps a core; the endpoints were not greedy-shaped")
-        return _core_steps(H, peel.order, chi, tau,
-                           range(floor + 1, floor + beta + 2), cap, stats)
-    cls = floor + 1
     cur = chi[:]
     out = []
-    tau_class = sorted(v for v in active if tau[v] == cls)
-    chi_class = sorted(v for v in active if cur[v] == cls)
-    if chi_class == tau_class:
-        chi_class = []          # class already in place, park nothing
-    if chi_class:
-        used = {cur[v] for v in active}
-        # a+beta distinct colors live above floor at most, and
-        # q - floor >= a + beta + 1, so one is always free
-        park = next(c for c in range(floor + 1, q + 1) if c not in used)
-        for v in chi_class:
-            out.append((v, park))
-            cur[v] = park
-    for v in tau_class:
-        if cur[v] != cls:
-            out.append((v, cls))
-            cur[v] = cls
-    stats.final_moves += len(out)
-    sub_active = frozenset(active) - frozenset(tau_class)
+    frozen = []
     try:
-        mid, shaped, inner = _inter_steps(H, sub_active, cur, a - 1, beta,
-                                          floor + 1, cap, stats,
-                                          peel if a == 1 else None)
-        out.extend(mid)
-        out.extend(_final_steps(H, sub_active, shaped, tau, q, a - 1, beta,
-                                floor + 1, cap, stats,
-                                peel if a > 1 else inner))
+        for cls in range(1, a + 2):
+            if all(cur[v] == tau[v] for v in active):
+                return out
+            stats.final_depth = max(stats.final_depth, cls)
+            if cls > a:
+                break
+            tau_class = sorted(v for v in active if tau[v] == cls)
+            chi_class = sorted(v for v in active if cur[v] == cls)
+            moves = len(out)
+            if chi_class and chi_class != tau_class:
+                used = {cur[v] for v in active}
+                # at most a - cls + 1 + beta distinct colors live at cls or
+                # above, and q >= a + beta + 1, so one of cls..q is free
+                park = next(c for c in range(cls, q + 1) if c not in used)
+                for v in chi_class:
+                    out.append((v, park))
+                    cur[v] = park
+            for v in tau_class:
+                if cur[v] != cls:
+                    out.append((v, cls))
+                    cur[v] = cls
+            stats.final_moves += len(out) - moves
+            frozen.append(tau_class)
+            active = active - frozenset(tau_class)
+            mid, cur, _ = _inter_steps(H, active, cur, a - cls, beta, cls,
+                                       cap, stats, peel if cls == a else None)
+            out.extend(mid)
     except NotColorableEvidence as exc:
         w = exc.witness
         lifted = ColorabilityWitness(
-            MISequence((frozenset(tau_class),) + w.sequence.sets,
+            MISequence(tuple(map(frozenset, frozen)) + w.sequence.sets,
                        w.sequence.residual),
             w.core_vertices)
         raise NotColorableEvidence(lifted) from None
+    out.extend(_core_steps(H, peel.order, cur, tau,
+                           range(a + 1, a + beta + 2), cap, stats))
     return out
 
 
@@ -474,12 +468,14 @@ def path_between_good_greedy(H: Hypergraph, chi: Coloring, tau: Coloring,
     tau_l = _colors_list(tau, q)
     if not check_good_greedy(H, chi, alpha, beta):
         raise ValidationError("start coloring is not greedy-shaped")
-    if not check_good_greedy(H, tau, alpha, beta):
+    # the target's check keeps its coreless leftover's peel for the join
+    peel = _good_greedy_peel(H, tau, alpha, beta)
+    if peel is None:
         raise ValidationError("target coloring is not greedy-shaped")
     stats = PathStats()
     active = frozenset(range(1, H.n + 1))
-    steps = _final_steps(H, active, chi_l, tau_l, q, alpha, beta, 0,
-                         step_cap, stats)
+    steps = _final_steps(H, active, chi_l, tau_l, q, alpha, beta, step_cap,
+                         stats, peel)
     return _assemble(chi, steps, stats, step_cap)
 
 
@@ -521,7 +517,7 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
                                           step_cap, stats2,
                                           peel1 if alpha == 0 else None)
     # the second walk's leftover is the middle's bottom-level remainder
-    steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta, 0,
+    steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta,
                           step_cap, stats, peel2)
     steps += _reversed_steps(chi2_l, steps2)
     stats.absorb(stats2)

@@ -1,10 +1,11 @@
 """Where the cyclic collector pauses.
 
-The CLI pauses it once per subcommand, around the whole call, and leaves it
-as it found it whatever the exit. The library pauses it once per instance
-build, through one helper, and also leaves it as it found it: around the
-whole of ``build`` and ``hypergraph_from_text``, and around the index of a
-drawn instance.
+One helper, ``hypergraph._CollectorPause``, is the only place that pauses
+it, and it leaves the collector as it found it whatever the exit. The CLI
+pauses it through that helper once per subcommand, around the whole call.
+The library pauses it once per instance build: around the whole of
+``build`` and ``hypergraph_from_text``, and around the index of a drawn
+instance.
 """
 
 import ast
@@ -193,8 +194,7 @@ def disable_sites():
 
 
 def test_only_main_and_the_build_pause_disable_the_collector():
-    assert disable_sites() == ["cli.main",
-                               "hypergraph._CollectorPause.__enter__"]
+    assert disable_sites() == ["hypergraph._CollectorPause.__enter__"]
 
 
 MONTECARLO = experiments.MonteCarloConfig(

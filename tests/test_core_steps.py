@@ -133,7 +133,9 @@ def test_connect_regions_match_the_reference(monkeypatch):
     """Bridges and final base cases inside ``connect`` with alpha >= 1: the
     region is part of the phase's active set, so some vertices sit outside
     the order and some edges are dead. The reference sees the edges inside
-    the active set, as the rewriter's callers once flagged them."""
+    the active set, as the rewriter's callers once flagged them. A bridge's
+    active set is its walk's; a base case, outside any walk, rewrites its
+    whole active set, which is its order's vertices."""
     calls = []
     actives = []
     builder = reconfig._core_steps
@@ -150,11 +152,11 @@ def test_connect_regions_match_the_reference(monkeypatch):
 
     def recording(H, order, chi, tau, pool, cap, stats):
         calls.append(((H, list(order), list(chi), list(tau), pool),
-                      actives[-1]))
+                      actives[-1] if actives else frozenset(order)))
         return builder(H, order, chi, tau, pool, cap, stats)
 
-    for name in ("_inter_steps", "_final_steps"):
-        monkeypatch.setattr(reconfig, name, within(getattr(reconfig, name)))
+    monkeypatch.setattr(reconfig, "_inter_steps",
+                        within(reconfig._inter_steps))
     monkeypatch.setattr(reconfig, "_core_steps", recording)
     rng = random.Random(2024)
     for k, n, m, alpha, beta in [(2, 60, 60, 1, 2), (2, 80, 100, 2, 2),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -92,6 +93,16 @@ class TestBuild:
             for ei in H.incidence[v - 1]:
                 assert v in H.edges[ei]
             assert H.degree(v) == sum(1 for e in H.edges if v in e)
+
+    def test_equal_to_no_other_type(self):
+        assert (build(3, 2, [(1, 2)]) == object()) is False
+
+    def test_builds_from_any_edge_order_are_one_key(self):
+        a = build(4, 2, [(1, 2), (3, 4), (2, 3)])
+        b = build(4, 2, [(4, 3), (3, 2), (2, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert {a: "instance"}[b] == "instance"
+        assert a != build(5, 2, [(1, 2), (3, 4), (2, 3)])
 
 
 class TestGenerateHnm:
@@ -192,6 +203,12 @@ class TestGenerateHnp:
 
     def test_p_one(self):
         assert generate_hnp(6, 1.0, 3, 5).m == 20
+
+    def test_p_one_past_the_enumeration_limit(self, monkeypatch):
+        # past the limit, the binomial draw at p = 1 is all 56 k-sets
+        monkeypatch.setattr(hypergraph, "_ENUMERATION_LIMIT", 10)
+        H = generate_hnp(8, 1.0, 3, 5)
+        assert H.edges == tuple(itertools.combinations(range(1, 9), 3))
 
     def test_p_out_of_range(self):
         with pytest.raises(ValidationError):

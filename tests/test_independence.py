@@ -261,6 +261,11 @@ class TestCheckGoodGreedy:
         assert not check_good_greedy(H, Coloring((1, 2, 3)), 0, 2)
         assert check_good_greedy(H, Coloring((1, 2, 3)), 0, 3)
 
+    def test_residual_core_fails(self):
+        # two residual colors fit beta=2, but the 4-cycle is its own 2-core
+        H = build(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert not check_good_greedy(H, Coloring((1, 2, 1, 2)), 0, 2)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             check_good_greedy(TRIANGLE, Coloring((1, 2)), 1, 1)

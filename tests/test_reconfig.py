@@ -20,12 +20,14 @@ from recolor import (
     gamma_distance,
     generate_hnm,
     is_alpha_beta_colorable_exact,
+    is_proper,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
     verify_path,
     verify_witness,
 )
+from recolor import independence, reconfig
 from helpers import color_coreless, random_instance, random_proper_coloring
 
 K2 = build(2, 2, [(1, 2)])
@@ -222,6 +224,18 @@ class TestPathBetweenGoodGreedy:
                            match="^target coloring is not greedy-shaped$"):
             path_between_good_greedy(TRIANGLE, chi, bad, 4, 2, 1)
 
+    def test_rejects_a_target_whose_residual_keeps_a_core(self):
+        # a 4-cycle on 1..4 with hub 5: tau's class 1 is the hub, which
+        # leaves the cycle, a 2-core, as its residual
+        H = build(5, 2, [(1, 2), (2, 3), (3, 4), (1, 4),
+                         (1, 5), (2, 5), (3, 5), (4, 5)])
+        chi, tau = Coloring((1, 2, 1, 2, 3)), Coloring((2, 3, 2, 3, 1))
+        assert is_proper(H, tau) and check_good_greedy(H, chi, 1, 2)
+        assert not check_good_greedy(H, tau, 1, 2)
+        with pytest.raises(ValidationError,
+                           match="^target coloring is not greedy-shaped$"):
+            path_between_good_greedy(H, chi, tau, 4, 1, 2)
+
     def test_alpha_zero_delegates_to_region_rewrite(self):
         H = generate_hnm(8, 9, 2, 5)
         beta = next(b for b in itertools.count(1) if not beta_core(H, b).core)
@@ -236,9 +250,38 @@ class TestPathBetweenGoodGreedy:
         assert_sound(H, p, q, tau)
         assert p.stats.final_depth == 1
 
+    def test_each_endpoint_is_peeled_once(self, monkeypatch):
+        # the target's check keeps its peel for the join's base case, so at
+        # alpha <= 1 only the two endpoint checks peel, base case reached
+        # (final_depth alpha + 1) or not
+        peels = []
+
+        def counting(*args):
+            peels.append(args)
+            return beta_core(*args)
+
+        monkeypatch.setattr(independence, "beta_core", counting)
+        monkeypatch.setattr(reconfig, "beta_core", counting)
+        H = generate_hnm(8, 9, 2, 5)
+        beta = next(b for b in itertools.count(1) if not beta_core(H, b).core)
+        a = color_coreless(H, beta, None, list(range(1, beta + 1)))
+        b = color_coreless(H, beta, None, list(range(beta + 1, 0, -1)))
+        calls = [(H, Coloring(tuple(a[v] for v in H.vertices())),
+                  Coloring(tuple(b[v] for v in H.vertices())), beta + 1, 0,
+                  beta, 1),
+                 (TRIANGLE, Coloring((1, 2, 3)), Coloring((2, 1, 3)), 4, 1,
+                  2, 2),
+                 (TRIANGLE, Coloring((1, 2, 3)), Coloring((1, 2, 3)), 4, 1,
+                  2, 0)]
+        for H, chi, tau, q, alpha, beta, depth in calls:
+            peels.clear()
+            p = path_between_good_greedy(H, chi, tau, q, alpha, beta)
+            assert p.end == tau and p.stats.final_depth == depth
+            assert len(peels) == 2
+
     def test_witness_lifted_from_recursion(self):
         # not (2,1)-colorable, yet both endpoints are good greedy; the
-        # failure surfaces one recursion level down and the witness must
+        # failure surfaces one level down the join and the witness must
         # be lifted back to the full instance
         H = generate_hnm(6, 9, 2, 33)
         assert is_alpha_beta_colorable_exact(H, 2, 1) is not True
@@ -254,8 +297,8 @@ class TestPathBetweenGoodGreedy:
         assert verify_witness(H, w, 2, 1)
 
     def test_color_discipline_after_freezing(self):
-        # once a class is frozen at depth j, later moves never touch
-        # colors 1..j: replay and check against the recursion depth
+        # once a class is frozen at level j of the join, later moves never
+        # touch colors 1..j: replay and check against class 1's freezing
         H = generate_hnm(9, 10, 2, 12)
         rng = random.Random(0)
         beta = next(b for b in itertools.count(1) if not beta_core(H, b).core)
