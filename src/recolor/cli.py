@@ -39,6 +39,7 @@ from .hypergraph import (
     read_hypergraph,
 )
 from .independence import (
+    DEFAULT_EXACT_LIMIT,
     _check_falsifier_args,
     extend_to_mis,
     falsify_alpha_beta,
@@ -168,8 +169,6 @@ def _trace_chunks(path, fmt: str):
     if fmt == "csv":
         yield _TRACE_HEADER + "\n"
     steps = path.steps
-    if not steps:
-        return
     cur = [0, *path.start.colors]
     col = {c: sep + str(c) for c in {*cur, *(c for _, c in steps)}}
     for lo in range(0, len(steps), _TRACE_ROWS):
@@ -197,34 +196,25 @@ def _cmd_connect(args) -> int:
 def _parse_trace(path_file: str):
     """The vertex, old color and new color columns of a trace file.
 
-    The file is read in blocks of _TRACE_CHUNK characters, each cut after
-    its last newline; the partial line left over starts the next block.
-    A block goes in bulk into ``array('i')`` columns when it is canonical
-    text: four plain numerals a line, split by single spaces or commas,
-    indices in sequence, header lines only as the whole line. From the
-    first block that is not (a fault, other spacing, an int beyond 32 bits,
-    a line longer than a block), the rest goes through the per-line checker
-    into lists, which is the one place that words a trace error.
+    The file is read in blocks of _TRACE_CHUNK characters, each completed
+    by ``readline`` to end at a line end, so no line is ever split. A block
+    goes in bulk into ``array('i')`` columns when it is canonical text: four
+    plain numerals a line, split by single spaces or commas, indices in
+    sequence, header lines only as the whole line. From the first block
+    that is not (a fault, other spacing, an int beyond 32 bits), the rest
+    goes through the per-line checker into lists, which is the one place
+    that words a trace error.
     """
     cols = (array("i"), array("i"), array("i"))
-    carry = ""
     with _open_utf8(path_file) as fh:
-        while True:
-            block = fh.read(_TRACE_CHUNK)
-            text = carry + block
-            # newline translation leaves "\n" the only line end
-            cut = text.rfind("\n") + 1 if block else len(text)
-            text, carry = text[:cut], text[cut:]
-            if _TRACE_HEADER in text:  # a far cheaper scan than the regex
-                text = _TRACE_HEADER_LINE.sub("", text)
-            if block and not cut or text and not _bulk_trace_rows(text, cols):
+        for block in iter(lambda: fh.read(_TRACE_CHUNK) + fh.readline(), ""):
+            if _TRACE_HEADER in block:  # a far cheaper scan than the regex
+                block = _TRACE_HEADER_LINE.sub("", block)
+            if block and not _bulk_trace_rows(block, cols):
                 cols = tuple(map(list, cols))
-                # the block's lines, its partial last line whole, the rest
-                rest = io.StringIO(text + carry + fh.readline(), newline="\n")
+                rest = io.StringIO(block, newline="\n")
+                # the checker reads fh to its end, which ends the loop
                 _trace_rows(itertools.chain(rest, fh), *cols)
-                break
-            if not block:
-                break
     return cols
 
 
@@ -417,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--trials", type=int, default=200,
                    help="witness-hunt attempts beyond the exact limit")
-    p.add_argument("--exact-limit", type=int, default=12,
+    p.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT,
                    help="largest n decided exhaustively")
     p.set_defaults(func=_cmd_certify)
 
@@ -489,7 +479,3 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,24 +35,8 @@ only from the representatives of the first largest quotient component,
 renamed into one of its components, over adjacency lists built once for
 that component.
 
-``gamma_distance`` is a bidirectional A* search. One move recolors one
-vertex, so the Hamming distance h between two colorings is a lower bound on
-their distance in the graph, and it changes by at most 1 along an edge (it
-is consistent). The search from sigma ranks a coloring x by g(x) + h(x, tau),
-its depth plus its bound; the search from tau ranks by g(y) + h(y, sigma).
-Each step expands the best coloring of the side with fewer open entries,
-deeper first among equal ranks. Every coloring both sides have reached
-closes a path, and the search keeps the shortest, mu. Since the bound is
-consistent, some open coloring on a shortest path always has its exact
-depth, so each side's least rank is at most the distance until the path is
-found; once mu is at most the larger of the two least ranks, mu is the
-distance. A side that reaches the other end ranks it at its depth there,
-which is at least mu, so the search stops before that side can expand it
-and run out; a side that runs out has exhausted its component without a
-meeting, and the ends lie in different components. A pair whose distance
-equals its Hamming distance walks straight down the bound and expands
-about h colorings in all; the further the distance exceeds the bound, the
-more of the ball around the ends the search must clear.
+``gamma_distance`` is a bidirectional A* search guided by the Hamming
+distance; its docstring gives the argument that the answer is exact.
 The query enumerates nothing. It and the diameter sweep take their
 neighbors from ``_proper_neighbors``, which generates only proper ones by
 checking the edges through the recolored vertex. The q**n budget still
@@ -101,13 +85,15 @@ def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
             keyword="budget")
 
 
-def _finishing_edges(H: Hypergraph) -> list[list[tuple[int, ...]]]:
-    # for each vertex v, the other members of every edge whose maximum is v;
-    # checking these as v is assigned prunes every improper prefix exactly once
-    fin: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
+def _edges_through(H: Hypergraph) -> list[list[tuple[int, ...]]]:
+    """For each digit position i, the digit positions of the other members
+    of every edge through vertex i + 1."""
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(H.n)]
     for e in H.edges:
-        fin[e[-1]].append(e[:-1])
-    return fin
+        pos = tuple([v - 1 for v in e])
+        for j, i in enumerate(pos):
+            through[i].append(pos[:j] + pos[j + 1:])
+    return through
 
 
 def _proper_codes(H: Hypergraph, q: int, canonical: bool = False) -> Iterator[int]:
@@ -115,41 +101,41 @@ def _proper_codes(H: Hypergraph, q: int, canonical: bool = False) -> Iterator[in
     the colorings (vertex 1 first). With ``canonical``, only those whose
     colors first appear in the order 1, 2, 3, ...: one per orbit of S_q."""
     n = H.n
-    fin = _finishing_edges(H)
+    # fin[i]: the other positions of every edge whose last position is i.
+    # Edges are sorted, so each rest is ascending and r[-1] < i says all of
+    # it comes before i; checking these as digit i is set prunes every
+    # improper prefix exactly once
+    fin = [[r for r in rests if r[-1] < i]
+           for i, rests in enumerate(_edges_through(H))]
     pows = [q ** i for i in range(n)]
-    assign = [0] * (n + 1)
-    part = [0] * (n + 1)  # part[v]: code of the colors of vertices 1..v
-    # cap[v]: the largest color vertex v may take; canonically one more than
-    # the colors used before v, so it grows only when v opens a new color
-    cap = [q] * (n + 1)
-    cap[1] = 1 if canonical else q
-    v = 1
-    while v >= 1:
-        c = assign[v] + 1
-        if c > cap[v]:
-            assign[v] = 0
-            v -= 1
+    digits = [-1] * n
+    part = [0] * n  # part[i]: code of the digits before position i
+    # cap[i]: how many digits position i may take; canonically one more
+    # than the digits used before it, so it grows only when i opens a new one
+    cap = [q] * n
+    cap[0] = 1 if canonical else q
+    i = 0
+    while i >= 0:
+        c = digits[i] + 1
+        if c == cap[i]:
+            digits[i] = -1
+            i -= 1
             continue
-        assign[v] = c
-        ok = True
-        for others in fin[v]:
-            mono = True
-            for u in others:
-                if assign[u] != c:
-                    mono = False
+        digits[i] = c
+        for rest in fin[i]:
+            for u in rest:
+                if digits[u] != c:
                     break
-            if mono:
-                ok = False
-                break
-        if not ok:
-            continue
-        code = part[v - 1] + (c - 1) * pows[v - 1]
-        if v == n:
-            yield code
+            else:
+                break  # the edge would go monochromatic
         else:
-            part[v] = code
-            cap[v + 1] = cap[v] + (c == cap[v] < q)
-            v += 1
+            code = part[i] + c * pows[i]
+            if i == n - 1:
+                yield code
+            else:
+                part[i + 1] = code
+                cap[i + 1] = cap[i] + (c + 1 == cap[i] < q)
+                i += 1
 
 
 def enumerate_proper(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Coloring]:
@@ -164,16 +150,6 @@ def enumerate_proper(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET) -> Ite
     split = len(low)
     return (Coloring(low[code % split] + high[code // split])
             for code in _proper_codes(H, q))
-
-
-def _edges_through(H: Hypergraph) -> list[list[tuple[int, ...]]]:
-    """For each digit position i, the digit positions of the other members
-    of every edge through vertex i + 1."""
-    through: list[list[tuple[int, ...]]] = [[] for _ in range(H.n)]
-    for e in H.edges:
-        for v in e:
-            through[v - 1].append(tuple(u - 1 for u in e if u != v))
-    return through
 
 
 def _proper_neighbors(code: int, through: list[list[tuple[int, ...]]],

@@ -395,7 +395,8 @@ def generate_hnp(n: int, p: float, k: int, seed: int) -> Hypergraph:
         m = _binomial_draw(rng, total, p)
         if m > _MAX_MATERIALIZED_EDGES:
             raise InstanceTooLargeError(
-                f"sampled edge count {_excerpt(m)} is too large to materialize")
+                f"sampled edge count {_excerpt(m)} is too large to materialize "
+                f"(limit {_MAX_MATERIALIZED_EDGES})")
         edges = _distinct_k_sets(rng, n, k, m)
     with _CollectorPause():
         return Hypergraph._trusted(n, k, edges)

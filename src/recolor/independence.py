@@ -44,6 +44,9 @@ __all__ = [
     "verify_witness",
 ]
 
+# the most active vertices the exhaustive search takes by default
+DEFAULT_EXACT_LIMIT = 12
+
 
 @dataclass(frozen=True)
 class MISequence:
@@ -243,7 +246,7 @@ def _blocked(rest_masks_of_v: list[int], chosen_mask: int) -> bool:
 def is_alpha_beta_colorable_exact(
         H: Hypergraph, alpha: int, beta: int,
         active: Optional[Iterable[int]] = None,
-        max_size: int = 12) -> Union[bool, ColorabilityWitness]:
+        max_size: int = DEFAULT_EXACT_LIMIT) -> Union[bool, ColorabilityWitness]:
     """Exhaustively certify colorability.
 
     A depth-first search over every maximally independent sequence, on

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from recolor import (
     Coloring,
+    SpareColorError,
     ValidationError,
     beta_core,
     blocked_colors,
@@ -15,6 +16,7 @@ from recolor import (
     is_proper,
 )
 from recolor.cli import main
+from recolor.core_peel import _first_fit_along
 from helpers import (
     beta_core_reference,
     color_coreless,
@@ -189,3 +191,11 @@ class TestFirstFitAlongPeel:
         assert len(set(got.values())) <= beta
         col = Coloring(tuple(got[v] for v in range(1, H.n + 1)))
         assert is_proper(H, col)
+
+    def test_a_blocked_vertex_breaks_the_peel_invariant(self):
+        # a triangle is no peel order for 2 colors: vertex 3 sees both
+        H = build(3, 2, [(1, 2), (1, 3), (2, 3)])
+        with pytest.raises(SpareColorError) as info:
+            _first_fit_along(H, [1, 2, 3], [1, 2])
+        assert str(info.value) == ("all 2 palette colors blocked at vertex 3; "
+                                   "peel order invariant violated")

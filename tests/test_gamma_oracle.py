@@ -45,6 +45,18 @@ def complete_graph(n):
                         for j in range(i + 1, n + 1)])
 
 
+@st.composite
+def small_enumerations(draw):
+    """An instance with at least one edge, n <= 7, k 2-3 and a palette of
+    2-5 colors, with q**n small enough to list every coloring."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, min(3, n)))
+    q = draw(st.integers(2, 5).filter(lambda q: q ** n <= 5000))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), k))),
+                          unique=True, min_size=1, max_size=2 * n))
+    return build(n, k, edges), q
+
+
 class TestEnumerate:
     def test_lexicographic_order(self):
         got = list(enumerate_proper(K2, 2))
@@ -71,6 +83,30 @@ class TestEnumerate:
             enumerate_proper(build(30, 2, []), 3, budget=100)
         with pytest.raises(ValidationError, match="q must be positive, got 0"):
             enumerate_proper(K2, 0)
+
+    @given(small_enumerations())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_codes_in_product_order_and_canonical_ones_restricted(self, case):
+        H, q = case
+        pows = [q ** i for i in range(H.n)]
+        # product runs vertex 1 first, the order the codes come in
+        want = [sum(d * p for d, p in zip(t, pows))
+                for t in product(range(q), repeat=H.n)
+                if is_proper(H, Coloring(tuple(d + 1 for d in t)))]
+        codes = list(_proper_codes(H, q))
+        assert codes == want
+
+        def restricted_growth(code):
+            top = 0  # how many colors are open: the next one to open
+            for p in pows:
+                d = code // p % q
+                if d > top:
+                    return False
+                top += d == top
+            return True
+
+        assert list(_proper_codes(H, q, canonical=True)) == \
+            list(filter(restricted_growth, codes))
 
 
 class TestGammaStats:

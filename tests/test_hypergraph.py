@@ -210,6 +210,17 @@ class TestGenerateHnp:
         H = generate_hnp(8, 1.0, 3, 5)
         assert H.edges == tuple(itertools.combinations(range(1, 9), 3))
 
+    @pytest.mark.parametrize("seed, drawn", [(0, 56), (2, 60), (5, 52)])
+    def test_a_drawn_count_past_the_cap_is_refused(self, monkeypatch, seed,
+                                                   drawn):
+        # the mean, 50, passes the cap; these seeds draw more than it
+        monkeypatch.setattr(hypergraph, "_ENUMERATION_LIMIT", 10)
+        monkeypatch.setattr(hypergraph, "_MAX_MATERIALIZED_EDGES", 50)
+        with pytest.raises(InstanceTooLargeError) as info:
+            generate_hnp(20, 50 / 190, 2, seed)
+        assert str(info.value) == (f"sampled edge count {drawn} is too large "
+                                   "to materialize (limit 50)")
+
     def test_p_out_of_range(self):
         with pytest.raises(ValidationError):
             generate_hnp(6, 1.5, 3, 5)
