@@ -442,22 +442,17 @@ def hypergraph_to_text(H: Hypergraph) -> str:
 def hypergraph_from_text(text: str) -> Hypergraph:
     with _CollectorPause():
         # a canonical text (plain header line, then m plain edge lines) goes
-        # in bulk; the stripped line list is built only for any other text
-        head, _, body = text.partition("\n")
-        top = _int_rows(head)
-        if top is not None and len(top[0]) == 3:
-            n, k, m = top[0]
-            rows = _int_rows(body)
-            # an empty row is a blank line, which the line count skips
-            if rows is not None and len(rows) == m and all(rows):
-                _check_shape(n, k)
-                edges = _canonical_edges(rows, n, k)
-                if edges is not None:
-                    del body, rows  # not kept while the index is built
-                    return Hypergraph._trusted(n, k, edges)
+        # in bulk, and so does one that is canonical once its lines are
+        # stripped and blank ones dropped
+        H = _canonical_hypergraph(text)
+        if H is not None:
+            return H
+        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+        H = _canonical_hypergraph("\n".join(lines))
+        if H is not None:
+            return H
         # the per-line checker: it words the first fault in input order, and
         # builds valid texts that are not canonical
-        lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
         if not lines:
             raise ValidationError("empty hypergraph text")
         head = lines[0].split()
@@ -479,6 +474,27 @@ def hypergraph_from_text(text: str) -> Hypergraph:
             except ValueError as exc:
                 raise ValidationError(f"bad edge line {_excerpt(ln)}") from exc
         return Hypergraph(n, k, edges)
+
+
+def _canonical_hypergraph(text: str) -> Hypergraph | None:
+    """The hypergraph of a canonical text, read in bulk, or None for any
+    other text. Its one refusal is the shape check, which the per-line
+    checker's build makes first on the same lines."""
+    head, _, body = text.partition("\n")
+    top = _int_rows(head)
+    if top is None or len(top[0]) != 3:
+        return None
+    n, k, m = top[0]
+    rows = _int_rows(body)
+    # an empty row is a blank line, which the line count skips
+    if rows is None or len(rows) != m or not all(rows):
+        return None
+    _check_shape(n, k)
+    edges = _canonical_edges(rows, n, k)
+    if edges is None:
+        return None
+    del body, rows  # not kept while the index is built
+    return Hypergraph._trusted(n, k, edges)
 
 
 def _int_rows(text: str) -> list | None:

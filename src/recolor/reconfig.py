@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress
 from typing import Iterable, Optional
 
 from .core_peel import _active_set, _first_fit_along, beta_core
@@ -127,15 +127,18 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     while the pool holds beta+1 colors none of which appear outside the
     region.
 
-    Liveness: an edge through vnew is live at level i iff each of its
-    members is placed (at or before vnew in the order) or sits off the
-    order wearing a palette color: a spare, or the target of a vertex on
-    the order. That is exact: every color a move is checked against is in
-    the palette (detours take spares, final moves take targets), and a
-    vertex off the order never moves, so no other edge can ever turn
-    monochromatic. Edges through off-order vertices cannot all be dropped:
-    ``path_core``'s outside wears colors up to alpha, which the targets may
-    reuse.
+    Liveness: an edge is live from the level of its last member on the
+    order, provided each member off the order wears a palette color: a
+    spare, or the target of a vertex on the order. That is exact: every
+    color a move is checked against is in the palette (detours take spares,
+    final moves take targets), and a vertex off the order never moves, so no
+    other edge can ever turn monochromatic. Edges through off-order vertices
+    cannot all be dropped: ``path_core``'s outside wears colors up to alpha,
+    which the targets may reuse. Each edge keeps a count of the members not
+    yet placed; the off-order ones in palette colors are placed before level
+    0, and each vertex on the order at its own level. The edge goes live at
+    the level where the count reaches zero; that level's vnew is its last
+    member, so no other level takes it.
 
     Invariant: every move was checked, when it was made, against every live
     edge through its own vertex, and a detour changes only vnew's color. An
@@ -147,49 +150,53 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
 
     Moves carry position labels that never need renumbering: the final move
     of level i is ``(i, R)`` with ``R = len(order)``, and a detour inserted
-    at level j in front of the move ``P + (R,)`` is ``P + (j, R)``. Each
-    vertex moves only at its own level, so its labels and colors form a list
-    that grows at the end in path order, and "the color of u just before
-    move t" is one bisect.
+    at level j in front of the move ``P + (R,)`` is ``P + (j, R)``. A move is
+    kept as a ``(label, vertex, color)`` triple. Each vertex moves only at
+    its own level, so its triples form one list, indexed by vertex id, that
+    is in path order.
 
-    Cost: level i is one pass over the edges through vnew. It keeps each
-    live one as the list of vnew's co-members and gathers those vertices'
-    moves; a vertex on two live edges lists its moves twice, and the walk
-    over the sorted moves skips the repeat. Only the moves in the color vnew
-    wears are bisected against the live edges, and the labels are sorted once
-    at the end. A level thus touches the deg(vnew) edges through vnew and
-    the moves of its co-members on the live ones, so the rewrite stays
+    Cost: level i counts down the edges through vnew and takes the ones that
+    go live. It resets their members in one running color table (a copy of
+    chi) to chi's colors, gathers their moves, sorts them by label and walks
+    them in path order, applying each move to the table once its test is
+    done. So every color a test reads is one table lookup: a move in the
+    color vnew wears is checked against the live edges through its vertex,
+    a spare against every live edge, and the target at the end against the
+    table after the last move. A vertex on two live edges lists its moves
+    twice, and the walk skips the repeat. The moves are sorted once more at
+    the end. A level thus touches the deg(vnew) edges through vnew and the
+    moves of its co-members on the live ones, so the rewrite stays
     near-linear in the path length, where replaying every move at every
     level was O(levels x moves). Level i raises the step-cap error when the
     moves it replays plus its detours exceed the cap, where a full replay
-    checking the cap after every move would. chi is not mutated.
+    checking the cap after every move would; only that count bisects the
+    move lists. chi is not mutated.
     """
     edges = H.edges
     inc = H.incidence
     R = len(order)
     pool = tuple(spare_pool)
     palette = set(pool).union(tau[v] for v in order)
-    near = set(chain.from_iterable([edges[ei] for v in order
-                                    for ei in inc[v - 1]]))
-    # the vertices a live edge may hold; vnew joins them at its level
-    placed = {u for u in near.difference(order) if chi[u] in palette}
-    labels = {v: [] for v in order}
-    colors = {v: [] for v in order}
-    end = (R,)                  # sorts after every label
+    # members each edge still waits for; the off-order ones that wear a
+    # palette color are placed now (only a region short of V has any)
+    left = [H.k] * len(edges)
+    if R < H.n:
+        near = set(chain.from_iterable([edges[ei] for v in order
+                                        for ei in inc[v - 1]]))
+        near.difference_update(order)
+        for u in compress(near, map(palette.__contains__,
+                                    map(chi.__getitem__, near))):
+            for ei in inc[u - 1]:
+                left[ei] -= 1
+    moves = [()] * len(chi)     # per vertex, its triples in path order
+    col = chi[:]                # the running color table
 
-    def color_at(u, t):
-        lab = labels.get(u)
-        if lab:
-            j = bisect_left(lab, t)
-            if j:
-                return colors[u][j - 1]
-        return chi[u]
-
-    def mono(live, t, c):
-        # a live edge through vnew whose other vertices wear c before t
+    def mono(live, c):
+        # a live edge all of whose members wear c in the table, vnew's entry
+        # holding the color it tries
         for e in live:
             for u in e:
-                if color_at(u, t) != c:
+                if col[u] != c:
                     break
             else:
                 return True
@@ -197,78 +204,76 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
 
     total = 0
     for i, vnew in enumerate(order):
-        placed.add(vnew)
-        # live edges through vnew, each as vnew's co-members, and the moves
-        # of those co-members as (label, vertex, color)
         live = []
         cand = []
         for ei in inc[vnew - 1]:
+            left[ei] -= 1
+            if left[ei]:
+                continue
             e = edges[ei]
-            if placed.issuperset(e):
-                e = list(e)
-                e.remove(vnew)
-                live.append(e)
-                for u in e:
-                    lab = labels.get(u)
-                    if lab:
-                        cand.extend(zip(lab, repeat(u), colors[u]))
+            live.append(e)
+            for u in e:
+                col[u] = chi[u]
+                cand += moves[u]
         cand.sort()
-        cv = chi[vnew]
-        detours = 0
+        # vnew's own entry follows its color, so the edge tests read it too
+        cv = col[vnew] = chi[vnew]
+        mine = []
         prev = None
         for t, w, c in cand:
             # a vertex on two live edges lists its moves twice, and the
             # repeat sorts right after the first
-            if c != cv or t == prev:
+            if t == prev:
                 continue
             prev = t
-            for e in live:
-                if w in e:
-                    for u in e:
-                        if u != w:
-                            lab = labels.get(u)
-                            j = bisect_left(lab, t) if lab else 0
-                            if (colors[u][j - 1] if j else chi[u]) != c:
+            if c == cv:
+                for e in live:
+                    if w in e:
+                        for u in e:
+                            if u != w and col[u] != c:
                                 break
-                    else:
-                        break       # e goes monochromatic when w moves
-            else:
-                continue
-            for s in pool:
-                if s != c and not mono(live, t, s):
-                    break
-            else:
-                # the old full replay checked the cap after every move, so
-                # it fires first if the moves ahead of t already overflow
-                pos = sum(bisect_left(lab, t) for lab in labels.values())
-                pos -= detours
-                if pos and pos + detours > cap:
-                    raise StepCapExceededError(
-                        f"level {i} outgrew the step cap", cap=cap)
-                raise SpareColorError(
-                    f"no spare color for vertex {vnew} at level {i}")
-            labels[vnew].append(t[:-1] + (i, R))
-            colors[vnew].append(s)
-            cv = s
-            detours += 1
+                        else:
+                            break       # e goes monochromatic when w moves
+                else:
+                    col[w] = c
+                    continue
+                for s in pool:
+                    col[vnew] = s
+                    if s != c and not mono(live, s):
+                        break
+                else:
+                    # the old full replay checked the cap after every move,
+                    # so it fires first if the moves ahead of t already
+                    # overflow
+                    pos = sum(bisect_left(moves[v], (t,)) for v in order)
+                    if pos and pos + len(mine) > cap:
+                        raise StepCapExceededError(
+                            f"level {i} outgrew the step cap", cap=cap)
+                    raise SpareColorError(
+                        f"no spare color for vertex {vnew} at level {i}")
+                mine.append((t[:-1] + (i, R), vnew, s))
+                cv = s
+            col[w] = c
+        detours = len(mine)
         if total and total + detours > cap:
             raise StepCapExceededError(
                 f"level {i} outgrew the step cap", cap=cap)
         total += detours
         if cv != tau[vnew]:
-            if mono(live, end, tau[vnew]):
+            col[vnew] = tau[vnew]
+            if mono(live, tau[vnew]):
                 raise ValidationError(
                     f"target color of vertex {vnew} is blocked at its own "
                     "level; the target coloring is not proper here")
-            labels[vnew].append((i, R))
-            colors[vnew].append(tau[vnew])
+            mine.append(((i, R), vnew, tau[vnew]))
             total += 1
+        if mine:
+            moves[vnew] = mine
         stats.detours_per_level.append(detours)
         stats.detour_moves += detours
-    moves = sorted((t, v, c) for v in order
-                   for t, c in zip(labels[v], colors[v]))
-    stats.core_moves += len(moves)
-    return [(v, c) for _, v, c in moves]
+    out = sorted(chain.from_iterable(map(moves.__getitem__, order)))
+    stats.core_moves += len(out)
+    return [(v, c) for _, v, c in out]
 
 
 def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):

@@ -7,7 +7,9 @@ checks that cannot share a bug with the library's incremental algorithms.
 import heapq
 import itertools
 import random
+from bisect import bisect_left
 from collections import Counter, deque
+from itertools import chain, repeat
 from typing import Iterable, Optional, Union
 
 from recolor import (
@@ -222,6 +224,167 @@ def core_steps_reference(H, edge_ok, order, chi, tau, spare_pool, cap, stats):
         stats.detour_moves += detours
     stats.core_moves += len(steps)
     return steps
+
+
+# The region rewriter as it stood before its per-edge live levels and running
+# color table: liveness by a per-level superset test against a set of placed
+# vertices, moves in dicts of label and color lists, and one bisect for every
+# color a test reads. Near-linear like its replacement, so it can check
+# recolor.reconfig._core_steps at sizes where core_steps_reference is too slow.
+def core_steps_bisect_reference(H, order, chi, tau, spare_pool, cap, stats):
+    """Steps rewriting the peel-ordered region ``order`` from chi to tau.
+
+    Level i replays the moves built for the first i vertices of the order
+    with vnew = order[i] now live; any replayed move blocked by an edge
+    through vnew gets a detour that parks vnew on a spare color first, and
+    the level ends by painting vnew its target color. Peeling guarantees a
+    spare exists: at most beta-1 live edges meet vnew inside the level,
+    while the pool holds beta+1 colors none of which appear outside the
+    region.
+
+    Liveness: an edge through vnew is live at level i iff each of its
+    members is placed (at or before vnew in the order) or sits off the
+    order wearing a palette color: a spare, or the target of a vertex on
+    the order. That is exact: every color a move is checked against is in
+    the palette (detours take spares, final moves take targets), and a
+    vertex off the order never moves, so no other edge can ever turn
+    monochromatic. Edges through off-order vertices cannot all be dropped:
+    ``path_core``'s outside wears colors up to alpha, which the targets may
+    reuse.
+
+    Invariant: every move was checked, when it was made, against every live
+    edge through its own vertex, and a detour changes only vnew's color. An
+    edge avoiding vnew is live at level i only if it was live at level i-1,
+    and it sees the same colors at every replayed move as it did then, so it
+    never blocks a replay. Level i therefore looks only at the moves of
+    vertices that share a live edge with vnew, and only while vnew wears the
+    move's color.
+
+    Moves carry position labels that never need renumbering: the final move
+    of level i is ``(i, R)`` with ``R = len(order)``, and a detour inserted
+    at level j in front of the move ``P + (R,)`` is ``P + (j, R)``. Each
+    vertex moves only at its own level, so its labels and colors form a list
+    that grows at the end in path order, and "the color of u just before
+    move t" is one bisect.
+
+    Cost: level i is one pass over the edges through vnew. It keeps each
+    live one as the list of vnew's co-members and gathers those vertices'
+    moves; a vertex on two live edges lists its moves twice, and the walk
+    over the sorted moves skips the repeat. Only the moves in the color vnew
+    wears are bisected against the live edges, and the labels are sorted once
+    at the end. A level thus touches the deg(vnew) edges through vnew and
+    the moves of its co-members on the live ones, so the rewrite stays
+    near-linear in the path length, where replaying every move at every
+    level was O(levels x moves). Level i raises the step-cap error when the
+    moves it replays plus its detours exceed the cap, where a full replay
+    checking the cap after every move would. chi is not mutated.
+    """
+    edges = H.edges
+    inc = H.incidence
+    R = len(order)
+    pool = tuple(spare_pool)
+    palette = set(pool).union(tau[v] for v in order)
+    near = set(chain.from_iterable([edges[ei] for v in order
+                                    for ei in inc[v - 1]]))
+    # the vertices a live edge may hold; vnew joins them at its level
+    placed = {u for u in near.difference(order) if chi[u] in palette}
+    labels = {v: [] for v in order}
+    colors = {v: [] for v in order}
+    end = (R,)                  # sorts after every label
+
+    def color_at(u, t):
+        lab = labels.get(u)
+        if lab:
+            j = bisect_left(lab, t)
+            if j:
+                return colors[u][j - 1]
+        return chi[u]
+
+    def mono(live, t, c):
+        # a live edge through vnew whose other vertices wear c before t
+        for e in live:
+            for u in e:
+                if color_at(u, t) != c:
+                    break
+            else:
+                return True
+        return False
+
+    total = 0
+    for i, vnew in enumerate(order):
+        placed.add(vnew)
+        # live edges through vnew, each as vnew's co-members, and the moves
+        # of those co-members as (label, vertex, color)
+        live = []
+        cand = []
+        for ei in inc[vnew - 1]:
+            e = edges[ei]
+            if placed.issuperset(e):
+                e = list(e)
+                e.remove(vnew)
+                live.append(e)
+                for u in e:
+                    lab = labels.get(u)
+                    if lab:
+                        cand.extend(zip(lab, repeat(u), colors[u]))
+        cand.sort()
+        cv = chi[vnew]
+        detours = 0
+        prev = None
+        for t, w, c in cand:
+            # a vertex on two live edges lists its moves twice, and the
+            # repeat sorts right after the first
+            if c != cv or t == prev:
+                continue
+            prev = t
+            for e in live:
+                if w in e:
+                    for u in e:
+                        if u != w:
+                            lab = labels.get(u)
+                            j = bisect_left(lab, t) if lab else 0
+                            if (colors[u][j - 1] if j else chi[u]) != c:
+                                break
+                    else:
+                        break       # e goes monochromatic when w moves
+            else:
+                continue
+            for s in pool:
+                if s != c and not mono(live, t, s):
+                    break
+            else:
+                # the old full replay checked the cap after every move, so
+                # it fires first if the moves ahead of t already overflow
+                pos = sum(bisect_left(lab, t) for lab in labels.values())
+                pos -= detours
+                if pos and pos + detours > cap:
+                    raise StepCapExceededError(
+                        f"level {i} outgrew the step cap", cap=cap)
+                raise SpareColorError(
+                    f"no spare color for vertex {vnew} at level {i}")
+            labels[vnew].append(t[:-1] + (i, R))
+            colors[vnew].append(s)
+            cv = s
+            detours += 1
+        if total and total + detours > cap:
+            raise StepCapExceededError(
+                f"level {i} outgrew the step cap", cap=cap)
+        total += detours
+        if cv != tau[vnew]:
+            if mono(live, end, tau[vnew]):
+                raise ValidationError(
+                    f"target color of vertex {vnew} is blocked at its own "
+                    "level; the target coloring is not proper here")
+            labels[vnew].append((i, R))
+            colors[vnew].append(tau[vnew])
+            total += 1
+        stats.detours_per_level.append(detours)
+        stats.detour_moves += detours
+    moves = sorted((t, v, c) for v in order
+                   for t, c in zip(labels[v], colors[v]))
+    stats.core_moves += len(moves)
+    return [(v, c) for _, v, c in moves]
+
 
 
 # The recoloring-graph oracle as it stood before recolor.gamma_oracle moved

@@ -4,7 +4,9 @@
 that can meet the newly activated vertex. ``helpers.core_steps_reference``
 is the builder it replaced, which replays every move at every level. The two
 must agree on the steps, on the detour counts per level, and on the type and
-message of any exception, under every step cap.
+message of any exception, under every step cap. Where the quadratic builder
+is too slow, ``helpers.core_steps_bisect_reference``, the near-linear builder
+that bisected a label list for every color it read, stands in for it.
 """
 
 import random
@@ -27,6 +29,7 @@ from recolor import reconfig
 from recolor.cli import main
 from helpers import (
     color_coreless,
+    core_steps_bisect_reference,
     core_steps_reference,
     edge_flags_reference,
     random_proper_coloring,
@@ -127,6 +130,55 @@ def test_coreless_regions_match_the_reference(k, beta, n, m, shifted):
 def test_coreless_region_at_n_4000_matches_the_reference():
     res = assert_same(coreless_call(2, 2, 4000, 1600, 77))
     assert res[0] == "ok" and res[3] > 1000
+
+
+def direct_call(k, beta, n, m, seed):
+    """A whole-instance rewrite between two independent random proper
+    colorings on 1..beta+1, with the pool 1..beta+1: the call the direct
+    route makes once the beta-core is empty."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        H = generate_hnm(n, m, k, rng.getrandbits(48))
+        peel = beta_core(H, beta)
+        if not peel.core:
+            break
+    else:
+        raise AssertionError("no coreless instance")
+    chi, tau = (random_proper_coloring(H, beta + 1, rng) for _ in range(2))
+    return (H, list(peel.order), [0, *chi.colors], [0, *tau.colors],
+            range(1, beta + 2))
+
+
+@pytest.mark.parametrize("k,beta,n,m", [
+    # k, beta, n, m
+    (2, 2, 200, 80),
+    (2, 3, 200, 200),
+    (3, 2, 200, 60),
+    (3, 3, 300, 300),
+    (3, 5, 300, 300),
+    (4, 3, 200, 120),
+    (4, 4, 300, 300),
+])
+def test_direct_route_rewrites_match_the_reference(k, beta, n, m):
+    res = assert_same(direct_call(k, beta, n, m, 100 * k + beta), caps=True)
+    assert res[0] == "ok" and res[3] > 0, "the instance makes no detours"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coreless_call(3, 3, 20_000, 20_000, 31),
+    lambda: direct_call(3, 5, 10_000, 10_000, 37),
+], ids=["bench-shape-n20000", "direct-route-n10000"])
+def test_large_rewrites_match_the_bisect_reference(call):
+    """At sizes the quadratic reference cannot reach, the rewriter this one
+    replaced checks it: the bench's shifted first-fit endpoints at
+    n=2*10^4, and a direct-route rewrite at n=10^4."""
+    call = call()
+    want = outcome(core_steps_bisect_reference, call, BIG_CAP)
+    assert want[0] == "ok" and want[3] > 100
+    assert outcome(reconfig._core_steps, call, BIG_CAP) == want
+    cap = len(want[1]) // 2
+    assert (outcome(reconfig._core_steps, call, cap)
+            == outcome(core_steps_bisect_reference, call, cap))
 
 
 def test_connect_regions_match_the_reference(monkeypatch):

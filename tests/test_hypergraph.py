@@ -600,3 +600,24 @@ class TestTextReaderDifferential:
             tracemalloc.stop()
         assert H.m == n - 2 and H.edges[-1] == (n - 2, n - 1, n)
         assert peak <= 1.8 * kept
+
+    @pytest.mark.parametrize("spell", [
+        lambda text: text.replace("\n", " \n"),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "\n" + text.replace("\n", "\n\n"),
+    ], ids=["space-before-newline", "crlf", "blank-lines"])
+    def test_stripped_canonical_spellings_read_in_bulk(self, spell,
+                                                       monkeypatch):
+        # canonical once each line is stripped and blank lines dropped: the
+        # same Hypergraph as the plain text, built without the per-line
+        # checker's validating constructor
+        H = generate_hnm(300, 400, 3, 5)
+        text = hypergraph_to_text(H)
+
+        def checked(*args):
+            raise AssertionError("the per-line checker built it")
+
+        monkeypatch.setattr(hypergraph.Hypergraph, "__init__", checked)
+        got = hypergraph_from_text(spell(text))
+        assert (got.n, got.k, got.edges, got.incidence) == \
+            (H.n, H.k, H.edges, H.incidence)
