@@ -748,6 +748,21 @@ class TestConnectAndVerify:
         assert sha256(capsys.readouterr().out.encode()) == (
             "a12368f984de14237c99edc5c67dc0c2ba46dedfc21244b0ea992ddfbac9c4b0")
 
+    def test_bench_trial_shape_draws_match_golden(self, tmp_path, capsys):
+        """Instance and random-order greedy digests on the Monte Carlo
+        trial's shape (n=10^4, k=2, m=18,000), recorded before the pair
+        sampler and the seeded shuffle were replayed on getrandbits."""
+        hg = str(tmp_path / "h.txt")
+        assert main(["gen", "--n", "10000", "--k", "2", "--m", "18000",
+                     "--seed", "7", "--out", hg]) == 0
+        with open(hg, "rb") as fh:
+            assert sha256(fh.read()) == (
+                "58e2f4fb5edd7c82bafcad5b0f8fd22069fab72c582bd10b66ff85d30ff1c278")
+        assert main(["greedy", hg, "--levels", "2", "--strategy", "random",
+                     "--seed", "5"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == (
+            "d352e58f6e5245ff8abf6c290ec89496378f1417027f71f8bd3683bda7bfac9b")
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_stdout_equals_out_over_two_chunks(self, fmt, tmp_path, capsys):
         H, (c1, c2) = bench_sized_instance()
