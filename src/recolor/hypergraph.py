@@ -102,8 +102,9 @@ class _CollectorPause:
     ``hypergraph_from_text``, and the index of a drawn instance. The draws
     of a generator run with the collector on: its passes then scan each
     edge tuple while it is fresh, which costs less than the one pass over
-    them all that a pause would defer to its end. The pause ends without
-    allocating, so no pass starts as it ends.
+    them all that a pause would defer to its end (pairs are drawn as ints,
+    which it does not track, and made tuples at the end). The pause ends
+    without allocating, so no pass starts as it ends.
     """
 
     __slots__ = ("collecting",)
@@ -280,13 +281,13 @@ def _check_alpha_beta(alpha: int, beta: int) -> None:
 def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
     """Draw exactly m distinct uniformly random k-sets, deterministic per seed.
 
-    Rejection sampling with a seen-set; fine as long as m is well below
+    A k-set drawn again is dropped and drawn anew (see ``_distinct_k_sets``,
+    which keeps a pair as one int); fine as long as m is well below
     C(n, k), which is the sane regime for these instances anyway. Every
     limit is checked before the first draw, and the drawn edges, canonical
     by construction, are indexed without being validated again. The k-sets
-    are those of one ``random.sample`` call each (see ``_distinct_k_sets``),
-    so a seed names the same instance on every Python whose ``sample``
-    draws alike.
+    are those of one ``random.sample`` call each, so a seed names the same
+    instance on every Python whose ``sample`` draws alike.
     """
     _check_shape(n, k)
     _check_edge_count(n, k, m)
@@ -302,16 +303,22 @@ def generate_hnm(n: int, m: int, k: int, seed: int) -> Hypergraph:
 def _distinct_k_sets(rng: random.Random, n: int, k: int,
                      m: int) -> list[tuple[int, ...]]:
     """m distinct uniformly random k-subsets of 1..n, as a sorted list of
-    sorted tuples, by rejection sampling.
+    sorted tuples, by rejection sampling: a k-set drawn again is dropped.
 
     Each k-set comes from the draws ``rng.sample(range(1, n + 1), k)``
     makes. Above sample's small-population cutoff that is its set branch,
     replayed here straight on ``getrandbits``: draw ``n.bit_length()`` bits
     until the value is below n and not yet picked. At or below the cutoff,
     sample itself is called. So a seed gives the same k-sets as a loop of
-    sample calls, without that call's per-edge overhead.
+    sample calls, without that call's per-edge overhead, and leaves the
+    generator in the same state.
+
+    A pair (k = 2) is kept as one int, its smaller id above ``bits`` bits
+    and its larger one below: ints sort as the pairs do, and the cyclic
+    collector does not track them, so the draws allocate no container.
+    Larger k-sets are tuples; an int fold measured slower for them.
     """
-    seen: set[tuple[int, ...]] = set()
+    seen: set = set()
     add = seen.add
     # random.Random.sample switches from its pool to its set branch here
     cutoff = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
@@ -322,6 +329,18 @@ def _distinct_k_sets(rng: random.Random, n: int, k: int,
         return sorted(seen)
     getrandbits = rng.getrandbits
     bits = n.bit_length()
+    if k == 2:
+        # the draws are 0-based; ``one`` adds 1 to both halves of a code
+        one = (1 << bits) + 1
+        while len(seen) < m:
+            a = getrandbits(bits)
+            while a >= n:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= n or b == a:
+                b = getrandbits(bits)
+            add((a << bits | b if a < b else b << bits | a) + one)
+        return list(map(divmod, sorted(seen), itertools.repeat(1 << bits)))
     draws = range(k)
     while len(seen) < m:
         picked = []

@@ -78,6 +78,29 @@ def _check_strategy(strategy: str, rng_seed: Optional[int]) -> None:
             f"rng_seed must be an integer, got {_excerpt(rng_seed)}")
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place exactly as ``rng.shuffle(x)`` does, on the same
+    draws, leaving rng in the same state.
+
+    ``random.Random.shuffle`` swaps each x[i], i from the top down to 1,
+    with an x[j] for j drawn below i + 1 by ``_randbelow``: draws of
+    ``(i + 1).bit_length()`` bits from ``getrandbits`` until one is at most
+    i. That loop is replayed here without the two calls per item; the bit
+    count is fixed on each run of i down to the next power of two, less 1.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x)  # i + 1 for the next i
+    while top > 1:
+        bits = top.bit_length()
+        low = 1 << bits - 1  # the least i + 1 that takes ``bits`` bits
+        for i in range(top - 1, low - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def _grow_mis(H: Hypergraph, seeds: Iterable[int], rest: Iterable[int],
               cnt: list[int]) -> frozenset[int]:
     """The seeds plus each vertex of ``rest``, in order, that completes no
@@ -103,9 +126,10 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
                   rng_seed: Optional[int] = None) -> frozenset[int]:
     """Grow an independent seed set to a maximal one inside ``active``.
 
-    Candidates are scanned in ascending id order, or in a seeded shuffle for
-    the random strategy (rng_seed is then required). The result always
-    contains the seed set.
+    Candidates are scanned in ascending id order, or for the random
+    strategy (rng_seed is then required) in the order
+    ``random.Random(rng_seed).shuffle`` gives the sorted candidates, drawn
+    through ``_shuffle``. The result always contains the seed set.
     """
     _check_strategy(strategy, rng_seed)
     act = _active_set(H, active)
@@ -128,7 +152,7 @@ def extend_to_mis(H: Hypergraph, active: Optional[Iterable[int]] = None,
             cnt[ei] += 1
     rest = sorted(act - seeds)
     if strategy == "random":
-        random.Random(rng_seed).shuffle(rest)
+        _shuffle(random.Random(rng_seed), rest)
     return _grow_mis(H, seeds, rest, cnt)
 
 
@@ -138,7 +162,9 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     """Draw t successive maximal independent sets, each from the residual.
 
     Per-level seeds are derived from rng_seed so the whole sequence is
-    reproducible. Trailing sets are empty once the residual runs out, so
+    reproducible: the random strategy scans each level's sorted residual in
+    the order ``random.Random(level_seed).shuffle`` gives it, drawn through
+    ``_shuffle``. Trailing sets are empty once the residual runs out, so
     no instance needs more than n levels, and t past the vertex limit is
     refused. Each level is the one extend_to_mis would grow on the residual
     with that level's seed; the arguments are checked once, up front.
@@ -158,7 +184,7 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
             break
         rest = sorted(residual)
         if strategy == "random":
-            random.Random(derive_seed(rng_seed, level)).shuffle(rest)
+            _shuffle(random.Random(derive_seed(rng_seed, level)), rest)
         part = _grow_mis(H, (), rest, [0] * H.m)
         sets.append(part)
         residual -= part

@@ -150,8 +150,10 @@ def test_a_refusal_inside_a_build_ends_its_pause(make, monkeypatch):
 
 
 def test_a_generator_draws_with_the_collector_on(monkeypatch):
-    # its passes scan each drawn edge while it is fresh; deferred to one
-    # pass over every edge, as a pause would, they measured slower
+    # a draw of k-sets for k >= 3 makes a tuple each, which the passes scan
+    # while it is fresh; deferred to one pass over every edge, as a pause
+    # would, they measured slower. A draw of pairs keeps ints, which the
+    # collector does not track, so only their final tuples are scanned.
     seen = []
     draw = hypergraph._distinct_k_sets
 

@@ -275,7 +275,7 @@ class TestDistinctKSets:
             self.assert_matches_reference(sample_cutoff(k) + above, k, m, seed)
 
     @pytest.mark.parametrize("k", [2, 3, 6])
-    @pytest.mark.parametrize("n", [32, 33, 64, 128, 129])
+    @pytest.mark.parametrize("n", [32, 33, 64, 128, 129, 2 ** 14, 2 ** 14 + 1])
     def test_either_side_of_a_power_of_two(self, n, k):
         # n.bit_length() bits a draw: n = 2**j takes one more than n - 1
         for seed in range(3):
@@ -286,10 +286,16 @@ class TestDistinctKSets:
         sizes = {k, k + 1, 9}
         if k <= 3:  # C(n, k) stays small just past the cutoff
             sizes |= {sample_cutoff(k) + 1, sample_cutoff(k) + 3}
+        if k == 2:  # all 2,016 pairs, drawn on 6 bits each
+            sizes.add(64)
         for n in sorted(sizes):
             total = math.comb(n, k)
             for m in (0, 1, total):
                 self.assert_matches_reference(n, k, m, seed=n + k)
+
+    @pytest.mark.parametrize("seed", [7, 45])
+    def test_the_monte_carlo_trial_shape(self, seed):
+        self.assert_matches_reference(10 ** 4, 2, 18_000, seed)
 
     @given(st.integers(2, 7), st.integers(0, 110), st.integers(0, 60),
            st.integers(0, 2 ** 32))

@@ -20,6 +20,7 @@ from recolor import (
     generate_hnm,
     greedy_sequence,
     is_alpha_beta_colorable_exact,
+    independence,
     verify_witness,
 )
 from helpers import (
@@ -206,6 +207,36 @@ class TestMisAgainstReference:
         assert type(got) is MISequence
         assert got == want
         assert all(type(part) is frozenset for part in got.sets)
+
+
+# every length where the shuffle's draw width changes, on either side
+SHUFFLE_LENGTHS = sorted({0, 1, 2, 10 ** 4} | {
+    length for j in range(1, 15)
+    for length in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
+
+
+class TestShuffle:
+    """independence._shuffle against random.Random.shuffle: the same
+    order, and the generator left in the same state."""
+
+    @staticmethod
+    def assert_matches_shuffle(items, seed):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got, want = list(items), list(items)
+        independence._shuffle(fast, got)
+        slow.shuffle(want)
+        assert got == want
+        assert fast.getstate() == slow.getstate()
+
+    @pytest.mark.parametrize("length", SHUFFLE_LENGTHS)
+    @pytest.mark.parametrize("seed", [-7, 0, 2 ** 64 - 1])
+    def test_lengths_where_the_draw_width_changes(self, length, seed):
+        self.assert_matches_shuffle(range(length), seed)
+
+    @given(st.lists(st.integers()), st.integers(-2 ** 70, 2 ** 70))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_any_list_and_seed(self, items, seed):
+        self.assert_matches_shuffle(items, seed)
 
 
 class TestArgumentChecks:
