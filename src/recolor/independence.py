@@ -85,8 +85,8 @@ def _shuffle(rng: random.Random, x: list) -> None:
     ``random.Random.shuffle`` swaps each x[i], i from the top down to 1,
     with an x[j] for j drawn below i + 1 by ``_randbelow``: draws of
     ``(i + 1).bit_length()`` bits from ``getrandbits`` until one is at most
-    i. That loop is replayed here without the two calls per item; the bit
-    count is fixed on each run of i down to the next power of two, less 1.
+    i. That loop is replayed here without its two calls per item, and with
+    one bit count per run of i whose i + 1 share a bit length.
     """
     getrandbits = rng.getrandbits
     top = len(x)  # i + 1 for the next i

@@ -286,7 +286,7 @@ class TestDistinctKSets:
         sizes = {k, k + 1, 9}
         if k <= 3:  # C(n, k) stays small just past the cutoff
             sizes |= {sample_cutoff(k) + 1, sample_cutoff(k) + 3}
-        if k == 2:  # all 2,016 pairs, drawn on 6 bits each
+        if k == 2:  # all 2,016 pairs, on 7-bit draws
             sizes.add(64)
         for n in sorted(sizes):
             total = math.comb(n, k)

@@ -19,8 +19,8 @@ from recolor import (
     falsify_alpha_beta,
     generate_hnm,
     greedy_sequence,
-    is_alpha_beta_colorable_exact,
     independence,
+    is_alpha_beta_colorable_exact,
     verify_witness,
 )
 from helpers import (
