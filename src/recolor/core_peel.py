@@ -1,4 +1,4 @@
-"""Core peeling and first-fit coloring of coreless vertex sets.
+"""Core peeling of vertex sets, and the colors blocked at a vertex.
 
 The degree of a vertex inside a set counts only edges entirely contained in
 that set (the induced-subgraph convention). The beta-core of a set is its
@@ -11,17 +11,18 @@ v_1, ..., v_r in which every v_i lies in at most beta-1 edges contained in
 the prefix {v_1..v_i}. Coloring along that order, first-fit over a palette
 of size beta always succeeds: a color is blocked for v only when some edge
 through v has all its other vertices already identically colored, and the
-prefix property caps the number of such edges at beta-1.
+prefix property caps the number of such edges at beta-1. The region
+rewriter in ``reconfig`` makes those first-fit picks as it walks the order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from .errors import SpareColorError, ValidationError, VertexRangeError
-from .hypergraph import Hypergraph, _check_vertex, _excerpt
+from .errors import ValidationError, VertexRangeError
+from .hypergraph import Hypergraph, _check_int, _check_vertex, _excerpt
 
 __all__ = ["PeelResult", "beta_core", "blocked_colors"]
 
@@ -55,6 +56,7 @@ def beta_core(H: Hypergraph, beta: int, active: Optional[Iterable[int]] = None) 
     vertices in reverse removal order, which certifies the prefix property
     above restricted to the peeled vertices.
     """
+    _check_int(beta, "beta")
     if beta < 1:
         raise ValidationError(f"beta must be at least 1, got {_excerpt(beta)}")
     act = _active_set(H, active)
@@ -125,21 +127,3 @@ def blocked_colors(H: Hypergraph, v: int, partial_coloring: Mapping[int, int]) -
             blocked.add(common)
     return blocked
 
-
-def _first_fit_along(H: Hypergraph, order: Sequence[int],
-                     palette: Sequence[int]) -> dict[int, int]:
-    """Assign each vertex of ``order`` the first palette color not blocked
-    by the vertices colored before it."""
-    assignment: dict[int, int] = {}
-    pal = list(palette)
-    for v in order:
-        blocked = blocked_colors(H, v, assignment)
-        for c in pal:
-            if c not in blocked:
-                assignment[v] = c
-                break
-        else:
-            raise SpareColorError(
-                f"all {len(pal)} palette colors blocked at vertex {v}; "
-                "peel order invariant violated")
-    return assignment

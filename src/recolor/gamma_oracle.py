@@ -51,7 +51,8 @@ from math import factorial, inf
 from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, ValidationError
-from .hypergraph import Coloring, Hypergraph, _check_palette, _excerpt, is_proper
+from .hypergraph import (Coloring, Hypergraph, _check_int, _check_palette,
+                         _excerpt, is_proper)
 
 __all__ = ["GammaStats", "enumerate_proper", "gamma_stats", "gamma_distance"]
 
@@ -71,6 +72,7 @@ class GammaStats:
 
 
 def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
+    _check_int(q, "q")
     if q < 1:
         raise ValidationError(f"q must be positive, got {_excerpt(q)}")
     if budget < 0:

@@ -271,8 +271,16 @@ def _check_edge_count(n: int, k: int, m: int) -> None:
             f"m={_excerpt(m)} outside 0..C({_excerpt(n)},{_excerpt(k)}){exact}")
 
 
+def _check_int(value, name: str) -> None:
+    """Refuse a parameter that is not an int, bool included."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {_excerpt(value)}")
+
+
 def _check_alpha_beta(alpha: int, beta: int) -> None:
-    """Refuse greedy parameters with alpha < 0 or beta < 1."""
+    """Refuse greedy parameters that are not ints, alpha < 0 or beta < 1."""
+    _check_int(alpha, "alpha")
+    _check_int(beta, "beta")
     if alpha < 0 or beta < 1:
         raise ValidationError("need alpha >= 0 and beta >= 1, got "
                               f"({_excerpt(alpha)}, {_excerpt(beta)})")

@@ -28,6 +28,7 @@ from .hypergraph import (
     Coloring,
     Hypergraph,
     _check_alpha_beta,
+    _check_int,
     _excerpt,
     is_proper,
 )
@@ -73,9 +74,7 @@ def _check_strategy(strategy: str, rng_seed: Optional[int]) -> None:
         return
     if rng_seed is None:
         raise ValidationError("the seeded-random strategy requires rng_seed")
-    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
-        raise ValidationError(
-            f"rng_seed must be an integer, got {_excerpt(rng_seed)}")
+    _check_int(rng_seed, "rng_seed")
 
 
 def _shuffle(rng: random.Random, x: list) -> None:
@@ -227,16 +226,18 @@ def _good_greedy_peel(H: Hypergraph, coloring: Coloring, alpha: int,
     _check_alpha_beta(alpha, beta)
     if not is_proper(H, coloring):
         return None
+    # is_proper checked the length, so read the colors unchecked
+    cols = (0,) + coloring.colors
     rem = set(range(1, H.n + 1))
     for color in range(1, alpha + 1):
         if not rem:
             break
-        cls = {v for v in rem if coloring[v] == color}
+        cls = {v for v in rem if cols[v] == color}
         # independence is free (color class of a proper coloring); check maximality
         if not _is_maximal(H, cls, rem):
             return None
         rem -= cls
-    residual_colors = {coloring[v] for v in rem}
+    residual_colors = {cols[v] for v in rem}
     if len(residual_colors) > beta:
         return None
     peel = beta_core(H, beta, rem)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Iterable, Optional
 
-from .core_peel import _active_set, _first_fit_along, beta_core
+from .core_peel import _active_set, beta_core
 from .errors import (
     NonemptyCoreError,
     NotColorableEvidence,
@@ -33,7 +33,7 @@ from .errors import (
     StepCapExceededError,
     ValidationError,
 )
-from .hypergraph import (Coloring, Hypergraph, _check_alpha_beta,
+from .hypergraph import (Coloring, Hypergraph, _check_alpha_beta, _check_int,
                          _check_palette, _excerpt, is_proper)
 from .independence import (
     ColorabilityWitness,
@@ -101,6 +101,7 @@ class PathVerdict:
 
 def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
     _check_alpha_beta(alpha, beta)
+    _check_int(q, "q")
     if q < alpha + beta + 1:
         raise ValidationError(
             f"need q >= alpha + beta + 1 = {_excerpt(alpha + beta + 1)}, "
@@ -140,6 +141,14 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     the level where the count reaches zero; that level's vnew is its last
     member, so no other level takes it.
 
+    First fit: at a target of 0, vnew takes, after the replayed moves, the
+    first color of the pool less its top one that completes no live edge.
+    That is the first-fit coloring of a peel order, as ``_inter_steps``'
+    bridge wants it: there no vertex off the order wears a pool color, so
+    the live edges through vnew are its edges inside the order's prefix,
+    and each earlier vertex on the order wears its own pick in the table.
+    An order that is no peel may block all of them: a spare-color error.
+
     Invariant: every move was checked, when it was made, against every live
     edge through its own vertex, and a detour changes only vnew's color. An
     edge avoiding vnew is live at level i only if it was live at level i-1,
@@ -176,6 +185,7 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     inc = H.incidence
     R = len(order)
     pool = tuple(spare_pool)
+    fits = pool[:-1]            # the first-fit colors, for a target of 0
     palette = set(pool).union(tau[v] for v in order)
     # members each edge still waits for; the off-order ones that wear a
     # palette color are placed now (only a region short of V has any)
@@ -259,13 +269,23 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
             raise StepCapExceededError(
                 f"level {i} outgrew the step cap", cap=cap)
         total += detours
-        if cv != tau[vnew]:
-            col[vnew] = tau[vnew]
-            if mono(live, tau[vnew]):
+        target = tau[vnew]
+        if not target:
+            for target in fits:
+                col[vnew] = target
+                if not mono(live, target):
+                    break
+            else:
+                raise SpareColorError(
+                    f"all {len(fits)} palette colors blocked at vertex "
+                    f"{vnew}; peel order invariant violated")
+        if cv != target:
+            col[vnew] = target
+            if mono(live, target):
                 raise ValidationError(
                     f"target color of vertex {vnew} is blocked at its own "
                     "level; the target coloring is not proper here")
-            mine.append(((i, R), vnew, tau[vnew]))
+            mine.append(((i, R), vnew, target))
             total += 1
         if mine:
             moves[vnew] = mine
@@ -281,8 +301,9 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
 
     Builds a maximally independent classes on colors floor+1..floor+a,
     seeding each from chi's own class so no vertex moves more than once
-    and stopping once nothing is left, then recolors the leftover onto at
-    most beta colors along a peel order.
+    and stopping once nothing is left, then rewrites the leftover along its
+    peel order onto its first-fit coloring on the beta colors above the
+    classes, which the region rewriter picks as it goes.
     Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
     is ``active`` itself, and a caller that peeled it passes ``peel``.
     Raises NotColorableEvidence with the class sequence and core when the
@@ -311,22 +332,17 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     if peel.core:
         raise NotColorableEvidence(ColorabilityWitness(
             MISequence(tuple(classes), W), frozenset(peel.core)))
-    if W:
-        wcolors = {cur[v] for v in W}
-        if min(wcolors) <= floor + a or len(wcolors) > beta:
-            # leftover colors are untidy: first-fit them onto the beta-block
-            # just above the classes, walking there along the peel order
-            target = _first_fit_along(
-                H, peel.order, range(floor + a + 1, floor + a + beta + 1))
-            tau = cur[:]
-            for v, c in target.items():
-                tau[v] = c
-            bridge = _core_steps(H, peel.order, cur, tau,
-                                 range(floor + a + 1, floor + a + beta + 2),
-                                 cap, stats)
-            for v, c in bridge:
-                steps.append((v, c))
-                cur[v] = c
+    wcolors = {cur[v] for v in W}
+    if wcolors and (min(wcolors) <= floor + a or len(wcolors) > beta):
+        # leftover colors are untidy: walk them along the peel order onto the
+        # beta-block just above the classes, the rewriter picking each
+        # vertex's first-fit color there (a target of 0)
+        bridge = _core_steps(H, peel.order, cur, [0] * len(cur),
+                             range(floor + a + 1, floor + a + beta + 2),
+                             cap, stats)
+        for v, c in bridge:
+            steps.append((v, c))
+            cur[v] = c
     if len(steps) > cap:
         raise StepCapExceededError(
             "walk to greedy shape outgrew the step cap", cap=cap)

@@ -10,7 +10,7 @@ import random
 from bisect import bisect_left
 from collections import Counter, deque
 from itertools import chain, repeat
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from recolor import (
     Coloring,
@@ -22,7 +22,7 @@ from recolor import (
     is_proper,
 )
 from recolor import gamma_oracle, reconfig
-from recolor.core_peel import PeelResult, _active_set, _first_fit_along, beta_core
+from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
@@ -135,11 +135,33 @@ def random_instance(rng, n_range=(2, 8), k_max=3, m_max=12):
     return generate_hnm(n, m, k, rng.getrandbits(48))
 
 
+# recolor.core_peel._first_fit_along as it stood before the region rewriter
+# made the bridge's first-fit picks itself (a target of 0). Kept verbatim,
+# but for its name, as the differential oracle of those picks.
+def first_fit_along_reference(H: Hypergraph, order: Sequence[int],
+                              palette: Sequence[int]) -> dict[int, int]:
+    """Assign each vertex of ``order`` the first palette color not blocked
+    by the vertices colored before it."""
+    assignment: dict[int, int] = {}
+    pal = list(palette)
+    for v in order:
+        blocked = blocked_colors(H, v, assignment)
+        for c in pal:
+            if c not in blocked:
+                assignment[v] = c
+                break
+        else:
+            raise SpareColorError(
+                f"all {len(pal)} palette colors blocked at vertex {v}; "
+                "peel order invariant violated")
+    return assignment
+
+
 def color_coreless(H, beta, active, palette):
     """First-fit color a coreless ``active`` set along its peel order."""
     peel = beta_core(H, beta, active)
     assert not peel.core, f"{len(peel.core)}-vertex {beta}-core present"
-    return _first_fit_along(H, peel.order, palette)
+    return first_fit_along_reference(H, peel.order, palette)
 
 
 def write_hypergraph(H, path):

@@ -16,11 +16,11 @@ from recolor import (
     is_proper,
 )
 from recolor.cli import main
-from recolor.core_peel import _first_fit_along
 from helpers import (
     beta_core_reference,
     color_coreless,
     core_bruteforce,
+    first_fit_along_reference,
     random_instance,
 )
 
@@ -196,6 +196,6 @@ class TestFirstFitAlongPeel:
         # a triangle is no peel order for 2 colors: vertex 3 sees both
         H = build(3, 2, [(1, 2), (1, 3), (2, 3)])
         with pytest.raises(SpareColorError) as info:
-            _first_fit_along(H, [1, 2, 3], [1, 2])
+            first_fit_along_reference(H, [1, 2, 3], [1, 2])
         assert str(info.value) == ("all 2 palette colors blocked at vertex 3; "
                                    "peel order invariant violated")

@@ -7,16 +7,21 @@ must agree on the steps, on the detour counts per level, and on the type and
 message of any exception, under every step cap. Where the quadratic builder
 is too slow, ``helpers.core_steps_bisect_reference``, the near-linear builder
 that bisected a label list for every color it read, stands in for it.
+A target of 0 asks the rewriter for a first-fit color, as ``connect``'s
+bridges do: it must pick what ``helpers.first_fit_along_reference`` picks.
 """
 
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from recolor import (
     Coloring,
     NotColorableEvidence,
+    SpareColorError,
     beta_core,
     build,
     connect,
@@ -32,6 +37,7 @@ from helpers import (
     core_steps_bisect_reference,
     core_steps_reference,
     edge_flags_reference,
+    first_fit_along_reference,
     random_proper_coloring,
 )
 
@@ -76,6 +82,34 @@ def assert_same(call, caps=None, flags=None):
         for cap in sorted({0, 1, n // 2, max(n - 1, 0), n}):
             assert (outcome(reconfig._core_steps, call, cap)
                     == outcome(ref, call, cap)), cap
+    return want
+
+
+def first_fit_filled(call):
+    """``call`` with each target of 0 filled in from the reference first
+    fit along the order on the pool less its top color."""
+    H, order, chi, tau, pool = call
+    if all(tau[v] for v in order):
+        return call
+    tau = list(tau)
+    for v, c in first_fit_along_reference(H, order, pool[:-1]).items():
+        tau[v] = c
+    return H, order, chi, tau, pool
+
+
+def assert_first_fit(call):
+    """The rewriter makes the same steps, detours and errors with the 0
+    targets of ``call`` as with the reference first fit's colors, uncapped
+    and under the step caps 0, 1, len/2, len-1 and len; returns the
+    uncapped outcome."""
+    full = first_fit_filled(call)
+    assert full is not call, "no target of 0"
+    want = outcome(reconfig._core_steps, full, BIG_CAP)
+    assert outcome(reconfig._core_steps, call, BIG_CAP) == want
+    n = len(want[1]) if want[0] == "ok" else 0
+    for cap in sorted({0, 1, n // 2, max(n - 1, 0), n}):
+        assert (outcome(reconfig._core_steps, call, cap)
+                == outcome(reconfig._core_steps, full, cap)), cap
     return want
 
 
@@ -225,7 +259,7 @@ def test_connect_regions_match_the_reference(monkeypatch):
             except NotColorableEvidence:
                 pass
     monkeypatch.undo()
-    partial = outside = detoured = 0
+    partial = outside = detoured = bridges = 0
     for call, active in calls:
         H, order = call[0], call[1]
         flags = edge_flags_reference(H, active)
@@ -233,9 +267,15 @@ def test_connect_regions_match_the_reference(monkeypatch):
         inside = set(order)
         outside += any(ok and not set(e) <= inside
                        for e, ok in zip(H.edges, flags))
-        res = assert_same(call, caps=True, flags=flags)
+        # a bridge's targets are 0, for the rewriter's first fit; the
+        # reference is handed the reference first fit's colors
+        full = first_fit_filled(call)
+        if full is not call:
+            bridges += 1
+            assert_first_fit(call)
+        res = assert_same(full, caps=True, flags=flags)
         detoured += res[0] == "ok" and res[3] > 0
-    assert partial and outside and detoured
+    assert partial and outside and detoured and bridges
 
 
 def fill_region(H, colors, region, palette, rng):
@@ -384,6 +424,83 @@ def test_a_neighbor_on_two_live_edges_is_replayed_once(edges, order, chi,
             (1, 2, 3))
     res = assert_same(call, caps=True)
     assert res[0] == "ok" and res[2] == detours
+
+
+def bridge_call(k, alpha, beta, n, m, rng):
+    """A bridge as ``connect``'s first walk makes it, or None: alpha
+    maximal independent classes on colors 1..alpha, the coreless rest
+    colored at random from 1..q, and targets of 0 on its peel order. At
+    alpha = 0 the region is all of V; above it, part of V."""
+    H = generate_hnm(n, m, k, rng.getrandbits(48))
+    colors = [0] * (n + 1)
+    rest = set(H.vertices())
+    for color in range(1, alpha + 1):
+        part = extend_to_mis(H, rest)
+        for v in part:
+            colors[v] = color
+        rest -= part
+    peel = beta_core(H, beta, rest)
+    if peel.core or not rest:
+        return None
+    chi = fill_region(H, colors, rest, range(1, alpha + beta + 2), rng)
+    if chi is None:
+        return None
+    return (H, list(peel.order), [0, *chi.colors], [0] * (n + 1),
+            range(alpha + 1, alpha + beta + 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("beta", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_zero_targets_take_the_reference_first_fit(k, beta, alpha):
+    """Whole-V bridges (alpha = 0), which make detours, and partial ones:
+    the rewriter's own first-fit picks give the steps, detours and errors
+    that the reference first fit's targets give, under every step cap."""
+    rng = random.Random(100 * k + 10 * beta + alpha)
+    n = 150
+    m = n // 3 if k == beta == 2 else n * beta // k
+    calls = []
+    for _ in range(200):
+        call = bridge_call(k, alpha, beta, n, m, rng)
+        if call is not None:
+            calls.append(call)
+        if len(calls) == 4:
+            break
+    else:
+        raise AssertionError("no coreless instance")
+    detoured = 0
+    for call in calls:
+        res = assert_first_fit(call)
+        assert res[0] == "ok"
+        detoured += res[3] > 0
+        assert alpha == 0 or len(call[1]) < n
+    assert detoured or alpha, "no whole-V bridge made a detour"
+
+
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(2, 4),
+       st.integers(0, 2), st.integers(4, 40))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_zero_targets_match_the_reference_first_fit(seed, k, beta, alpha, n):
+    assume(k <= n)
+    rng = random.Random(seed)
+    m = rng.randint(0, min(2 * n, comb(n, k)))
+    call = bridge_call(k, alpha, beta, n, m, rng)
+    assume(call is not None)
+    assert assert_first_fit(call)[0] == "ok"
+
+
+def test_zero_targets_on_a_triangle_find_no_first_fit_color():
+    """A triangle is no peel order for 2 colors: with the pool 1..3, vertex
+    3 sees the first-fit colors 1 and 2 on its two live edges, and the
+    rewriter refuses as the reference first fit does."""
+    H = build(3, 2, [(1, 2), (1, 3), (2, 3)])
+    call = (H, [1, 2, 3], [0, 1, 2, 3], [0, 0, 0, 0], (1, 2, 3))
+    want = ("SpareColorError", "all 2 palette colors blocked at vertex 3; "
+            "peel order invariant violated")
+    assert outcome(reconfig._core_steps, call, BIG_CAP)[:2] == want
+    with pytest.raises(SpareColorError) as info:
+        first_fit_along_reference(H, [1, 2, 3], [1, 2])
+    assert str(info.value) == want[1]
 
 
 @pytest.mark.parametrize("name,q,alpha,beta", [("connect_k2", 4, 1, 2),

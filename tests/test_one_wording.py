@@ -16,6 +16,7 @@ from recolor import (
     extend_to_mis,
     falsify_alpha_beta,
     gamma_distance,
+    gamma_stats,
     greedy_sequence,
     is_alpha_beta_colorable_exact,
     is_proper,
@@ -107,16 +108,39 @@ def test_a_random_seed_that_is_not_an_int(rng_seed):
     assert [raised(call) for call in calls] == [want] * len(calls)
 
 
-@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 0)])
-def test_alpha_and_beta(alpha, beta):
+@pytest.mark.parametrize("alpha,beta,message", [
+    (-1, 1, "need alpha >= 0 and beta >= 1, got (-1, 1)"),
+    (1, 0, "need alpha >= 0 and beta >= 1, got (1, 0)"),
+    (1.5, 1, "alpha must be an integer, got 1.5"),
+    (True, 1, "alpha must be an integer, got True"),
+    (1, 1.5, "beta must be an integer, got 1.5"),
+    (1, True, "beta must be an integer, got True"),
+    (1, 2.0, "beta must be an integer, got 2.0"),
+])
+def test_alpha_and_beta(alpha, beta, message):
     calls = [
         lambda: falsify_alpha_beta(PATH3, alpha, beta, 5, 0),
         lambda: is_alpha_beta_colorable_exact(PATH3, alpha, beta),
         lambda: check_good_greedy(PATH3, GOOD, alpha, beta),
         lambda: connect(PATH3, GOOD, GOOD, Q, alpha, beta),
+        lambda: path_core(PATH3, {3}, GOOD, GOOD, alpha, beta, Q),
     ]
-    want = (ValidationError,
-            f"need alpha >= 0 and beta >= 1, got ({alpha}, {beta})")
+    if message.startswith("beta must"):
+        # beta_core takes beta alone, and checks its type as they do
+        calls.append(lambda: beta_core(PATH3, beta))
+    want = (ValidationError, message)
+    assert [raised(call) for call in calls] == [want] * len(calls)
+
+
+@pytest.mark.parametrize("q", [4.0, True, "4"])
+def test_a_q_that_is_not_an_int(q):
+    calls = [
+        lambda: connect(PATH3, GOOD, GOOD, q, ALPHA, BETA),
+        lambda: path_core(PATH3, {3}, GOOD, GOOD, ALPHA, BETA, q),
+        lambda: gamma_stats(PATH3, q),
+        lambda: gamma_distance(PATH3, q, GOOD, GOOD),
+    ]
+    want = (ValidationError, f"q must be an integer, got {q!r}")
     assert [raised(call) for call in calls] == [want] * len(calls)
 
 
