@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .hypergraph import (
     _check_alpha_beta,
     _check_edge_count,
+    _check_int,
     _check_shape,
     _excerpt,
     generate_hnm,
@@ -152,6 +153,7 @@ CSV_HEADER = ",".join(_CSV_FIELDS)
 
 def _resolve_config(cfg: MonteCarloConfig):
     _check_shape(cfg.n, cfg.k, capped=False)
+    _check_int(cfg.trials, "trials")
     if cfg.trials < 0:
         raise ValidationError(
             f"trial count must be nonnegative, got {_excerpt(cfg.trials)}")

@@ -75,6 +75,7 @@ def _check_budget(H: Hypergraph, q: int, budget: int) -> None:
     _check_int(q, "q")
     if q < 1:
         raise ValidationError(f"q must be positive, got {_excerpt(q)}")
+    _check_int(budget, "budget")
     if budget < 0:
         raise ValidationError(
             f"budget must be nonnegative, got {_excerpt(budget)}")
@@ -379,6 +380,7 @@ def gamma_stats(H: Hypergraph, q: int, budget: int = DEFAULT_BUDGET,
     would exceed diameter_budget. Pass compute_diameter=False to skip it; a
     negative diameter_budget is refused even then.
     """
+    _check_int(diameter_budget, "diameter budget")
     if diameter_budget < 0:
         raise ValidationError(
             f"diameter budget must be nonnegative, got {_excerpt(diameter_budget)}")

@@ -168,7 +168,8 @@ def greedy_sequence(H: Hypergraph, t: int, strategy: str = "ascending",
     refused. Each level is the one extend_to_mis would grow on the residual
     with that level's seed; the arguments are checked once, up front.
     """
-    if not isinstance(t, int) or t < 0:
+    _check_int(t, "sequence length")
+    if t < 0:
         raise ValidationError(
             f"sequence length must be nonnegative, got {_excerpt(t)}")
     if t > _MAX_VERTICES:
@@ -285,6 +286,7 @@ def is_alpha_beta_colorable_exact(
     compare against True (``result is True``) rather than truthiness.
     """
     verts = sorted(_active_set(H, active))
+    _check_int(max_size, "max_size")
     if len(verts) > max_size:
         raise InstanceTooLargeError(
             f"{len(verts)} active vertices exceed the exhaustive cap of "
@@ -349,6 +351,7 @@ def is_alpha_beta_colorable_exact(
 def _check_falsifier_args(alpha: int, beta: int, trials: int) -> None:
     """Refuse a bad (alpha, beta), then a trial count below 1."""
     _check_alpha_beta(alpha, beta)
+    _check_int(trials, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {_excerpt(trials)}")
 

@@ -106,6 +106,7 @@ def _validate_params(alpha: int, beta: int, q: int, cap: int) -> None:
         raise ValidationError(
             f"need q >= alpha + beta + 1 = {_excerpt(alpha + beta + 1)}, "
             f"got q={_excerpt(q)}")
+    _check_int(cap, "step cap")
     if cap < 0:
         raise ValidationError(
             f"step cap must be nonnegative, got {_excerpt(cap)}")
@@ -296,6 +297,15 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     return [(v, c) for _, v, c in out]
 
 
+def _leftover_peel(H, beta, classes, W):
+    """The peel of W, the leftover of ``classes``, or their witness."""
+    peel = beta_core(H, beta, W)
+    if peel.core:
+        raise NotColorableEvidence(ColorabilityWitness(
+            MISequence(tuple(classes), W), frozenset(peel.core)))
+    return peel
+
+
 def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     """Walk ``chi`` restricted to ``active`` into greedy shape above ``floor``.
 
@@ -328,10 +338,7 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
         residual -= part
     stats.inter_moves += len(steps)
     W = frozenset(residual)
-    peel = beta_core(H, beta, W) if peel is None else peel
-    if peel.core:
-        raise NotColorableEvidence(ColorabilityWitness(
-            MISequence(tuple(classes), W), frozenset(peel.core)))
+    peel = _leftover_peel(H, beta, classes, W) if peel is None else peel
     wcolors = {cur[v] for v in W}
     if wcolors and (min(wcolors) <= floor + a or len(wcolors) > beta):
         # leftover colors are untidy: walk them along the peel order onto the
@@ -515,9 +522,10 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     """Full path between two arbitrary proper colorings.
 
     Route: chi1 -> greedy shape, greedy -> greedy, then the second walk
-    reversed back down to chi2. Validates once, then composes the phase
-    builders (their shapes are greedy by construction) into one path. Raises
-    NotColorableEvidence if any stage exposes non-(alpha, beta)-colorability.
+    reversed back down to chi2; at alpha = 0 the join alone, along V's peel.
+    Validates once, then composes the phase builders (their shapes are
+    greedy by construction) into one path. Raises NotColorableEvidence if
+    any stage exposes non-(alpha, beta)-colorability.
     """
     _validate_params(alpha, beta, q, step_cap)
     chi1_l = _colors_list(chi1, q)
@@ -531,15 +539,17 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     active = frozenset(range(1, H.n + 1))
     # stats in path order: the first walk and the middle share one, then p2's
     stats, stats2 = PathStats(), PathStats()
-    steps, shaped1, peel1 = _inter_steps(H, active, chi1_l, alpha, beta, 0,
+    steps, shaped1, steps2, shaped2 = [], chi1_l, [], chi2_l
+    if alpha:
+        steps, shaped1, _ = _inter_steps(H, active, chi1_l, alpha, beta, 0,
                                          step_cap, stats)
-    # at alpha = 0 both walks leave all of active, so they share one peel
-    steps2, shaped2, peel2 = _inter_steps(H, active, chi2_l, alpha, beta, 0,
-                                          step_cap, stats2,
-                                          peel1 if alpha == 0 else None)
+        steps2, shaped2, peel = _inter_steps(H, active, chi2_l, alpha, beta,
+                                             0, step_cap, stats2)
+    else:   # V is the leftover: its peel leaves every vertex a spare
+        peel = _leftover_peel(H, beta, (), active)
     # the second walk's leftover is the middle's bottom-level remainder
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta,
-                          step_cap, stats, peel2)
+                          step_cap, stats, peel)
     steps += _reversed_steps(chi2_l, steps2)
     stats.absorb(stats2)
     return _assemble(chi1, steps, stats, step_cap)

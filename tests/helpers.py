@@ -26,6 +26,7 @@ from recolor.core_peel import PeelResult, _active_set, beta_core
 from recolor.gamma_oracle import _proper_codes
 from recolor.errors import (
     InstanceTooLargeError,
+    NotColorableEvidence,
     SpareColorError,
     StepCapExceededError,
     ValidationError,
@@ -708,6 +709,43 @@ def connect_reference(H, chi1, chi2, q, alpha, beta,
     stats.absorb(mid.stats)
     stats.absorb(p2.stats)
     return reconfig._assemble(chi1, steps, stats, step_cap)
+
+
+# The route recolor.reconfig.connect takes at alpha = 0, built from the
+# oracles here: beta_core_reference peels V, and core_steps_reference
+# rewrites chi1 straight into chi2 along that order with the pool
+# 1..beta+1. connect_reference keeps the route it replaced: a first-fit
+# bridge from each end, the join between them, the second bridge reversed.
+def direct_route_reference(H, chi1, chi2, q, alpha, beta,
+                           step_cap=reconfig.DEFAULT_STEP_CAP):
+    """Path from chi1 to chi2 at alpha = 0 by one rewrite along V's peel."""
+    assert alpha == 0, "the direct route is the alpha = 0 route"
+    reconfig._validate_params(alpha, beta, q, step_cap)
+    chi1_l = reconfig._colors_list(chi1, q)
+    chi2_l = reconfig._colors_list(chi2, q)
+    if not is_proper(H, chi1):
+        raise ValidationError("first coloring is not proper")
+    if not is_proper(H, chi2):
+        raise ValidationError("second coloring is not proper")
+    if chi1.colors == chi2.colors:
+        return reconfig.RecolorPath(chi1, (), chi1, reconfig.PathStats())
+    everything = frozenset(range(1, H.n + 1))
+    peel = beta_core_reference(H, beta, everything)
+    if peel.core:
+        raise NotColorableEvidence(ColorabilityWitness(
+            MISequence((), everything), peel.core))
+    # the join's one level: final_depth 1, no classes to park or paint
+    stats = reconfig.PathStats(final_depth=1)
+    steps = core_steps_reference(H, [True] * H.m, peel.order, chi1_l, chi2_l,
+                                 range(1, beta + 2), step_cap, stats)
+    if len(steps) > step_cap:
+        raise StepCapExceededError("composed path outgrew the step cap",
+                                   cap=step_cap)
+    end = list(chi1.colors)
+    for v, c in steps:
+        end[v - 1] = c
+    return reconfig.RecolorPath(chi1, tuple(steps), Coloring(tuple(end)),
+                                stats)
 
 
 # recolor.core_peel.beta_core as it stood before its peel was shared and

@@ -25,7 +25,8 @@ from recolor import (
     verify_witness,
 )
 from recolor import reconfig
-from helpers import connect_reference, random_proper_coloring
+from helpers import (connect_reference, direct_route_reference,
+                     random_proper_coloring)
 
 CAPS = (0, 5, 50, 200, None)        # None: the default cap
 SHAPES = [
@@ -117,9 +118,9 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
     """Two properness checks (one per endpoint), no re-check of the shapes
     it built, one assembled path, no public builder on the way, and the
     reference's steps. At alpha = 1 two peels: one per walk's leftover, the
-    middle's bottom level reusing the second walk's. At alpha = 0 one: both
-    walks leave every vertex, so the second walk and the middle reuse the
-    first walk's peel."""
+    middle's bottom level reusing the second walk's. At alpha = 0 one: there
+    is no walk, and the join rewrites one end into the other along V's peel,
+    as the direct-route reference does."""
     counts = dict.fromkeys(["is_proper", "check_good_greedy", "_assemble",
                             "path_to_good_greedy",
                             "path_between_good_greedy", "beta_core"], 0)
@@ -136,10 +137,11 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
     rng = random.Random(3)
     ends = [random_proper_coloring(line, 3, rng) for _ in range(2)]
     calls = [(next(call for call in CORPUS if call[1] != call[2]
-                   and outcome(connect, *call, None)[0] == "ok"), 2),
-             ((line, *ends, 3, 0, 2), 1)]
-    for (H, c1, c2, q, alpha, beta), peels in calls:
-        want = connect_reference(H, c1, c2, q, alpha, beta)
+                   and outcome(connect, *call, None)[0] == "ok"), 2,
+              connect_reference),
+             ((line, *ends, 3, 0, 2), 1, direct_route_reference)]
+    for (H, c1, c2, q, alpha, beta), peels, reference in calls:
+        want = reference(H, c1, c2, q, alpha, beta)
         counts.update(dict.fromkeys(counts, 0))
         path = connect(H, c1, c2, q, alpha, beta)
         assert path.steps and path.steps == want.steps

@@ -257,7 +257,7 @@ class TestArgumentChecks:
             greedy_sequence(PATH3, t)
         assert type(caught.value) is ValidationError
         assert str(caught.value) == (
-            f"sequence length must be nonnegative, got {t!r}")
+            f"sequence length must be an integer, got {t!r}")
 
     def test_an_ascending_draw_ignores_the_seed(self):
         assert (extend_to_mis(PATH3, rng_seed=1.5)

@@ -6,6 +6,7 @@ import pytest
 
 from recolor import (
     Coloring,
+    MonteCarloConfig,
     ValidationError,
     VertexRangeError,
     beta_core,
@@ -20,6 +21,7 @@ from recolor import (
     greedy_sequence,
     is_alpha_beta_colorable_exact,
     is_proper,
+    montecarlo_colorability,
     path_between_good_greedy,
     path_core,
     path_to_good_greedy,
@@ -142,6 +144,35 @@ def test_a_q_that_is_not_an_int(q):
     ]
     want = (ValidationError, f"q must be an integer, got {q!r}")
     assert [raised(call) for call in calls] == [want] * len(calls)
+
+
+@pytest.mark.parametrize("value", [12.5, True, "3"])
+def test_a_count_that_is_not_an_int(value):
+    """Step caps, budgets, trial counts, the exact search's size cap and the
+    sequence length are ints, bool excluded, before their range is checked."""
+    config = MonteCarloConfig(n=8, k=2, trials=value, seed=0, alpha=1, beta=1,
+                              m=3)
+    calls = [
+        ("step cap", lambda: connect(PATH3, GOOD, GOOD, Q, ALPHA, BETA, value)),
+        ("step cap", lambda: path_core(PATH3, {1, 2, 3}, GOOD, GOOD, ALPHA,
+                                       BETA, Q, value)),
+        ("step cap", lambda: path_to_good_greedy(PATH3, GOOD, Q, ALPHA, BETA,
+                                                 value)),
+        ("step cap", lambda: path_between_good_greedy(PATH3, GOOD, GOOD, Q,
+                                                      ALPHA, BETA, value)),
+        ("budget", lambda: gamma_stats(PATH3, Q, budget=value)),
+        ("budget", lambda: gamma_distance(PATH3, Q, GOOD, GOOD, budget=value)),
+        ("diameter budget",
+         lambda: gamma_stats(PATH3, Q, diameter_budget=value)),
+        ("trials", lambda: falsify_alpha_beta(PATH3, ALPHA, BETA, value, 0)),
+        ("trials", lambda: list(montecarlo_colorability(config))),
+        ("max_size", lambda: is_alpha_beta_colorable_exact(
+            PATH3, ALPHA, BETA, max_size=value)),
+        ("sequence length", lambda: greedy_sequence(PATH3, value)),
+    ]
+    for name, call in calls:
+        assert raised(call) == (
+            ValidationError, f"{name} must be an integer, got {value!r}")
 
 
 BIG = 2 ** 20000                    # past the int-to-str digit limit
