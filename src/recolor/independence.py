@@ -286,12 +286,12 @@ def is_alpha_beta_colorable_exact(
     compare against True (``result is True``) rather than truthiness.
     """
     verts = sorted(_active_set(H, active))
+    _check_alpha_beta(alpha, beta)
     _check_int(max_size, "max_size")
     if len(verts) > max_size:
         raise InstanceTooLargeError(
             f"{len(verts)} active vertices exceed the exhaustive cap of "
             f"{_excerpt(max_size)}")
-    _check_alpha_beta(alpha, beta)
     edge_masks, rest_masks = _mask_tables(H, verts)
     rests = [(1 << i, rv) for i, rv in enumerate(rest_masks)]
     mis_memo: dict[int, list[int]] = {}

@@ -15,7 +15,9 @@ Three builders layer on each other:
   freezing one color class per level.
 
 Each public builder validates once, then runs the unchecked phase builders;
-``connect`` composes them into one path. ``verify_path`` re-checks any path.
+``connect`` composes them into one path that rewrites each region once: the
+first end's walk, the join onto the second end's classes, those class moves
+reversed. ``verify_path`` re-checks any path.
 """
 
 from __future__ import annotations
@@ -297,28 +299,13 @@ def _core_steps(H, order, chi, tau, spare_pool, cap, stats):
     return [(v, c) for _, v, c in out]
 
 
-def _leftover_peel(H, beta, classes, W):
-    """The peel of W, the leftover of ``classes``, or their witness."""
-    peel = beta_core(H, beta, W)
-    if peel.core:
-        raise NotColorableEvidence(ColorabilityWitness(
-            MISequence(tuple(classes), W), frozenset(peel.core)))
-    return peel
-
-
-def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
-    """Walk ``chi`` restricted to ``active`` into greedy shape above ``floor``.
-
-    Builds a maximally independent classes on colors floor+1..floor+a,
-    seeding each from chi's own class so no vertex moves more than once
-    and stopping once nothing is left, then rewrites the leftover along its
-    peel order onto its first-fit coloring on the beta colors above the
-    classes, which the region rewriter picks as it goes.
+def _class_steps(H, active, chi, a, beta, floor, stats):
+    """Build ``a`` maximally independent classes of ``active`` on colors
+    floor+1..floor+a, each seeded from chi's own class so no vertex moves
+    more than once and every leftover vertex wears a color above floor + a.
     Returns (steps, new colors, the leftover's peel); at a == 0 the leftover
-    is ``active`` itself, and a caller that peeled it passes ``peel``.
-    Raises NotColorableEvidence with the class sequence and core when the
-    leftover cannot be peeled, and the step-cap error when the finished walk
-    is longer than ``cap``.
+    is ``active``. Raises NotColorableEvidence with the class sequence and
+    core when the leftover cannot be peeled.
     """
     cur = chi[:]
     steps = []
@@ -338,12 +325,24 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
         residual -= part
     stats.inter_moves += len(steps)
     W = frozenset(residual)
-    peel = _leftover_peel(H, beta, classes, W) if peel is None else peel
-    wcolors = {cur[v] for v in W}
-    if wcolors and (min(wcolors) <= floor + a or len(wcolors) > beta):
-        # leftover colors are untidy: walk them along the peel order onto the
-        # beta-block just above the classes, the rewriter picking each
-        # vertex's first-fit color there (a target of 0)
+    peel = beta_core(H, beta, W)
+    if peel.core:
+        raise NotColorableEvidence(ColorabilityWitness(
+            MISequence(tuple(classes), W), frozenset(peel.core)))
+    return steps, cur, peel
+
+
+def _inter_steps(H, active, chi, a, beta, floor, cap, stats):
+    """Walk ``chi`` restricted to ``active`` into greedy shape above ``floor``.
+
+    Runs ``_class_steps``, then rewrites a leftover on more than beta colors
+    along its peel onto its first-fit coloring on the beta colors above the
+    classes. Returns (steps, new colors); raises the classes'
+    witness, or the step-cap error when the walk is longer than ``cap``.
+    """
+    steps, cur, peel = _class_steps(H, active, chi, a, beta, floor, stats)
+    if len({cur[v] for v in peel.order}) > beta:
+        # a target of 0: the rewriter picks each vertex's first fit
         bridge = _core_steps(H, peel.order, cur, [0] * len(cur),
                              range(floor + a + 1, floor + a + beta + 2),
                              cap, stats)
@@ -353,19 +352,19 @@ def _inter_steps(H, active, chi, a, beta, floor, cap, stats, peel=None):
     if len(steps) > cap:
         raise StepCapExceededError(
             "walk to greedy shape outgrew the step cap", cap=cap)
-    return steps, cur, peel
+    return steps, cur
 
 
 def _final_steps(H, active, chi, tau, q, a, beta, cap, stats, peel):
-    """Steps from chi to tau on ``active``, both greedy-shaped.
+    """Steps from chi to tau on ``active``, tau's leftover above color a.
 
     Freezes one class per level: level cls parks chi's copy of color cls on
     an unused color, paints tau's class cls into place, takes that class out
-    of ``active`` and walks the rest into greedy shape above cls. A witness
-    from a walk is lifted by the classes frozen so far. After level a the
-    rest is tau's leftover, coreless since tau is greedy-shaped, and the
-    region rewriter takes it along ``peel``, the caller's peel of it.
-    It checks no cap on its own moves: the caller's ``_assemble`` does.
+    of ``active`` and, below level a, walks the rest into greedy shape above
+    cls. A witness from a walk is lifted by the classes frozen so far. Then
+    the region rewriter takes tau's leftover along ``peel`` straight into
+    tau: off it every vertex wears a frozen color, so the pool a+1..a+beta+1
+    holds the spares. The caller's ``_assemble`` checks the cap.
     """
     cur = chi[:]
     out = []
@@ -395,9 +394,10 @@ def _final_steps(H, active, chi, tau, q, a, beta, cap, stats, peel):
             stats.final_moves += len(out) - moves
             frozen.append(tau_class)
             active = active - frozenset(tau_class)
-            mid, cur, _ = _inter_steps(H, active, cur, a - cls, beta, cls,
-                                       cap, stats, peel if cls == a else None)
-            out.extend(mid)
+            if cls < a:
+                mid, cur = _inter_steps(H, active, cur, a - cls, beta, cls,
+                                        cap, stats)
+                out.extend(mid)
     except NotColorableEvidence as exc:
         w = exc.witness
         lifted = ColorabilityWitness(
@@ -481,8 +481,8 @@ def path_to_good_greedy(H: Hypergraph, chi: Coloring, q: int, alpha: int,
         raise ValidationError("start coloring is not proper")
     stats = PathStats()
     active = frozenset(range(1, H.n + 1))
-    steps, _, _ = _inter_steps(H, active, chi_l, alpha, beta, 0, step_cap,
-                               stats)
+    steps, _ = _inter_steps(H, active, chi_l, alpha, beta, 0, step_cap,
+                            stats)
     path = _assemble(chi, steps, stats, step_cap)
     return path, path.end
 
@@ -521,11 +521,11 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
             beta: int, step_cap: int = DEFAULT_STEP_CAP) -> RecolorPath:
     """Full path between two arbitrary proper colorings.
 
-    Route: chi1 -> greedy shape, greedy -> greedy, then the second walk
-    reversed back down to chi2; at alpha = 0 the join alone, along V's peel.
-    Validates once, then composes the phase builders (their shapes are
-    greedy by construction) into one path. Raises NotColorableEvidence if
-    any stage exposes non-(alpha, beta)-colorability.
+    Route: chi1 -> greedy shape, the join onto chi2's classes, then those
+    class moves reversed; the join rewrites chi2's leftover once, into
+    chi2's own colors (at alpha = 0, V along its peel). Validates once,
+    then composes the phase builders into one path. Raises
+    NotColorableEvidence if any stage exposes non-(alpha, beta)-colorability.
     """
     _validate_params(alpha, beta, q, step_cap)
     chi1_l = _colors_list(chi1, q)
@@ -537,21 +537,16 @@ def connect(H: Hypergraph, chi1: Coloring, chi2: Coloring, q: int, alpha: int,
     if chi1.colors == chi2.colors:
         return RecolorPath(chi1, (), chi1, PathStats())
     active = frozenset(range(1, H.n + 1))
-    # stats in path order: the first walk and the middle share one, then p2's
-    stats, stats2 = PathStats(), PathStats()
-    steps, shaped1, steps2, shaped2 = [], chi1_l, [], chi2_l
+    stats = PathStats()
+    steps, shaped1 = [], chi1_l
     if alpha:
-        steps, shaped1, _ = _inter_steps(H, active, chi1_l, alpha, beta, 0,
-                                         step_cap, stats)
-        steps2, shaped2, peel = _inter_steps(H, active, chi2_l, alpha, beta,
-                                             0, step_cap, stats2)
-    else:   # V is the leftover: its peel leaves every vertex a spare
-        peel = _leftover_peel(H, beta, (), active)
-    # the second walk's leftover is the middle's bottom-level remainder
+        steps, shaped1 = _inter_steps(H, active, chi1_l, alpha, beta, 0,
+                                      step_cap, stats)
+    steps2, shaped2, peel = _class_steps(H, active, chi2_l, alpha, beta, 0,
+                                         stats)
     steps += _final_steps(H, active, shaped1, shaped2, q, alpha, beta,
                           step_cap, stats, peel)
     steps += _reversed_steps(chi2_l, steps2)
-    stats.absorb(stats2)
     return _assemble(chi1, steps, stats, step_cap)
 
 
@@ -560,8 +555,18 @@ def verify_path(H: Hypergraph, path: RecolorPath, q: int) -> PathVerdict:
 
     Checks the start is proper in [q], every step changes exactly one vertex
     to a different in-range color, and properness holds after each move.
+    A vertex or color that is no int (bool included) is out of range.
     """
-    return _replay(H, path.start, path.steps, q)
+    steps = tuple(path.steps)
+    if not set(map(type, chain.from_iterable(steps))) <= {int}:
+        for idx, (v, c) in enumerate(steps):
+            for x, reason in ((v, "vertex"), (c, "color")):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    # a failure of the moves before it comes first
+                    head = _replay(H, path.start, steps[:idx], q)
+                    return head if not head.ok else PathVerdict(
+                        False, None, idx, f"{reason}-out-of-range")
+    return _replay(H, path.start, steps, q)
 
 
 def _replay(H, start, steps, q) -> PathVerdict:

@@ -17,6 +17,7 @@ from recolor import (
     Hypergraph,
     blocked_colors,
     coloring_to_text,
+    extend_to_mis,
     generate_hnm,
     hypergraph_to_text,
     is_proper,
@@ -738,6 +739,140 @@ def direct_route_reference(H, chi1, chi2, q, alpha, beta,
     stats = reconfig.PathStats(final_depth=1)
     steps = core_steps_reference(H, [True] * H.m, peel.order, chi1_l, chi2_l,
                                  range(1, beta + 2), step_cap, stats)
+    if len(steps) > step_cap:
+        raise StepCapExceededError("composed path outgrew the step cap",
+                                   cap=step_cap)
+    end = list(chi1.colors)
+    for v, c in steps:
+        end[v - 1] = c
+    return reconfig.RecolorPath(chi1, tuple(steps), Coloring(tuple(end)),
+                                stats)
+
+
+def classes_reference(H, active, chi, a, beta, floor):
+    """The classes of ``chi`` (a 1-indexed color list) on ``active`` at
+    colors floor+1..floor+a, each a maximal independent set of what is left
+    seeded from chi's own class of its color, with the moves that paint
+    them, the colors after them and the reference peel of the leftover.
+    Raises the witness when the leftover keeps a beta-core."""
+    cur = chi[:]
+    steps = []
+    residual = set(active)
+    classes = []
+    for color in range(floor + 1, floor + a + 1):
+        if not residual:
+            break
+        part = extend_to_mis(H, residual,
+                             seed_set=[v for v in residual if chi[v] == color])
+        classes.append(part)
+        for v in sorted(part):
+            if cur[v] != color:
+                steps.append((v, color))
+                cur[v] = color
+        residual -= part
+    leftover = frozenset(residual)
+    peel = beta_core_reference(H, beta, leftover)
+    if peel.core:
+        raise NotColorableEvidence(ColorabilityWitness(
+            MISequence(tuple(classes), leftover), peel.core))
+    return classes, steps, cur, peel
+
+
+def _walk_reference(H, active, chi, a, beta, floor, cap, stats):
+    """The classes, then a leftover on more than beta colors rewritten
+    along its peel onto its first fit in the beta colors above them."""
+    _, steps, cur, peel = classes_reference(H, active, chi, a, beta, floor)
+    stats.inter_moves += len(steps)
+    if len({cur[v] for v in peel.order}) > beta:
+        pool = range(floor + a + 1, floor + a + beta + 2)
+        tau = cur[:]
+        for v, c in first_fit_along_reference(H, peel.order,
+                                              pool[:-1]).items():
+            tau[v] = c
+        bridge = core_steps_reference(H, [True] * H.m, peel.order, cur, tau,
+                                      pool, cap, stats)
+        steps += bridge
+        for v, c in bridge:
+            cur[v] = c
+    if len(steps) > cap:
+        raise StepCapExceededError(
+            "walk to greedy shape outgrew the step cap", cap=cap)
+    return steps, cur
+
+
+# The route recolor.reconfig.connect takes, built from the public walk and
+# the oracles here: path_to_good_greedy walks chi1 into greedy shape (at
+# alpha >= 1), classes_reference builds chi2's classes, and the join
+# freezes one of them per level, walking the rest below level alpha with
+# first-fit bridges through core_steps_reference. Its last step is one
+# core_steps_reference call that takes chi2's leftover straight into
+# chi2's colors; then chi2's class moves run reversed. connect_reference
+# keeps the route this replaced, which bridged chi2's leftover onto first
+# fit and back, and bridged the join's last level before rewriting it.
+def classes_route_reference(H, chi1, chi2, q, alpha, beta,
+                            step_cap=reconfig.DEFAULT_STEP_CAP):
+    """Path from chi1 to chi2 joined onto chi2's classes."""
+    reconfig._validate_params(alpha, beta, q, step_cap)
+    reconfig._colors_list(chi1, q)
+    tau = reconfig._colors_list(chi2, q)
+    if not is_proper(H, chi1):
+        raise ValidationError("first coloring is not proper")
+    if not is_proper(H, chi2):
+        raise ValidationError("second coloring is not proper")
+    if chi1.colors == chi2.colors:
+        return reconfig.RecolorPath(chi1, (), chi1, reconfig.PathStats())
+    steps, shaped1, stats = [], chi1, reconfig.PathStats()
+    if alpha:
+        p1, shaped1 = reconfig.path_to_good_greedy(H, chi1, q, alpha, beta,
+                                                   step_cap)
+        steps, stats = list(p1.steps), p1.stats
+    everything = frozenset(range(1, H.n + 1))
+    _, moves2, shaped2, peel = classes_reference(H, everything, tau, alpha,
+                                                 beta, 0)
+    stats.inter_moves += len(moves2)
+    tau = shaped2
+    cur = [0] + list(shaped1.colors)
+    rest = everything
+    frozen = []
+    try:
+        for cls in range(1, alpha + 1):
+            if all(cur[v] == tau[v] for v in rest):
+                break
+            stats.final_depth = cls
+            tau_class = [v for v in sorted(rest) if tau[v] == cls]
+            chi_class = [v for v in sorted(rest) if cur[v] == cls]
+            level = []
+            if chi_class and chi_class != tau_class:
+                park = min(set(range(cls, q + 1)) - {cur[v] for v in rest})
+                for v in chi_class:
+                    level.append((v, park))
+                    cur[v] = park
+            for v in tau_class:
+                if cur[v] != cls:
+                    level.append((v, cls))
+                    cur[v] = cls
+            stats.final_moves += len(level)
+            steps += level
+            frozen.append(frozenset(tau_class))
+            rest = rest - frozenset(tau_class)
+            if cls < alpha:
+                walk, cur = _walk_reference(H, rest, cur, alpha - cls, beta,
+                                            cls, step_cap, stats)
+                steps += walk
+        else:
+            if any(cur[v] != tau[v] for v in rest):
+                stats.final_depth = alpha + 1
+                steps += core_steps_reference(
+                    H, [True] * H.m, peel.order, cur, tau,
+                    range(alpha + 1, alpha + beta + 2), step_cap, stats)
+    except NotColorableEvidence as exc:
+        w = exc.witness
+        raise NotColorableEvidence(ColorabilityWitness(
+            MISequence(tuple(frozen) + w.sequence.sets, w.sequence.residual),
+            w.core_vertices)) from None
+    steps += _reversed_steps_reference(reconfig.RecolorPath(
+        chi2, tuple(moves2), Coloring(tuple(shaped2[1:])),
+        reconfig.PathStats()))
     if len(steps) > step_cap:
         raise StepCapExceededError("composed path outgrew the step cap",
                                    cap=step_cap)

@@ -1,15 +1,20 @@
-"""``connect`` against the route it replaced, and reversed paths.
+"""``connect`` against its reference routes, and reversed paths.
 
 ``recolor.reconfig.connect`` validates its inputs once and composes the
-phase builders itself. ``helpers.connect_reference`` is the route it
-replaced, through the public ``path_to_good_greedy`` (twice) and
-``path_between_good_greedy``. The two must agree on every path, every stats
-field, every witness, and the type and message of every other exception,
-under every step cap.
+phase builders itself. ``helpers.classes_route_reference`` builds the same
+route from the public ``path_to_good_greedy`` and the reference oracles:
+the first walk, the join onto chi2's classes, those class moves reversed.
+The two must agree on every path, every stats field, every witness, and the
+type and message of every other exception, under every step cap.
+``helpers.connect_reference`` is the route through the public builders
+that bridged chi2's leftover and back; its witnesses stay the same.
 """
 
 import dataclasses
 import random
+from math import comb
+
+from hypothesis import assume, given, settings, strategies as st
 
 from recolor import (
     ColorabilityWitness,
@@ -21,11 +26,13 @@ from recolor import (
     build,
     connect,
     generate_hnm,
+    path_to_good_greedy,
     verify_path,
     verify_witness,
 )
 from recolor import reconfig
-from helpers import (connect_reference, direct_route_reference,
+from helpers import (classes_reference, classes_route_reference,
+                     connect_reference, direct_route_reference,
                      random_proper_coloring)
 
 CAPS = (0, 5, 50, 200, None)        # None: the default cap
@@ -83,8 +90,11 @@ def test_connect_matches_the_reference():
     kinds = {}
     for call in CORPUS:
         for cap in CAPS:
-            want = outcome(connect_reference, *call, cap)
-            assert outcome(connect, *call, cap) == want, (call[3:], cap)
+            want = outcome(classes_route_reference, *call, cap)
+            got = outcome(connect, *call, cap)
+            assert got == want, (call[3:], cap)
+            if cap is None and got[0] == "witness":
+                assert got == outcome(connect_reference, *call, cap)
             kinds[want[0]] = kinds.get(want[0], 0) + 1
     assert len(CORPUS) * len(CAPS) > 600
     assert {"ok", "witness", "StepCapExceededError"} <= set(kinds), kinds
@@ -117,10 +127,11 @@ def test_malformed_inputs_raise_the_same_errors():
 def test_one_call_validates_once_and_assembles_once(monkeypatch):
     """Two properness checks (one per endpoint), no re-check of the shapes
     it built, one assembled path, no public builder on the way, and the
-    reference's steps. At alpha = 1 two peels: one per walk's leftover, the
-    middle's bottom level reusing the second walk's. At alpha = 0 one: there
-    is no walk, and the join rewrites one end into the other along V's peel,
-    as the direct-route reference does."""
+    reference's steps. At alpha = 1 two peels: one of the first walk's
+    leftover and one of the leftover of chi2's classes, which the join's
+    last level rewrites along. At alpha = 0 one: there is no walk, and the
+    join rewrites one end into the other along V's peel, as the
+    direct-route reference does."""
     counts = dict.fromkeys(["is_proper", "check_good_greedy", "_assemble",
                             "path_to_good_greedy",
                             "path_between_good_greedy", "beta_core"], 0)
@@ -138,7 +149,7 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
     ends = [random_proper_coloring(line, 3, rng) for _ in range(2)]
     calls = [(next(call for call in CORPUS if call[1] != call[2]
                    and outcome(connect, *call, None)[0] == "ok"), 2,
-              connect_reference),
+              classes_route_reference),
              ((line, *ends, 3, 0, 2), 1, direct_route_reference)]
     for (H, c1, c2, q, alpha, beta), peels, reference in calls:
         want = reference(H, c1, c2, q, alpha, beta)
@@ -148,6 +159,43 @@ def test_one_call_validates_once_and_assembles_once(monkeypatch):
         assert counts == {"is_proper": 2, "check_good_greedy": 0,
                           "_assemble": 1, "path_to_good_greedy": 0,
                           "path_between_good_greedy": 0, "beta_core": peels}
+
+
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 2), st.integers(4, 40))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_path_runs_the_first_walk_then_undoes_the_second_classes(
+        seed, k, alpha, beta, extra, n):
+    """At alpha >= 1 the path replays cold to chi2. It opens with the walk
+    ``path_to_good_greedy`` makes of chi1 and closes with the moves that
+    paint chi2's classes, reversed; chi2's leftover is not walked. A call
+    that makes no path holds a witness that checks."""
+    assume(k <= n)
+    rng = random.Random(seed)
+    q = alpha + beta + extra
+    H = generate_hnm(n, rng.randint(0, min(2 * n, comb(n, k))), k,
+                     rng.getrandbits(32))
+    try:
+        c1 = random_proper_coloring(H, q, rng, tries=20)
+        c2 = random_proper_coloring(H, q, rng, tries=20)
+    except RuntimeError:
+        assume(False)
+    assume(c1 != c2)
+    try:
+        path = connect(H, c1, c2, q, alpha, beta)
+    except NotColorableEvidence as exc:
+        assert verify_witness(H, exc.witness, alpha, beta)
+        return
+    verdict = verify_path(H, path, q)
+    assert verdict.ok, verdict
+    assert verdict.end == c2
+    walk, _ = path_to_good_greedy(H, c1, q, alpha, beta)
+    assert path.steps[:len(walk)] == walk.steps
+    _, moves, _, _ = classes_reference(H, frozenset(range(1, H.n + 1)),
+                                       [0] + list(c2.colors), alpha, beta, 0)
+    # each vertex moves at most once into its class, so it goes back to c2's
+    back = tuple((v, c2[v]) for v, _ in reversed(moves))
+    assert path.steps[len(path) - len(back):] == back
 
 
 def reversed_path(path):

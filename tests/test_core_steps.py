@@ -506,7 +506,8 @@ def test_zero_targets_on_a_triangle_find_no_first_fit_color():
 @pytest.mark.parametrize("name,q,alpha,beta", [("connect_k2", 4, 1, 2),
                                                ("connect_k4", 5, 1, 3)])
 def test_connect_trace_matches_golden(name, q, alpha, beta, tmp_path, capsys):
-    """Traces recorded with the quadratic rewriter, compared byte for byte."""
+    """Traces compared byte for byte, re-recorded once connect stopped
+    walking chi2's leftover and the join's last level stopped bridging."""
     files = {s: str(GOLDEN / f"{name}.{s}.txt") for s in ("h", "c1", "c2")}
     out = tmp_path / "trace.txt"
     assert main(["connect", files["h"], files["c1"], files["c2"],

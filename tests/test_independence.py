@@ -388,8 +388,10 @@ class TestExactAgainstReference:
         # a bad active set is named before the size cap ...
         ((build(13, 2, []), 1, 1, [0] + list(range(1, 13))), ValidationError),
         ((build(13, 2, []), -1, 0, [14]), ValidationError),
-        # ... and the size cap before a bad alpha or beta
-        ((build(13, 2, []), -1, 0), InstanceTooLargeError),
+        # ... and the size cap on good alpha and beta; a bad alpha or beta
+        # now comes first, as test_one_wording checks, where this reference
+        # named the size cap
+        ((build(13, 2, []), 1, 1), InstanceTooLargeError),
         ((build(5, 2, []), -1, 1), ValidationError),
         ((build(5, 2, []), 1, 0), ValidationError),
         ((build(5, 2, []), 1, 1, None, 4), InstanceTooLargeError),

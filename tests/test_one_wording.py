@@ -18,6 +18,7 @@ from recolor import (
     falsify_alpha_beta,
     gamma_distance,
     gamma_stats,
+    generate_hnm,
     greedy_sequence,
     is_alpha_beta_colorable_exact,
     is_proper,
@@ -132,6 +133,20 @@ def test_alpha_and_beta(alpha, beta, message):
         calls.append(lambda: beta_core(PATH3, beta))
     want = (ValidationError, message)
     assert [raised(call) for call in calls] == [want] * len(calls)
+
+
+@pytest.mark.parametrize("alpha,message", [
+    (-1, "need alpha >= 0 and beta >= 1, got (-1, 1)"),
+    (1.5, "alpha must be an integer, got 1.5"),
+    (True, "alpha must be an integer, got True"),
+])
+def test_the_exact_search_checks_alpha_and_beta_before_its_size(alpha,
+                                                                message):
+    """Past the exhaustive cap a bad alpha is still the ValidationError
+    itself, not the InstanceTooLargeError subclass of a size refusal."""
+    H = generate_hnm(20, 10, 2, 1)
+    assert raised(lambda: is_alpha_beta_colorable_exact(H, alpha, 1)) == (
+        ValidationError, message)
 
 
 @pytest.mark.parametrize("q", [4.0, True, "4"])

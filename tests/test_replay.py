@@ -137,6 +137,35 @@ def test_verify_path_matches_the_reference_on_injected_faults(k, n, m, alpha,
     assert seen >= REASONS | {None}
 
 
+PATH3 = build(3, 2, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("start,steps,want", [
+    ((1, 2, 1), ((True, 3),), (0, "vertex-out-of-range")),
+    ((1, 2, 1), ((1.5, 3),), (0, "vertex-out-of-range")),
+    ((1, 2, 1), ((1, "3"),), (0, "color-out-of-range")),
+    ((1, 2, 1), ((1, 3.0),), (0, "color-out-of-range")),
+    ((1, 2, 1), ((1, False),), (0, "color-out-of-range")),
+    ((1, 2, 1), (("1", 3.0),), (0, "vertex-out-of-range")),
+    ((1, 2, 1), ((1, 3), (3, 3), (2.0, 1)), (2, "vertex-out-of-range")),
+    # a failure before the step that is no int comes first
+    ((1, 2, 1), ((1, 3), (1, 3), (1.5, 3)), (1, "hamming-step")),
+    ((1, 2, 1), ((1, 2), (True, 3)), (0, "improper-intermediate")),
+    ((1, 1, 1), ((1, "2"),), (None, "improper-start")),
+], ids=["true-vertex", "float-vertex", "str-color", "float-color",
+        "false-color", "both", "after-two-moves", "hamming-first",
+        "improper-first", "start-first"])
+def test_a_step_that_is_not_a_pair_of_ints_is_out_of_range(start, steps,
+                                                           want):
+    """A vertex or color that is no int, bool included, fails as out of
+    range at its index, in the order the replay checks a step."""
+    verdict = verify_path(PATH3, RecolorPath(Coloring(start), steps,
+                                             Coloring(start),
+                                             reconfig.PathStats()), 3)
+    assert (verdict.ok, verdict.end) == (False, None)
+    assert (verdict.failure_index, verdict.reason) == want
+
+
 def test_verify_path_matches_the_reference_on_random_steps():
     """Steps drawn at random, a few just outside the vertex and color
     ranges: most fail early, some replay to the end."""
